@@ -66,7 +66,6 @@ from .shift_analysis import (
     DISJOINT,
     EMPTY_MAB,
     PROPER,
-    UNCHANGED,
     ShiftAnalysis,
     SublatticePoset,
     analyze_shift,
@@ -81,7 +80,6 @@ __all__ = [
     "DISJOINT",
     "EMPTY_MAB",
     "PROPER",
-    "UNCHANGED",
     "ClosureNetwork",
     "FlowResult",
     "InstanceFormatError",

@@ -9,7 +9,8 @@ Subcommands
   verify         cross-check the solver against the brute-force oracle
   gen            reproducible random instance
 
-Exit codes: 0 success, 1 validation or usage error, 2 verification mismatch.
+Exit codes: 0 success, 1 validation or usage error, 2 verification mismatch,
+3 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -433,6 +434,9 @@ def run(argv: list[str] | None = None) -> int:
     except (InstanceFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

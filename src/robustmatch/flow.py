@@ -66,10 +66,10 @@ class ClosureNetwork:
 def build_network(poset: RotationPoset, analyses: list[ShiftAnalysis], dist: ShiftDistribution) -> ClosureNetwork:
     """Translate per-shift analyses into the closure network.
 
-    UNCHANGED and EMPTY_MAB shifts are dropped; DISJOINT shifts break every
-    matching and accumulate into constant_loss; PROPER shifts become edges
-    from their exit rotation (T when absent) to their entry rotation (S when
-    absent).  Parallel edges merge by summing probabilities.
+    EMPTY_MAB shifts are dropped; DISJOINT shifts break every matching and
+    accumulate into constant_loss; PROPER shifts become edges from their exit
+    rotation (T when absent) to their entry rotation (S when absent).
+    Parallel edges merge by summing probabilities.
     """
     if len(analyses) != len(dist.entries):
         raise ValueError("need exactly one analysis per distribution entry")

@@ -12,7 +12,7 @@ between stable matchings and downward-closed rotation sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instance import PreferenceInstance, boy_name, girl_name
 from .matching import Matching, boy_optimal, girl_optimal
@@ -167,8 +167,8 @@ class RotationPoset:
     above_boy: dict    # (g, b) -> id of the rotation after which g's partner is no worse than b
     girl_slot_positions: dict  # g -> ascending positions on g's list of her possible partners
     girl_slot_boys: dict       # g -> boys parallel to girl_slot_positions
-    # role-reversed companion poset plus the id correspondence, built on demand
-    _reversed: object = field(default=None, init=False, repr=False, compare=False)
+    boy_slot_positions: dict   # b -> ascending positions on b's list of his possible partners
+    boy_slot_girls: dict       # b -> girls parallel to boy_slot_positions
 
     @property
     def size(self) -> int:
@@ -309,19 +309,17 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
         for u in hasse_preds[v]:
             hasse_succs_sets[u].append(v)
 
-    # each girl's possible partners, keyed by position on her list
-    chains: dict[int, list[int]] = {g: [b] for b, g in m0.pairs}
+    # each agent's possible partners, keyed by position on his or her list;
+    # along the elimination path boys only get worse and girls only better
+    girl_chains: dict[int, list[int]] = {g: [b] for b, g in m0.pairs}
+    boy_chains: dict[int, list[int]] = {b: [g] for b, g in m0.pairs}
     for rot in rotations:
         for b, g in rot.post_pairs:
-            chains.setdefault(g, []).append(b)
-    girl_slot_positions: dict[int, tuple[int, ...]] = {}
-    girl_slot_boys: dict[int, tuple[int, ...]] = {}
-    for g, boys in chains.items():
-        pos = [inst.girl_rank[g][b] for b in boys]
-        if any(a <= b for a, b in itertools.pairwise(pos)):
-            raise AssertionError("a girl's partner chain is not strictly improving")
-        girl_slot_positions[g] = tuple(reversed(pos))
-        girl_slot_boys[g] = tuple(reversed(boys))
+            girl_chains[g].append(b)
+            boy_chains[b].append(g)
+    girl_slot_positions, girl_slot_boys = _slots(
+        {g: chain[::-1] for g, chain in girl_chains.items()}, inst.girl_rank)
+    boy_slot_positions, boy_slot_girls = _slots(boy_chains, inst.boy_rank)
 
     return RotationPoset(
         inst=inst,
@@ -338,7 +336,22 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
         above_boy=above_boy,
         girl_slot_positions=girl_slot_positions,
         girl_slot_boys=girl_slot_boys,
+        boy_slot_positions=boy_slot_positions,
+        boy_slot_girls=boy_slot_girls,
     )
+
+
+def _slots(chains: dict, rank) -> tuple[dict, dict]:
+    """(agent -> positions of the partners on the agent's list, agent -> partners),
+    both tuples in chain order; the positions must strictly ascend."""
+    positions: dict[int, tuple[int, ...]] = {}
+    partners: dict[int, tuple[int, ...]] = {}
+    for a, chain in chains.items():
+        pos = tuple(rank[a][p] for p in chain)
+        if any(x >= y for x, y in itertools.pairwise(pos)):
+            raise AssertionError("a partner chain is not strictly monotone along the lattice")
+        positions[a], partners[a] = pos, tuple(chain)
+    return positions, partners
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ Moving one entry up in one list can only create one new blocking pair
 candidate: the moved agent together with the list owner.  Which stable
 matchings that pair actually breaks is an interval-like slice of the
 lattice, pinned down by at most one entry rotation and one exit rotation.
+Both list sides are read off the instance's one rotation poset: a girl's
+stable partners only improve along the lattice and a boy's only worsen, so
+the same positional rule serves a girl-list shift and its mirror image.
 This module computes those rotations for a shift, classifies the outcome,
 and exposes the destabilized set as a poset fragment of its own.
 """
@@ -13,24 +16,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .instance import (
-    GIRL_LIST,
-    PreferenceInstance,
-    Shift,
-    apply_shift,
-    mover_position,
-    reversed_instance,
-    reversed_shift,
-)
-from .matching import Matching, boy_optimal, is_stable, unmatched_agents
-from .rotations import RotationPoset, build_rotation_poset, closed_set_to_matching
+from .instance import GIRL_LIST, PreferenceInstance, Shift, mover_position
+from .matching import Matching
+from .rotations import RotationPoset, closed_set_to_matching
 
-UNCHANGED = "UNCHANGED"      # the shifted instance has exactly the same stable matchings
 DISJOINT = "DISJOINT"        # no stable matching survives the shift
 EMPTY_MAB = "EMPTY_MAB"      # every stable matching survives the shift
 PROPER = "PROPER"            # some survive, some break; entry/exit rotations apply
 
-STATUSES = (UNCHANGED, DISJOINT, EMPTY_MAB, PROPER)
+STATUSES = (DISJOINT, EMPTY_MAB, PROPER)
 
 
 @dataclass(frozen=True)
@@ -55,23 +49,57 @@ class ShiftAnalysis:
         return self.rho_out is None or not (mask >> self.rho_out) & 1
 
 
-def _window_partners(poset: RotationPoset, inst: PreferenceInstance, shift: Shift):
-    """(best, worst) stable partners of the list owner inside the shift window.
+def _window_rotations(poset: RotationPoset, inst: PreferenceInstance, shift: Shift):
+    """(entry, exit) rotations of the list owner's stable partners inside the window.
 
     The window is the run of positions the mover jumps over; a partner there
-    is outranked by the mover after the shift.  Returns None when no stable
-    partner falls inside it.
+    is outranked by the mover after the shift.  The owner holds an in-window
+    partner exactly in the matchings that contain the entry rotation and not
+    the exit one (None for the bottom and top).  Returns None when no stable
+    partner falls inside the window.
     """
-    g, i = shift.agent, mover_position(inst, shift)
-    positions = poset.girl_slot_positions.get(g)
+    owner, i = shift.agent, mover_position(inst, shift)
+    if shift.side == GIRL_LIST:
+        slot_positions, slot_partners = poset.girl_slot_positions, poset.girl_slot_boys
+    else:
+        slot_positions, slot_partners = poset.boy_slot_positions, poset.boy_slot_girls
+    positions = slot_positions.get(owner)
     if not positions:
         return None
-    boys = poset.girl_slot_boys[g]
     left = bisect_left(positions, i - shift.window)
     right = bisect_left(positions, i)
     if left == right:
         return None
-    return boys[left], boys[right - 1]
+    partners = slot_partners[owner]
+    if shift.side == GIRL_LIST:
+        # a girl's best in-window partner is the last one she reaches
+        first, last = (partners[right - 1], owner), (partners[left], owner)
+    else:
+        first, last = (owner, partners[left]), (owner, partners[right - 1])
+    return poset.post_pair.get(first), poset.pre_pair.get(last)
+
+
+def _mover_crossing(poset: RotationPoset, inst: PreferenceInstance, shift: Shift):
+    """(never, crossing): where the mover's preference for the list owner flips.
+
+    never is True when the mover is matched in every stable matching and
+    even the mover's worst stable partner ranks at or above the owner.
+    Otherwise crossing is the rotation after which a boy mover (who only
+    gets worse) prefers the girl owner, or a girl mover (who only gets
+    better) stops preferring the boy owner; None when that never changes.
+    """
+    owner, mover = shift.agent, shift.mover
+    if shift.side == GIRL_LIST:
+        rank, worst, best = inst.boy_rank[mover], poset.girl_opt.girl_of(mover), poset.boy_opt.girl_of(mover)
+        crossing = poset.below_girl.get((mover, owner))
+    else:
+        rank, worst, best = inst.girl_rank[mover], poset.boy_opt.boy_of(mover), poset.girl_opt.boy_of(mover)
+        crossing = poset.above_boy.get((mover, owner))
+    if worst is not None and rank[worst] <= rank[owner]:
+        return True, None
+    if crossing is None and best is not None and rank[best] <= rank[owner]:
+        raise AssertionError("mover crosses the list owner but no rotation records it")
+    return False, crossing
 
 
 def find_component_rotations(poset: RotationPoset, inst: PreferenceInstance, shift: Shift):
@@ -83,101 +111,39 @@ def find_component_rotations(poset: RotationPoset, inst: PreferenceInstance, shi
     """
     if shift.side != GIRL_LIST:
         raise ValueError("component rotations are defined on girl-list shifts; reverse roles first")
-    g, b = shift.agent, shift.mover
-    rho1 = rho3 = None
-    window = _window_partners(poset, inst, shift)
-    if window is not None:
-        best, worst = window
-        rho1 = poset.post_pair.get((worst, g))
-        rho3 = poset.pre_pair.get((best, g))
-    rho2 = poset.below_girl.get((b, g))
+    rho1, rho3 = _window_rotations(poset, inst, shift) or (None, None)
+    _, rho2 = _mover_crossing(poset, inst, shift)
     return rho1, rho2, rho3
-
-
-def _matched_sets_differ(poset: RotationPoset, inst: PreferenceInstance, shift: Shift) -> bool:
-    """Whether the shift changes which agents are matched in stable matchings.
-
-    Complete instances with equal sides always match everyone, so the test
-    short-circuits there; otherwise one proposal round on the shifted
-    instance decides (the unmatched set is the same in all stable matchings).
-    """
-    if inst.is_complete and inst.n_boys == inst.n_girls:
-        return False
-    shifted = apply_shift(inst, shift)
-    return unmatched_agents(inst, poset.boy_opt) != unmatched_agents(shifted, boy_optimal(shifted))
-
-
-def _reversed_companion(poset: RotationPoset):
-    """The poset of the role-reversed instance plus the rotation id map back.
-
-    A reversed rotation undoes what exactly one original rotation does: its
-    pairs, read back in boy-girl order, are that rotation's post-elimination
-    pairs.  The correspondence reverses the precedence order.
-    """
-    if poset._reversed is None:
-        rposet = build_rotation_poset(reversed_instance(poset.inst))
-        if rposet.size != poset.size:
-            raise AssertionError("role reversal changed the number of rotations")
-        mapping = []
-        for rot in rposet.rotations:
-            ids = {poset.post_pair.get((b, g)) for g, b in rot.pairs}
-            if len(ids) != 1 or None in ids:
-                raise AssertionError("reversed rotation does not undo a unique original rotation")
-            mapping.append(ids.pop())
-        if len(set(mapping)) != poset.size:
-            raise AssertionError("rotation correspondence under role reversal is not a bijection")
-        poset._reversed = (rposet, tuple(mapping))
-    return poset._reversed
-
-
-def _analyze_girl_list(poset: RotationPoset, inst: PreferenceInstance, shift: Shift) -> ShiftAnalysis:
-    g, b = shift.agent, shift.mover
-    window = _window_partners(poset, inst, shift)
-    if window is None:
-        return ShiftAnalysis(shift, EMPTY_MAB)
-    mover_first = poset.boy_opt.girl_of(b)
-    if mover_first is not None:
-        # the mover is matched in every stable matching; unless even his worst
-        # partner is below the girl, he never prefers her and nothing breaks
-        mover_worst = poset.girl_opt.girl_of(b)
-        if inst.boy_rank[b][mover_worst] <= inst.boy_rank[b][g]:
-            return ShiftAnalysis(shift, EMPTY_MAB)
-    best, worst = window
-    rho1 = poset.post_pair.get((worst, g))
-    rho3 = poset.pre_pair.get((best, g))
-    rho2 = poset.below_girl.get((b, g))
-    if rho2 is None and mover_first is not None and inst.boy_rank[b][mover_first] <= inst.boy_rank[b][g]:
-        raise AssertionError("mover crosses below the girl but no rotation records it")
-    if rho2 is not None and rho3 is not None and poset.leq(rho3, rho2):
-        return ShiftAnalysis(shift, EMPTY_MAB)
-    rho_in = rho2 if rho2 is not None else rho1
-    rho_out = rho3
-    if rho_in is None and rho_out is None:
-        if is_stable(apply_shift(inst, shift), poset.boy_opt):
-            return ShiftAnalysis(shift, UNCHANGED)
-        return ShiftAnalysis(shift, DISJOINT)
-    if rho_in is not None and rho_out is not None and poset.leq(rho_out, rho_in):
-        raise AssertionError("exit rotation precedes entry rotation in a proper analysis")
-    return ShiftAnalysis(shift, PROPER, rho_in, rho_out)
 
 
 def analyze_shift(poset: RotationPoset, inst: PreferenceInstance, shift: Shift) -> ShiftAnalysis:
     """Classify one shift and find its entry/exit rotations.
 
-    Boy-list shifts run the girl-list analysis on the role-reversed instance;
-    reversal flips the lattice upside down, so the reversed entry becomes the
-    exit and vice versa, and the bottom/top endpoints trade places.
+    A matching breaks when the owner's partner lies in the window and the
+    mover prefers the owner.  On a girl list the mover's crossing is a
+    second entry, which never precedes the window's; on a boy list it is a
+    second exit, which never follows the window's.  With neither endpoint
+    left, the window holds every stable partner of the owner and the mover
+    always prefers the owner, so every matching breaks.
     """
-    if _matched_sets_differ(poset, inst, shift):
+    window = _window_rotations(poset, inst, shift)
+    if window is None:
+        return ShiftAnalysis(shift, EMPTY_MAB)
+    never, crossing = _mover_crossing(poset, inst, shift)
+    if never:
+        return ShiftAnalysis(shift, EMPTY_MAB)
+    rho_in, rho_out = window
+    if crossing is not None:
+        if shift.side == GIRL_LIST:
+            rho_in = crossing
+        else:
+            rho_out = crossing
+    if rho_in is None and rho_out is None:
         return ShiftAnalysis(shift, DISJOINT)
-    if shift.side == GIRL_LIST:
-        return _analyze_girl_list(poset, inst, shift)
-    rposet, mapping = _reversed_companion(poset)
-    mirrored = _analyze_girl_list(rposet, rposet.inst, reversed_shift(shift))
-    if mirrored.status != PROPER:
-        return ShiftAnalysis(shift, mirrored.status)
-    rho_in = mapping[mirrored.rho_out] if mirrored.rho_out is not None else None
-    rho_out = mapping[mirrored.rho_in] if mirrored.rho_in is not None else None
+    if rho_in is not None and rho_out is not None and poset.leq(rho_out, rho_in):
+        if crossing is None:
+            raise AssertionError("exit rotation precedes entry rotation in a proper analysis")
+        return ShiftAnalysis(shift, EMPTY_MAB)
     return ShiftAnalysis(shift, PROPER, rho_in, rho_out)
 
 

@@ -356,6 +356,24 @@ class TestGen:
         assert "completeness must be in (0, 1]" in err
 
 
+class TestOnePoset:
+    @pytest.mark.parametrize("command", ["solve", "represent"])
+    def test_one_rotation_poset_per_run(self, capsys, monkeypatch, i3_path, command):
+        # the full-uniform distribution includes boy-list shifts
+        from robustmatch import RotationPoset, rotations
+
+        built = []
+
+        def counting(**fields):
+            built.append(RotationPoset(**fields))
+            return built[-1]
+
+        monkeypatch.setattr(rotations, "RotationPoset", counting)
+        code, _, _ = cli(capsys, command, "--instance", str(i3_path), "--dist", "full-uniform")
+        assert code == 0
+        assert len(built) == 1
+
+
 class TestErrorHandling:
     def test_missing_instance_file(self, capsys):
         code, _, err = cli(capsys, "lattice", "--instance", "/no/such/file")
@@ -387,6 +405,24 @@ class TestErrorHandling:
         code, _, err = cli(capsys, "solve", "--instance", str(i2_path))
         assert code == 1
         assert "--dist" in err
+
+    @pytest.mark.parametrize(
+        "layer, argv",
+        [
+            ("build_rotation_poset", ["lattice"]),
+            ("analyze_shift", ["analyze-shift", "--shift", "GIRL_LIST g1 b1 1"]),
+            ("solve_pipeline", ["solve", "--dist", "full-uniform"]),
+        ],
+    )
+    def test_internal_invariant_failure(self, capsys, monkeypatch, i2_path, layer, argv):
+        def broken(*args):
+            raise AssertionError("broken invariant")
+
+        monkeypatch.setattr(f"robustmatch.cli.{layer}", broken)
+        code, out, err = cli(capsys, *argv, "--instance", str(i2_path))
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: broken invariant\n"
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = cli(capsys, "--help")

@@ -148,6 +148,29 @@ class TestRotationPoset:
                 assert poset.leq(u, v)
                 assert v in poset.hasse_succs[u]
 
+    @given(random_instances(max_n=6))
+    @settings(max_examples=60)
+    def test_partner_chains_match_bruteforce(self, inst):
+        poset = build_rotation_poset(inst)
+        stable = enumerate_stable_bruteforce(inst)
+        boy_partners: dict[int, set[int]] = {}
+        girl_partners: dict[int, set[int]] = {}
+        for m in stable:
+            for b, g in m.pairs:
+                boy_partners.setdefault(b, set()).add(g)
+                girl_partners.setdefault(g, set()).add(b)
+        # every list best first; the slot positions are the ranks of those partners
+        assert poset.boy_slot_girls == {
+            b: tuple(sorted(gs, key=inst.boy_rank[b].get)) for b, gs in boy_partners.items()
+        }
+        assert poset.girl_slot_boys == {
+            g: tuple(sorted(bs, key=inst.girl_rank[g].get)) for g, bs in girl_partners.items()
+        }
+        for b, girls in poset.boy_slot_girls.items():
+            assert poset.boy_slot_positions[b] == tuple(inst.boy_rank[b][g] for g in girls)
+        for g, boys in poset.girl_slot_boys.items():
+            assert poset.girl_slot_positions[g] == tuple(inst.girl_rank[g][b] for b in boys)
+
 
 class TestClosedSets:
     def test_i3_masks(self, i3):

@@ -22,6 +22,8 @@ from robustmatch import (
     parse_instance,
     sublattice_poset,
 )
+from robustmatch.instance import reversed_instance, reversed_shift
+from robustmatch.matching import boy_optimal, unmatched_agents
 from robustmatch.shift_analysis import (
     DISJOINT,
     EMPTY_MAB,
@@ -46,6 +48,53 @@ UNIQUE = parse_instance(
 UNMATCHED_CHANGE = parse_instance(
     "3\nb1: g1 g3\nb2: g3\nb3: g1 g2\ng1: b1 b3\ng2: b3\ng3: b2 b1\n"
 )
+# the same instance with the roles of the two sides swapped
+UNMATCHED_CHANGE_BOYS = parse_instance(
+    "3\nb1: g1 g3\nb2: g3\nb3: g2 g1\ng1: b1 b3\ng2: b3\ng3: b1 b2\n"
+)
+# incomplete instances with unequal sides, two rotations each
+UNEQUAL_SIDES = [
+    "3 4\nb1: g1 g2 g4\nb2: g1 g2 g4\nb3: g4 g2 g1 g3\n"
+    "g1: b3 b1 b2\ng2: b1 b3 b2\ng3: b3\ng4: b2 b1 b3\n",
+    "5 6\nb1: g3 g4 g5 g1\nb2: g6 g4 g3 g2 g1\nb3: g4 g2 g1 g3\nb4: g5 g2 g4 g1 g6 g3\n"
+    "b5: g2 g5 g3\ng1: b3 b2 b4 b1\ng2: b3 b4 b2 b5\ng3: b3 b1 b5 b2 b4\n"
+    "g4: b4 b3 b1 b2\ng5: b5 b4 b1\ng6: b2 b4\n",
+    "6 5\nb1: g2 g1 g4 g5\nb2: g2 g5 g4 g1\nb3: g2 g4 g1 g5\nb4: g3 g4 g2\n"
+    "b5: g1 g4 g5 g2 g3\nb6: g5 g4 g2 g1\ng1: b2 b1 b5 b3 b6\n"
+    "g2: b6 b5 b2 b3 b4 b1\ng3: b5 b4\ng4: b2 b6 b4 b5 b3 b1\ng5: b1 b2 b5 b6 b3\n",
+]
+
+
+def mirrored_boy_analyses(poset):
+    """Reference for boy-list shifts: the girl-list rule run on the
+    role-reversed instance, its rotation ids mapped back and its endpoints
+    swapped.
+
+    A reversed rotation undoes exactly one original rotation: its pairs, read
+    back in boy-girl order, are that rotation's post-elimination pairs.  The
+    correspondence reverses the precedence order, so the reversed entry is
+    the exit and the bottom and top trade places.
+    """
+    inst = poset.inst
+    rposet = build_rotation_poset(reversed_instance(inst))
+    mapping = []
+    for rot in rposet.rotations:
+        ids = {poset.post_pair.get((b, g)) for g, b in rot.pairs}
+        assert len(ids) == 1 and None not in ids
+        mapping.append(ids.pop())
+    assert sorted(mapping) == list(range(poset.size))
+    out = {}
+    for shift in enumerate_shift_domain(inst):
+        if shift.side != BOY_LIST:
+            continue
+        mirrored = analyze_shift(rposet, rposet.inst, reversed_shift(shift))
+        if mirrored.status != PROPER:
+            out[shift] = ShiftAnalysis(shift, mirrored.status)
+            continue
+        rho_in = None if mirrored.rho_out is None else mapping[mirrored.rho_out]
+        rho_out = None if mirrored.rho_in is None else mapping[mirrored.rho_in]
+        out[shift] = ShiftAnalysis(shift, PROPER, rho_in, rho_out)
+    return out
 
 
 class TestComponentRotations:
@@ -113,12 +162,44 @@ class TestAnalyzeShift:
         analysis = analyze_shift(poset, UNMATCHED_CHANGE, Shift(GIRL_LIST, 0, 2, 1))
         assert analysis.status == DISJOINT
 
+    def test_disjoint_when_unmatched_set_changes_on_boy_list(self):
+        inst, shift = UNMATCHED_CHANGE_BOYS, Shift(BOY_LIST, 0, 2, 1)
+        poset = build_rotation_poset(inst)
+        shifted = apply_shift(inst, shift)
+        assert unmatched_agents(inst, poset.boy_opt) != unmatched_agents(shifted, boy_optimal(shifted))
+        assert analyze_shift(poset, inst, shift).status == DISJOINT
+
     @given(random_instances(max_n=6))
     @settings(max_examples=40)
     def test_status_is_always_known(self, inst):
+        assert set(STATUSES) == {PROPER, DISJOINT, EMPTY_MAB}
         poset = build_rotation_poset(inst)
         for shift in enumerate_shift_domain(inst):
             assert analyze_shift(poset, inst, shift).status in STATUSES
+
+
+class TestBoyListMirror:
+    """Boy-list shifts read off the one poset agree with role reversal."""
+
+    @staticmethod
+    def check(inst):
+        poset = build_rotation_poset(inst)
+        expected = mirrored_boy_analyses(poset)
+        for shift, reference in expected.items():
+            assert analyze_shift(poset, inst, shift) == reference
+
+    def test_i2_i3(self, i2, i3):
+        self.check(i2)
+        self.check(i3)
+
+    @given(random_instances(max_n=7))
+    @settings(max_examples=80)
+    def test_random_instances(self, inst):
+        self.check(inst)
+
+    @pytest.mark.parametrize("text", UNEQUAL_SIDES, ids=["3x4", "5x6", "6x5"])
+    def test_unequal_sides(self, text):
+        self.check(parse_instance(text))
 
 
 class TestDestabilizesMask:
