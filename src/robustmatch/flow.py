@@ -11,8 +11,12 @@ each shift contributes an edge from its exit to its entry with capacity equal
 to its probability.  Max flow from T to S equals the minimum breaking
 probability, and the residual graph pins down every optimal closed set.
 
-Everything is computed in exact arithmetic: capacities are scaled to a common
-integer denominator, flow is integral, and results convert back to Fractions.
+Everything is computed in exact arithmetic.  Shift weights accumulate as
+integer numerators over one denominator and become Fractions once per merged
+edge; the full-uniform distribution is read in runs of windows, never shift
+by shift.  Capacities are scaled to a common integer denominator, flow is
+integral, the optimality certificate is checked in those integers, and
+results convert back to Fractions.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .instance import PreferenceInstance, ShiftDistribution
 from .matching import Matching
@@ -30,7 +35,7 @@ from .rotations import (
     closed_set_to_matching,
     mask_to_ids,
 )
-from .shift_analysis import DISJOINT, PROPER, ShiftAnalysis, analyze_shift
+from .shift_analysis import DISJOINT, PROPER, ShiftAnalysis, analyze_shift, shift_runs
 
 
 @dataclass(frozen=True)
@@ -63,28 +68,40 @@ class ClosureNetwork:
         return f"R{u}"
 
 
-def build_network(poset: RotationPoset, analyses: list[ShiftAnalysis], dist: ShiftDistribution) -> ClosureNetwork:
-    """Translate per-shift analyses into the closure network.
+def _explicit_weights(poset: RotationPoset, dist: ShiftDistribution):
+    """(weight, status, rho_in, rho_out) per listed shift, weight = p * dist.denominator."""
+    denominator = dist.denominator
+    for shift, p in dist.entries:
+        analysis = analyze_shift(poset, poset.inst, shift)
+        yield p.numerator * (denominator // p.denominator), analysis.status, analysis.rho_in, analysis.rho_out
+
+
+def build_network(poset: RotationPoset, dist: ShiftDistribution) -> ClosureNetwork:
+    """Translate a shift distribution over the poset's instance into the closure network.
 
     EMPTY_MAB shifts are dropped; DISJOINT shifts break every matching and
     accumulate into constant_loss; PROPER shifts become edges from their exit
     rotation (T when absent) to their entry rotation (S when absent).
-    Parallel edges merge by summing probabilities.
+    Parallel edges merge.  Weights are integer numerators over the one
+    denominator ``dist.denominator``, turned into Fractions once per merged
+    edge: the full-uniform distribution is read run by run (``shift_runs``),
+    a run weighing its window count, without building any per-shift object;
+    an explicit distribution's shifts are analysed one by one.
     """
-    if len(analyses) != len(dist.entries):
-        raise ValueError("need exactly one analysis per distribution entry")
+    if dist.uniform_over is not None:
+        dist.validate_for(poset.inst)
+        weighted = shift_runs(poset, poset.inst)
+    else:
+        weighted = _explicit_weights(poset, dist)
     bottom, top = poset.size, poset.size + 1
-    constant = Fraction(0)
-    merged: dict[tuple[int, int], Fraction] = {}
-    for analysis, (shift, p) in zip(analyses, dist.entries):
-        if analysis.shift != shift:
-            raise ValueError(f"analysis order does not match the distribution at: {shift.describe()}")
-        if analysis.status == DISJOINT:
-            constant += p
-        elif analysis.status == PROPER:
-            u = top if analysis.rho_out is None else analysis.rho_out
-            v = bottom if analysis.rho_in is None else analysis.rho_in
-            merged[(u, v)] = merged.get((u, v), Fraction(0)) + p
+    constant = 0
+    merged: dict[tuple[int, int], int] = {}
+    for weight, status, rho_in, rho_out in weighted:
+        if status == DISJOINT:
+            constant += weight
+        elif status == PROPER:
+            edge = (top if rho_out is None else rho_out, bottom if rho_in is None else rho_in)
+            merged[edge] = merged.get(edge, 0) + weight
     hasse: list[tuple[int, int]] = []
     for v in range(poset.size):
         for u in poset.hasse_preds[v]:
@@ -93,8 +110,9 @@ def build_network(poset: RotationPoset, analyses: list[ShiftAnalysis], dist: Shi
         hasse.append((bottom, v))
     for v in poset.maximal_ids:
         hasse.append((v, top))
-    shift_edges = tuple((u, v, c) for (u, v), c in sorted(merged.items()))
-    return ClosureNetwork(poset.size, tuple(hasse), shift_edges, constant, poset)
+    denominator = dist.denominator
+    shift_edges = tuple((u, v, Fraction(w, denominator)) for (u, v), w in sorted(merged.items()))
+    return ClosureNetwork(poset.size, tuple(hasse), shift_edges, Fraction(constant, denominator), poset)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +179,6 @@ class FlowResult:
     @property
     def flow_value(self) -> Fraction:
         return Fraction(self.value_scaled, self.scale)
-
-    def hasse_flows(self) -> list[Fraction]:
-        return [Fraction(self.original[e] - self.cap[e], self.scale) for e in self.hasse_eidx]
-
-    def shift_flows(self) -> list[Fraction]:
-        return [Fraction(self.original[e] - self.cap[e], self.scale) for e in self.shift_eidx]
 
 
 def solve(network: ClosureNetwork) -> FlowResult:
@@ -257,25 +269,24 @@ def certificate_violations(network: ClosureNetwork, flow: FlowResult, mask: int)
             y[r] = 0
     problems: list[str] = []
     name = network.node_name
-    separated = Fraction(0)
-    shift_flows = flow.shift_flows()
-    for k, (u, v, p) in enumerate(network.shift_edges):
-        g = shift_flows[k]
+    # compared in scaled integers: original[e] is the edge's capacity times flow.scale
+    original, cap, scale = flow.original, flow.cap, flow.scale
+    separated = 0
+    for (u, v, p), e in zip(network.shift_edges, flow.shift_eidx):
+        g = original[e] - cap[e]
         if y[u] > y[v]:
-            separated += p
-            if g != p:
-                problems.append(f"separated shift edge {name(u)}->{name(v)} carries {g}, not its capacity {p}")
+            separated += original[e]
+            if g != original[e]:
+                problems.append(f"separated shift edge {name(u)}->{name(v)} carries {Fraction(g, scale)}, not its capacity {p}")
         elif y[u] < y[v] and g != 0:
-            problems.append(f"shift edge {name(u)}->{name(v)} crosses back into the cut with flow {g}")
-    hasse_flows = flow.hasse_flows()
-    for k, (u, v) in enumerate(network.hasse_edges):
-        f = hasse_flows[k]
+            problems.append(f"shift edge {name(u)}->{name(v)} crosses back into the cut with flow {Fraction(g, scale)}")
+    for (u, v), e in zip(network.hasse_edges, flow.hasse_eidx):
         if y[u] > y[v]:
             problems.append(f"unbounded edge {name(u)}->{name(v)} crosses the cut: set not closed")
-        elif y[u] < y[v] and f != 0:
-            problems.append(f"unbounded edge {name(u)}->{name(v)} carries {f} against the cut")
-    if separated != flow.flow_value:
-        problems.append(f"separated mass {separated} differs from flow value {flow.flow_value}")
+        elif y[u] < y[v] and original[e] != cap[e]:
+            problems.append(f"unbounded edge {name(u)}->{name(v)} carries {Fraction(original[e] - cap[e], scale)} against the cut")
+    if separated != flow.value_scaled:
+        problems.append(f"separated mass {Fraction(separated, scale)} differs from flow value {flow.flow_value}")
     return problems
 
 
@@ -300,14 +311,19 @@ class SolveRun:
     inst: PreferenceInstance
     dist: ShiftDistribution
     poset: RotationPoset
-    analyses: list[ShiftAnalysis]
     network: ClosureNetwork
     flow: FlowResult
     closed_mask: int
     solution: RobustSolution
 
+    @cached_property
+    def analyses(self) -> list[ShiftAnalysis]:
+        """One analysis per distribution entry, in order; computed on first read."""
+        return analyze_domain(self.poset, self.inst, self.dist)
+
 
 def analyze_domain(poset: RotationPoset, inst: PreferenceInstance, dist: ShiftDistribution) -> list[ShiftAnalysis]:
+    """The per-shift reference: ``analyze_shift`` on every entry of the distribution."""
     return [analyze_shift(poset, inst, shift) for shift, _ in dist.entries]
 
 
@@ -321,12 +337,16 @@ def objective_of_mask(analyses: list[ShiftAnalysis], dist: ShiftDistribution, ma
 
 
 def solve_pipeline(inst: PreferenceInstance, dist: ShiftDistribution) -> SolveRun:
+    """Solve and certify: raises AssertionError when the optimality
+    certificate of the extracted cut fails."""
     dist.validate_for(inst)
     poset = build_rotation_poset(inst)
-    analyses = analyze_domain(poset, inst, dist)
-    network = build_network(poset, analyses, dist)
+    network = build_network(poset, dist)
     flow = solve(network)
     mask = extract_closed_set(network, flow)
+    violations = certificate_violations(network, flow, mask)
+    if violations:
+        raise AssertionError("optimality certificate failed: " + "; ".join(violations))
     matching = closed_set_to_matching(poset, mask)
     solution = RobustSolution(
         matching=matching,
@@ -335,7 +355,7 @@ def solve_pipeline(inst: PreferenceInstance, dist: ShiftDistribution) -> SolveRu
         flow_value=flow.flow_value,
         constant_loss=network.constant_loss,
     )
-    return SolveRun(inst, dist, poset, analyses, network, flow, mask, solution)
+    return SolveRun(inst, dist, poset, network, flow, mask, solution)
 
 
 def robust_matching(inst: PreferenceInstance, dist: ShiftDistribution) -> RobustSolution:

@@ -13,6 +13,7 @@ instances and shifts can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -217,48 +218,83 @@ def enumerate_shift_domain(inst: PreferenceInstance) -> list[Shift]:
 # ---------------------------------------------------------------------------
 # distributions
 
-@dataclass(frozen=True)
 class ShiftDistribution:
     """A probability distribution over shifts, with exact rational weights.
 
     Non-empty distributions must sum to exactly 1.  ``allow_partial`` relaxes
     that to <= 1 for internal sensitivity tests; file parsing never sets it.
+    Distributions are not changed after construction.
     """
 
-    entries: tuple[tuple[Shift, Fraction], ...]
-    allow_partial: bool = False
-
-    def __post_init__(self):
+    def __init__(self, entries: tuple[tuple[Shift, Fraction], ...] = (), allow_partial: bool = False):
+        self._entries: tuple[tuple[Shift, Fraction], ...] | None = tuple(entries)
+        self.allow_partial = allow_partial
+        # the instance whose whole shift domain this distribution is uniform over
+        self.uniform_over: PreferenceInstance | None = None
+        self._domain_size = 0
         seen = set()
         total = Fraction(0)
-        for shift, p in self.entries:
+        for shift, p in self._entries:
             if shift in seen:
                 raise ValueError(f"duplicate shift in distribution: {shift.describe()}")
             seen.add(shift)
             if p < 0:
                 raise ValueError(f"negative probability for {shift.describe()}")
             total += p
-        if self.entries and not self.allow_partial and total != 1:
+        if self._entries and not self.allow_partial and total != 1:
             raise ValueError(f"distribution sums to {total}, expected exactly 1")
         if self.allow_partial and total > 1:
             raise ValueError(f"distribution sums to {total}, more than 1")
 
-    @property
-    def total(self) -> Fraction:
-        return sum((p for _, p in self.entries), Fraction(0))
-
-    def validate_for(self, inst: PreferenceInstance):
-        """Check that every supported shift is applicable to ``inst``."""
-        for shift, _ in self.entries:
-            mover_position(inst, shift)
-
     @classmethod
     def uniform(cls, inst: PreferenceInstance) -> "ShiftDistribution":
-        domain = enumerate_shift_domain(inst)
-        if not domain:
-            return cls(())
-        p = Fraction(1, len(domain))
-        return cls(tuple((shift, p) for shift in domain))
+        """Every shift of ``inst`` with probability 1/|D|.
+
+        Only the instance and |D| (the sum of L(L-1)/2 over all lists) are
+        stored.  ``entries`` is built on its first read, in
+        ``enumerate_shift_domain`` order, so a solver that works from the
+        instance never creates the per-shift objects.
+        """
+        dist = cls()
+        dist.uniform_over = inst
+        dist._domain_size = sum(len(p) * (len(p) - 1) // 2 for p in inst.girl_prefs + inst.boy_prefs)
+        if dist._domain_size:
+            dist._entries = None
+        return dist
+
+    @property
+    def entries(self) -> tuple[tuple[Shift, Fraction], ...]:
+        if self._entries is None:
+            p = Fraction(1, self._domain_size)
+            self._entries = tuple((shift, p) for shift in enumerate_shift_domain(self.uniform_over))
+        return self._entries
+
+    @property
+    def total(self) -> Fraction:
+        if self.uniform_over is not None:
+            return Fraction(1 if self._domain_size else 0)
+        return sum((p for _, p in self._entries), Fraction(0))
+
+    @cached_property
+    def denominator(self) -> int:
+        """A common denominator of every probability: |D| for the uniform
+        distribution, else the least common multiple of the entries'."""
+        if self.uniform_over is not None:
+            return max(self._domain_size, 1)
+        return math.lcm(*(p.denominator for _, p in self._entries))
+
+    def validate_for(self, inst: PreferenceInstance):
+        """Check that every supported shift is applicable to ``inst``.
+
+        A uniform distribution's shifts are exactly those of the instance it
+        was built over, so only that instance is compared.
+        """
+        if self.uniform_over is not None:
+            if self.uniform_over != inst:
+                raise ValueError("the uniform distribution was built over another instance")
+            return
+        for shift, _ in self._entries:
+            mover_position(inst, shift)
 
 
 def parse_shift(text: str, inst: PreferenceInstance, line: int | None = None) -> Shift:

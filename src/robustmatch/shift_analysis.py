@@ -9,14 +9,20 @@ stable partners only improve along the lattice and a boy's only worsen, so
 the same positional rule serves a girl-list shift and its mirror image.
 This module computes those rotations for a shift, classifies the outcome,
 and exposes the destabilized set as a poset fragment of its own.
+
+A shift's outcome depends on its window only through which of the owner's
+stable partners the window holds, so the windows of one mover fall into at
+most (#partners + 1) runs with one outcome each.  ``analyze_shift`` looks up
+the run of one shift; ``shift_runs`` walks the whole domain run by run.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .instance import GIRL_LIST, PreferenceInstance, Shift, mover_position
+from .instance import BOY_LIST, GIRL_LIST, PreferenceInstance, Shift, mover_position
 from .matching import Matching
 from .rotations import RotationPoset, closed_set_to_matching
 
@@ -49,37 +55,86 @@ class ShiftAnalysis:
         return self.rho_out is None or not (mask >> self.rho_out) & 1
 
 
-def _window_rotations(poset: RotationPoset, inst: PreferenceInstance, shift: Shift):
-    """(entry, exit) rotations of the list owner's stable partners inside the window.
+class _MoverContext(NamedTuple):
+    """What a shift's outcome depends on apart from its window.
 
-    The window is the run of positions the mover jumps over; a partner there
-    is outranked by the mover after the shift.  The owner holds an in-window
-    partner exactly in the matchings that contain the entry rotation and not
-    the exit one (None for the bottom and top).  Returns None when no stable
-    partner falls inside the window.
+    One context serves every window of the mover at position i on one
+    owner's list.  The owner's stable partners sit at ascending positions
+    p_0 < p_1 < ... on that list, and ``right`` of them lie above i.  A
+    window of k entries holds slots j..right-1 with j = bisect_left(p, i - k),
+    so windows with equal j form one run with one outcome: run j < right
+    covers k in [i - p_j, i - p_{j-1} - 1] (p_{-1} = -1), and the shorter
+    windows, run ``right``, hold no partner.
     """
-    owner, i = shift.agent, mover_position(inst, shift)
-    if shift.side == GIRL_LIST:
-        slot_positions, slot_partners = poset.girl_slot_positions, poset.girl_slot_boys
+
+    side: str
+    owner: int
+    slot_positions: tuple[int, ...]
+    slot_partners: tuple[int, ...]
+    right: int
+    never: bool              # the mover never prefers the owner (see _mover_crossing)
+    crossing: int | None
+
+
+def _mover_context(poset: RotationPoset, inst: PreferenceInstance, side: str, owner: int,
+                   mover: int, position: int) -> _MoverContext:
+    if side == GIRL_LIST:
+        positions, partners = poset.girl_slot_positions, poset.girl_slot_boys
     else:
-        slot_positions, slot_partners = poset.boy_slot_positions, poset.boy_slot_girls
-    positions = slot_positions.get(owner)
-    if not positions:
-        return None
-    left = bisect_left(positions, i - shift.window)
-    right = bisect_left(positions, i)
-    if left == right:
-        return None
-    partners = slot_partners[owner]
-    if shift.side == GIRL_LIST:
+        positions, partners = poset.boy_slot_positions, poset.boy_slot_girls
+    positions, partners = positions.get(owner, ()), partners.get(owner, ())
+    right = bisect_left(positions, position)
+    never, crossing = True, None
+    if right:
+        never, crossing = _mover_crossing(poset, inst, side, owner, mover)
+    return _MoverContext(side, owner, positions, partners, right, never, crossing)
+
+
+def _window_rotations(poset: RotationPoset, ctx: _MoverContext, run: int):
+    """(entry, exit) rotations of the owner's stable partners inside the windows of one run.
+
+    A partner in the window is outranked by the mover after the shift.  The
+    owner holds an in-window partner exactly in the matchings that contain
+    the entry rotation and not the exit one (None for the bottom and top).
+    The run must hold a partner (run < ctx.right).  A girl's entry is fixed
+    by the mover and her exit moves with the run; a boy's is the mirror.
+    """
+    partners, owner = ctx.slot_partners, ctx.owner
+    if ctx.side == GIRL_LIST:
         # a girl's best in-window partner is the last one she reaches
-        first, last = (partners[right - 1], owner), (partners[left], owner)
-    else:
-        first, last = (owner, partners[left]), (owner, partners[right - 1])
-    return poset.post_pair.get(first), poset.pre_pair.get(last)
+        return poset.post_pair.get((partners[ctx.right - 1], owner)), poset.pre_pair.get((partners[run], owner))
+    return poset.post_pair.get((owner, partners[run])), poset.pre_pair.get((owner, partners[ctx.right - 1]))
 
 
-def _mover_crossing(poset: RotationPoset, inst: PreferenceInstance, shift: Shift):
+def _run_outcome(poset: RotationPoset, ctx: _MoverContext, run: int):
+    """(status, rho_in, rho_out) shared by every window of one run.
+
+    A matching breaks when the owner's partner lies in the window and the
+    mover prefers the owner.  On a girl list the mover's crossing is a
+    second entry, which never precedes the window's; on a boy list it is a
+    second exit, which never follows the window's.  With neither endpoint
+    left, the window holds every stable partner of the owner and the mover
+    always prefers the owner, so every matching breaks.
+    """
+    if run == ctx.right or ctx.never:
+        return EMPTY_MAB, None, None
+    rho_in, rho_out = _window_rotations(poset, ctx, run)
+    crossing = ctx.crossing
+    if crossing is not None:
+        if ctx.side == GIRL_LIST:
+            rho_in = crossing
+        else:
+            rho_out = crossing
+    if rho_in is None and rho_out is None:
+        return DISJOINT, None, None
+    if rho_in is not None and rho_out is not None and poset.leq(rho_out, rho_in):
+        if crossing is None:
+            raise AssertionError("exit rotation precedes entry rotation in a proper analysis")
+        return EMPTY_MAB, None, None
+    return PROPER, rho_in, rho_out
+
+
+def _mover_crossing(poset: RotationPoset, inst: PreferenceInstance, side: str, owner: int, mover: int):
     """(never, crossing): where the mover's preference for the list owner flips.
 
     never is True when the mover is matched in every stable matching and
@@ -88,8 +143,7 @@ def _mover_crossing(poset: RotationPoset, inst: PreferenceInstance, shift: Shift
     gets worse) prefers the girl owner, or a girl mover (who only gets
     better) stops preferring the boy owner; None when that never changes.
     """
-    owner, mover = shift.agent, shift.mover
-    if shift.side == GIRL_LIST:
+    if side == GIRL_LIST:
         rank, worst, best = inst.boy_rank[mover], poset.girl_opt.girl_of(mover), poset.boy_opt.girl_of(mover)
         crossing = poset.below_girl.get((mover, owner))
     else:
@@ -102,6 +156,13 @@ def _mover_crossing(poset: RotationPoset, inst: PreferenceInstance, shift: Shift
     return False, crossing
 
 
+def _shift_context(poset: RotationPoset, inst: PreferenceInstance, shift: Shift):
+    """(context, run) of one shift."""
+    i = mover_position(inst, shift)
+    ctx = _mover_context(poset, inst, shift.side, shift.agent, shift.mover, i)
+    return ctx, bisect_left(ctx.slot_positions, i - shift.window)
+
+
 def find_component_rotations(poset: RotationPoset, inst: PreferenceInstance, shift: Shift):
     """(rho1, rho2, rho3) for a girl-list shift; None where a rotation does not exist.
 
@@ -111,40 +172,38 @@ def find_component_rotations(poset: RotationPoset, inst: PreferenceInstance, shi
     """
     if shift.side != GIRL_LIST:
         raise ValueError("component rotations are defined on girl-list shifts; reverse roles first")
-    rho1, rho3 = _window_rotations(poset, inst, shift) or (None, None)
-    _, rho2 = _mover_crossing(poset, inst, shift)
+    ctx, run = _shift_context(poset, inst, shift)
+    rho1, rho3 = _window_rotations(poset, ctx, run) if run < ctx.right else (None, None)
+    _, rho2 = _mover_crossing(poset, inst, shift.side, shift.agent, shift.mover)
     return rho1, rho2, rho3
 
 
 def analyze_shift(poset: RotationPoset, inst: PreferenceInstance, shift: Shift) -> ShiftAnalysis:
-    """Classify one shift and find its entry/exit rotations.
+    """Classify one shift and find its entry/exit rotations: the outcome of
+    the run of windows that holds it (see ``shift_runs``)."""
+    ctx, run = _shift_context(poset, inst, shift)
+    return ShiftAnalysis(shift, *_run_outcome(poset, ctx, run))
 
-    A matching breaks when the owner's partner lies in the window and the
-    mover prefers the owner.  On a girl list the mover's crossing is a
-    second entry, which never precedes the window's; on a boy list it is a
-    second exit, which never follows the window's.  With neither endpoint
-    left, the window holds every stable partner of the owner and the mover
-    always prefers the owner, so every matching breaks.
+
+def shift_runs(poset: RotationPoset, inst: PreferenceInstance):
+    """The whole shift domain of the instance, grouped into runs of windows.
+
+    Yields (windows, status, rho_in, rho_out) per run, one run per stable
+    partner of the list owner above the mover plus one for the windows that
+    hold none; every shift of a run has that analysis, and the window
+    counts add up to the size of the domain.  No per-shift object is built.
     """
-    window = _window_rotations(poset, inst, shift)
-    if window is None:
-        return ShiftAnalysis(shift, EMPTY_MAB)
-    never, crossing = _mover_crossing(poset, inst, shift)
-    if never:
-        return ShiftAnalysis(shift, EMPTY_MAB)
-    rho_in, rho_out = window
-    if crossing is not None:
-        if shift.side == GIRL_LIST:
-            rho_in = crossing
-        else:
-            rho_out = crossing
-    if rho_in is None and rho_out is None:
-        return ShiftAnalysis(shift, DISJOINT)
-    if rho_in is not None and rho_out is not None and poset.leq(rho_out, rho_in):
-        if crossing is None:
-            raise AssertionError("exit rotation precedes entry rotation in a proper analysis")
-        return ShiftAnalysis(shift, EMPTY_MAB)
-    return ShiftAnalysis(shift, PROPER, rho_in, rho_out)
+    for side, lists in ((GIRL_LIST, inst.girl_prefs), (BOY_LIST, inst.boy_prefs)):
+        for owner, prefs in enumerate(lists):
+            for i in range(1, len(prefs)):
+                ctx = _mover_context(poset, inst, side, owner, prefs[i], i)
+                previous = -1
+                for run in range(ctx.right):
+                    position = ctx.slot_positions[run]
+                    yield (position - previous, *_run_outcome(poset, ctx, run))
+                    previous = position
+                if i - 1 > previous:
+                    yield (i - 1 - previous, *_run_outcome(poset, ctx, ctx.right))
 
 
 def characterize_MAB(inst: PreferenceInstance, shift: Shift, matching: Matching) -> bool:

@@ -221,8 +221,7 @@ def dists_for(study: InstanceStudy, base_seed: int) -> list[ShiftDistribution]:
 
 
 def solve_case(study: InstanceStudy, dist: ShiftDistribution):
-    analyses = [study.analyses[s] for s, _ in dist.entries]
-    network = build_network(study.poset, analyses, dist)
+    network = build_network(study.poset, dist)
     return network, solve(network)
 
 
@@ -337,4 +336,12 @@ def test_a7_scale_smoke():
     run = solve_pipeline(inst, dist)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
+    assert certificate_violations(run.network, run.flow, run.closed_mask) == []
+
+    inst = gen_random_instance(100, 4242)
+    dist = ShiftDistribution.uniform(inst)
+    assert dist.denominator == 990_000
+    start = time.monotonic()
+    run = solve_pipeline(inst, dist)
+    assert time.monotonic() - start < 60.0
     assert certificate_violations(run.network, run.flow, run.closed_mask) == []

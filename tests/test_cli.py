@@ -424,6 +424,16 @@ class TestErrorHandling:
         assert out == ""
         assert err == "internal error: broken invariant\n"
 
+    @pytest.mark.parametrize("command", ["solve", "represent"])
+    def test_failed_certificate_exits_3(self, capsys, monkeypatch, i3_path, command):
+        monkeypatch.setattr(
+            "robustmatch.flow.certificate_violations", lambda *args: ["injected violation"]
+        )
+        code, out, err = cli(capsys, command, "--instance", str(i3_path), "--dist", "full-uniform")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: optimality certificate failed: injected violation\n"
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = cli(capsys, "--help")
         assert code == 0

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robustmatch import (
+    DISJOINT,
+    PROPER,
     Matching,
+    Shift,
     ShiftDistribution,
     build_network,
     build_rotation_poset,
     closed_set_to_matching,
     enumerate_shift_domain,
+    parse_instance,
     robust_matching,
     solve_pipeline,
 )
@@ -32,6 +36,7 @@ from robustmatch.oracle import oracle_argmin, oracle_objective
 
 from test_instance import random_instances
 from test_matching import M0_I2, M0_I3, MZ_I3
+from test_shift_analysis import UNEQUAL_SIDES
 
 I3_POINT = "GIRL_LIST g1 b1 1"
 
@@ -64,7 +69,7 @@ class TestBuildNetwork:
     def test_i3_point_distribution(self, i3):
         poset = build_rotation_poset(i3)
         dist = point_dist(i3, I3_POINT)
-        network = build_network(poset, analyze_domain(poset, i3, dist), dist)
+        network = build_network(poset, dist)
         assert network.n_rotations == 2
         assert network.shift_edges == ((1, 0, Fraction(1)),)
         assert set(network.hasse_edges) == {(0, 1), (network.bottom, 0), (1, network.top)}
@@ -74,7 +79,7 @@ class TestBuildNetwork:
         poset = build_rotation_poset(i3)
         shifts = [s for s in enumerate_shift_domain(i3)]
         dist = ShiftDistribution(tuple((s, Fraction(1, len(shifts))) for s in shifts))
-        network = build_network(poset, analyze_domain(poset, i3, dist), dist)
+        network = build_network(poset, dist)
         endpoints = [(u, v) for u, v, _ in network.shift_edges]
         assert len(endpoints) == len(set(endpoints))
 
@@ -83,23 +88,89 @@ class TestBuildNetwork:
 
         poset = build_rotation_poset(UNIQUE)
         dist = point_dist(UNIQUE, "GIRL_LIST g1 b3 1")
-        network = build_network(poset, analyze_domain(poset, UNIQUE, dist), dist)
+        network = build_network(poset, dist)
         assert network.shift_edges == ()
         assert network.constant_loss == 1
 
-    def test_mismatched_analyses_rejected(self, i3):
+    def test_uniform_over_other_instance_rejected(self, i2, i3):
         poset = build_rotation_poset(i3)
-        dist = point_dist(i3, I3_POINT)
-        with pytest.raises(ValueError, match="analys"):
-            build_network(poset, [], dist)
+        with pytest.raises(ValueError, match="another instance"):
+            build_network(poset, ShiftDistribution.uniform(i2))
 
     def test_node_names(self, i3):
         poset = build_rotation_poset(i3)
         dist = point_dist(i3, I3_POINT)
-        network = build_network(poset, analyze_domain(poset, i3, dist), dist)
+        network = build_network(poset, dist)
         assert network.node_name(0) == "R0"
         assert network.node_name(network.bottom) == "S"
         assert network.node_name(network.top) == "T"
+
+
+def reference_network(poset, analyses, dist) -> ClosureNetwork:
+    """The per-shift construction: one analysis per distribution entry, and
+    probabilities summed as Fractions one shift at a time."""
+    assert len(analyses) == len(dist.entries)
+    bottom, top = poset.size, poset.size + 1
+    constant = Fraction(0)
+    merged: dict[tuple[int, int], Fraction] = {}
+    for analysis, (shift, p) in zip(analyses, dist.entries):
+        assert analysis.shift == shift
+        if analysis.status == DISJOINT:
+            constant += p
+        elif analysis.status == PROPER:
+            u = top if analysis.rho_out is None else analysis.rho_out
+            v = bottom if analysis.rho_in is None else analysis.rho_in
+            merged[(u, v)] = merged.get((u, v), Fraction(0)) + p
+    hasse = [(u, v) for v in range(poset.size) for u in poset.hasse_preds[v]]
+    hasse += [(bottom, v) for v in poset.minimal_ids] + [(v, top) for v in poset.maximal_ids]
+    shift_edges = tuple((u, v, c) for (u, v), c in sorted(merged.items()))
+    return ClosureNetwork(poset.size, tuple(hasse), shift_edges, constant, poset)
+
+
+def sub_distribution(inst, rng) -> ShiftDistribution:
+    """Random rational weights on a random part of the domain, summing to at most 1."""
+    chosen = [s for s in enumerate_shift_domain(inst) if rng.random() < 0.6]
+    weights = [rng.randrange(7) for _ in chosen]
+    total = sum(weights) + 1 + rng.randrange(3)
+    return ShiftDistribution(
+        tuple((s, Fraction(w, total)) for s, w in zip(chosen, weights)), allow_partial=True
+    )
+
+
+class TestNetworkMatchesPerShiftReference:
+    """build_network (runs of windows, integer weights) equals the per-shift network."""
+
+    @staticmethod
+    def check(inst, dist):
+        poset = build_rotation_poset(inst)
+        network = build_network(poset, dist)
+        reference = reference_network(poset, analyze_domain(poset, inst, dist), dist)
+        assert network.n_rotations == reference.n_rotations
+        assert network.hasse_edges == reference.hasse_edges
+        assert network.shift_edges == reference.shift_edges
+        assert network.constant_loss == reference.constant_loss
+
+    @given(random_instances(max_n=8, completeness=st.sampled_from([1.0, 0.9, 0.7, 0.5, 0.3])))
+    @settings(max_examples=120, deadline=None)
+    def test_uniform_random_instances(self, inst):
+        self.check(inst, ShiftDistribution.uniform(inst))
+
+    def test_uniform_i2_i3(self, i2, i3):
+        self.check(i2, ShiftDistribution.uniform(i2))
+        self.check(i3, ShiftDistribution.uniform(i3))
+
+    @pytest.mark.parametrize("text", UNEQUAL_SIDES, ids=["3x4", "5x6", "6x5"])
+    def test_uniform_unequal_sides(self, text):
+        inst = parse_instance(text)
+        self.check(inst, ShiftDistribution.uniform(inst))
+
+    @given(random_instances(max_n=6), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_explicit_sub_distributions(self, inst, rng):
+        self.check(inst, sub_distribution(inst, rng))
+
+    def test_empty_distribution(self, i3):
+        self.check(i3, ShiftDistribution(()))
 
 
 class TestSolve:
@@ -112,7 +183,7 @@ class TestSolve:
     def test_empty_f_gives_zero_flow(self, i3):
         poset = build_rotation_poset(i3)
         dist = ShiftDistribution(())
-        network = build_network(poset, [], dist)
+        network = build_network(poset, dist)
         flow = solve(network)
         assert flow.flow_value == 0
         assert extract_closed_set(network, flow) == 0
@@ -178,6 +249,29 @@ class TestPipeline:
         solution = robust_matching(inst, ShiftDistribution(()))
         assert solution.matching == Matching([(0, 0)])
         assert solution.objective == 0
+
+    def test_empty_domain_gives_zero_objective(self):
+        inst = parse_instance("2\nb1: g1\nb2: g2\ng1: b1\ng2: b2\n")
+        dist = ShiftDistribution.uniform(inst)
+        assert dist.entries == ()
+        assert solve_pipeline(inst, dist).solution.objective == 0
+
+    def test_uniform_builds_no_per_shift_object(self, monkeypatch):
+        inst = gen_random_instance(12, 4242)
+        dist = ShiftDistribution.uniform(inst)
+        built = []
+
+        def no_analysis(*args):
+            raise AssertionError("per-shift analysis on the uniform path")
+
+        def count_shift(self):
+            built.append(self)
+
+        monkeypatch.setattr("robustmatch.flow.analyze_shift", no_analysis)
+        monkeypatch.setattr(Shift, "__post_init__", count_shift)
+        run = solve_pipeline(inst, dist)
+        assert built == []
+        assert run.solution.objective > 0
 
     def test_objective_equals_mask_accounting(self, i3):
         dist = ShiftDistribution.uniform(i3)

@@ -191,6 +191,18 @@ class TestDistribution:
         assert len(dist.entries) == 18
         assert dist.total == 1
 
+    @given(random_instances())
+    def test_uniform_entries_built_on_read_match_domain(self, inst):
+        dist = ShiftDistribution.uniform(inst)
+        domain = enumerate_shift_domain(inst)
+        assert dist.entries == tuple((s, Fraction(1, len(domain))) for s in domain)
+        assert dist.total == (1 if domain else 0)
+
+    def test_uniform_is_for_its_own_instance(self, i2, i3):
+        ShiftDistribution.uniform(i3).validate_for(i3)
+        with pytest.raises(ValueError, match="another instance"):
+            ShiftDistribution.uniform(i3).validate_for(i2)
+
     def test_parse_shift(self, i2):
         assert parse_shift("GIRL_LIST g1 b1 1", i2) == Shift(GIRL_LIST, 0, 0, 1)
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from robustmatch import (
     BOY_LIST,
@@ -31,6 +33,7 @@ from robustmatch.shift_analysis import (
     STATUSES,
     ShiftAnalysis,
     find_component_rotations,
+    shift_runs,
 )
 
 from test_instance import random_instances
@@ -193,6 +196,36 @@ class TestBoyListMirror:
         self.check(i3)
 
     @given(random_instances(max_n=7))
+    @settings(max_examples=80)
+    def test_random_instances(self, inst):
+        self.check(inst)
+
+    @pytest.mark.parametrize("text", UNEQUAL_SIDES, ids=["3x4", "5x6", "6x5"])
+    def test_unequal_sides(self, text):
+        self.check(parse_instance(text))
+
+
+class TestShiftRuns:
+    """Runs of windows carry exactly the per-shift analyses, counted."""
+
+    @staticmethod
+    def check(inst):
+        poset = build_rotation_poset(inst)
+        expected = Counter()
+        for shift in enumerate_shift_domain(inst):
+            a = analyze_shift(poset, inst, shift)
+            expected[(a.status, a.rho_in, a.rho_out)] += 1
+        runs = Counter()
+        for windows, *outcome in shift_runs(poset, inst):
+            assert windows > 0
+            runs[tuple(outcome)] += windows
+        assert runs == expected
+
+    def test_i2_i3(self, i2, i3):
+        self.check(i2)
+        self.check(i3)
+
+    @given(random_instances(max_n=8, completeness=st.sampled_from([1.0, 0.9, 0.7, 0.5, 0.3])))
     @settings(max_examples=80)
     def test_random_instances(self, inst):
         self.check(inst)
