@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .flow import ClosureNetwork, FlowResult
 from .matching import Matching
-from .rotations import RotationPoset, closed_set_to_matching
+from .rotations import RotationPoset, closed_set_to_matching, closed_subsets, ids_to_mask, mask_to_ids
 
 
 def _tarjan_scc(adj: list[list[int]]) -> tuple[int, list[int]]:
@@ -85,10 +85,7 @@ class RobustPoset:
 
     @property
     def mandatory_mask(self) -> int:
-        mask = 0
-        for r in self.mandatory:
-            mask |= 1 << r
-        return mask
+        return ids_to_mask(self.mandatory)
 
     def _pred_masks(self) -> list[int]:
         preds = [0] * len(self.free_elements)
@@ -97,26 +94,15 @@ class RobustPoset:
         return preds
 
     def element_closed_sets(self) -> list[int]:
-        """All downward-closed subsets of free elements, as element bitmasks."""
-        preds = self._pred_masks()
-        n = len(self.free_elements)
-        out: list[int] = []
+        """All downward-closed subsets of free elements, as element bitmasks.
 
-        def grow(mask: int, start: int):
-            out.append(mask)
-            for v in range(start, n):
-                if not (mask >> v) & 1 and (preds[v] & ~mask) == 0:
-                    grow(mask | (1 << v), v + 1)
-
-        grow(0, 0)
-        return out
+        The empty set (the boy-best robust matching) comes first and every
+        set before its supersets; see closed_subsets.
+        """
+        return closed_subsets(self._pred_masks(), range(len(self.free_elements)))
 
     def rotation_mask(self, element_ids) -> int:
-        mask = self.mandatory_mask
-        for i in element_ids:
-            for r in self.free_elements[i]:
-                mask |= 1 << r
-        return mask
+        return self.mandatory_mask | ids_to_mask(r for i in element_ids for r in self.free_elements[i])
 
 
 def build_robust_poset(network: ClosureNetwork, flow: FlowResult) -> RobustPoset:
@@ -200,10 +186,10 @@ def build_robust_poset(network: ClosureNetwork, flow: FlowResult) -> RobustPoset
 def robust_members(robust: RobustPoset, element_ids) -> Matching:
     """The robust matching selected by a closed set of free elements."""
     chosen = sorted(set(element_ids))
+    if any(i not in range(len(robust.free_elements)) for i in chosen):
+        raise ValueError("element set contains unknown ids")
     preds = robust._pred_masks()
-    mask = 0
-    for i in chosen:
-        mask |= 1 << i
+    mask = ids_to_mask(chosen)
     for i in chosen:
         if preds[i] & ~mask:
             raise ValueError("element set is not downward closed in the robust poset")
@@ -211,9 +197,8 @@ def robust_members(robust: RobustPoset, element_ids) -> Matching:
 
 
 def enumerate_robust(robust: RobustPoset) -> list[Matching]:
-    """Every robust matching exactly once."""
-    out = []
-    for emask in robust.element_closed_sets():
-        ids = [i for i in range(len(robust.free_elements)) if (emask >> i) & 1]
-        out.append(closed_set_to_matching(robust.poset, robust.rotation_mask(ids)))
-    return out
+    """Every robust matching exactly once, in element_closed_sets order."""
+    return [
+        closed_set_to_matching(robust.poset, robust.rotation_mask(mask_to_ids(emask)))
+        for emask in robust.element_closed_sets()
+    ]

@@ -393,24 +393,36 @@ def matching_to_closed_set(poset: RotationPoset, matching: Matching) -> int:
     return mask
 
 
+def closed_subsets(preds, ids) -> list[int]:
+    """Every subset of ids closed under the given predecessors, as bitmasks.
+
+    ids[k] may join a set once the set holds every bit of preds[k].  The ids
+    must be distinct and in a linear extension of the order (each id after
+    its predecessors).  Sets are grown by adding ids in the given order,
+    which visits each closed set exactly once: the empty set first, each set
+    before its extensions, and the extensions of a set in the order of the
+    id added.  An explicit stack replaces recursion, so the height of the
+    order is unbounded.  Exponential in general; callers guard size.
+    """
+    out: list[int] = []
+    stack = [(0, 0)]  # (set, position of the first id it may still gain)
+    while stack:
+        mask, start = stack.pop()
+        out.append(mask)
+        for k in reversed(range(start, len(ids))):  # pushed last, popped first
+            if not preds[k] & ~mask:
+                stack.append((mask | 1 << ids[k], k + 1))
+    return out
+
+
 def enumerate_closed_masks(poset: RotationPoset) -> list[int]:
     """Every downward-closed rotation set, i.e. every stable matching.
 
-    Sets are grown by appending ids in increasing order, which visits each
-    closed set exactly once.  Exponential in general; callers guard size.
+    The empty set (the boy-optimal matching) comes first and every set
+    before its supersets; see closed_subsets.  Exponential in general;
+    callers guard size.
     """
-    out: list[int] = []
-    closure = poset.pred_closure
-    n = poset.size
-
-    def grow(mask: int, start: int):
-        out.append(mask)
-        for v in range(start, n):
-            if not (mask >> v) & 1 and (closure[v] & ~mask) == 0:
-                grow(mask | (1 << v), v + 1)
-
-    grow(0, 0)
-    return out
+    return closed_subsets(poset.pred_closure, range(poset.size))
 
 
 def mask_to_ids(mask: int) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .instance import BOY_LIST, GIRL_LIST, PreferenceInstance, Shift, mover_position
 from .matching import Matching
-from .rotations import RotationPoset, closed_set_to_matching
+from .rotations import RotationPoset, closed_set_to_matching, closed_subsets, ids_to_mask
 
 DISJOINT = "DISJOINT"        # no stable matching survives the shift
 EMPTY_MAB = "EMPTY_MAB"      # every stable matching survives the shift
@@ -251,26 +251,18 @@ class SublatticePoset:
 
     @property
     def fragment_mask(self) -> int:
-        mask = 0
-        for v in self.fragment_ids:
-            mask |= 1 << v
-        return mask
+        return ids_to_mask(self.fragment_ids)
 
     def closed_masks(self) -> list[int]:
+        """Every closed subset of the fragment, as rotation-id bitmasks.
+
+        Order is induced from the full poset (each predecessor mask cut down
+        to the fragment) and sets come in closed_subsets order, the empty
+        set (the boy-best destabilized matching) first.
+        """
         closure = self.poset.pred_closure
         fmask = self.fragment_mask
-        ids = self.fragment_ids
-        out: list[int] = []
-
-        def grow(mask: int, start: int):
-            out.append(mask)
-            for at in range(start, len(ids)):
-                v = ids[at]
-                if not (mask >> v) & 1 and (closure[v] & fmask & ~mask) == 0:
-                    grow(mask | (1 << v), at + 1)
-
-        grow(0, 0)
-        return out
+        return closed_subsets([closure[v] & fmask for v in self.fragment_ids], self.fragment_ids)
 
     def matchings(self) -> list[Matching]:
         return [closed_set_to_matching(self.poset, self.in_mask | m) for m in self.closed_masks()]

@@ -79,7 +79,8 @@ def cross_check(inst: PreferenceInstance, dist: ShiftDistribution) -> Verificati
     # the lattice generated by the poset is exactly the brute-force stable set
     brute = enumerate_stable_bruteforce(inst)
     masks = enumerate_closed_masks(run.poset)
-    generated = {closed_set_to_matching(run.poset, m) for m in masks}
+    matchings = {m: closed_set_to_matching(run.poset, m) for m in masks}
+    generated = set(matchings.values())
     if len(masks) != len(generated):
         failures.append("distinct closed sets generated the same matching")
     if generated != set(brute):
@@ -93,7 +94,6 @@ def cross_check(inst: PreferenceInstance, dist: ShiftDistribution) -> Verificati
         failures.append(mismatch)
 
     # per-shift: analysis formulas vs. direct re-testing vs. positional lemma
-    matchings = {m: closed_set_to_matching(run.poset, m) for m in masks}
     for analysis, (shift, _) in zip(run.analyses, run.dist.entries):
         shifted = apply_shift(inst, shift)
         for mask, matching in matchings.items():

@@ -5,12 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from robustmatch import (
     ShiftDistribution,
     build_robust_poset,
     enumerate_robust,
+    enumerate_shift_domain,
     join,
     meet,
     robust_members,
@@ -18,11 +19,13 @@ from robustmatch import (
 )
 from robustmatch.flow import ClosureNetwork, solve
 from robustmatch.oracle import oracle_argmin
-from robustmatch.rotations import build_rotation_poset
+from robustmatch.representation import RobustPoset
+from robustmatch.rotations import build_rotation_poset, ids_to_mask, mask_to_ids
 
-from test_flow import point_dist
+from test_flow import point_dist, sub_distribution
 from test_instance import random_instances
 from test_matching import M0_I2, M0_I3, M1_I3, MZ_I2, MZ_I3
+from test_rotations import DEEP_CHAIN, chain_prefixes, lattice_instances, recursive_closed_subsets
 
 
 def robust_of(inst, dist):
@@ -116,6 +119,13 @@ class TestRobustMembers:
         with pytest.raises(ValueError, match="downward closed"):
             robust_members(robust, [1])
 
+    @pytest.mark.parametrize("ids", [[5], [-1], [0, 2]])
+    def test_rejects_unknown_ids(self, i3, ids):
+        robust, _ = robust_of(i3, ShiftDistribution(()))
+        assert len(robust.free_elements) == 2
+        with pytest.raises(ValueError, match="unknown ids"):
+            robust_members(robust, ids)
+
     def test_rotation_mask_includes_mandatory(self, i2):
         robust, _ = robust_of(i2, point_dist(i2, "BOY_LIST b1 g2 1"))
         assert robust.mandatory_mask == 0b1
@@ -145,3 +155,37 @@ class TestAgainstOracle:
             for b in matchings:
                 assert meet(inst, a, b) in matchings
                 assert join(inst, a, b) in matchings
+
+
+def sparse_distribution(inst, rng) -> ShiftDistribution:
+    """Up to three weighted shifts: optima tie often, so robust posets have free elements."""
+    domain = list(enumerate_shift_domain(inst))
+    chosen = rng.sample(domain, min(len(domain), rng.randrange(4)))
+    weights = [1 + rng.randrange(3) for _ in chosen]
+    total = sum(weights) + rng.randrange(3)
+    return ShiftDistribution(
+        tuple((s, Fraction(w, total)) for s, w in zip(chosen, weights)), allow_partial=True
+    )
+
+
+class TestElementClosedSets:
+    @given(lattice_instances(), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_order_matches_recursive_reference(self, inst, rng):
+        robust, _ = robust_of(inst, rng.choice([sub_distribution, sparse_distribution])(inst, rng))
+        n = len(robust.free_elements)
+        preds = [ids_to_mask(i for i, j in robust.edges if j == v) for v in range(n)]
+        expected = recursive_closed_subsets(preds, range(n))
+        assert robust.element_closed_sets() == expected
+        assert enumerate_robust(robust) == [robust_members(robust, mask_to_ids(m)) for m in expected]
+
+    def test_deep_chain(self):
+        """Needs no recursion: 2,000 singleton free elements in a chain give 2,001 prefixes."""
+        robust = RobustPoset(
+            poset=None,
+            mandatory=(),
+            excluded=(),
+            free_elements=tuple((i,) for i in range(DEEP_CHAIN)),
+            edges=tuple((i, i + 1) for i in range(DEEP_CHAIN - 1)),
+        )
+        assert robust.element_closed_sets() == chain_prefixes(range(DEEP_CHAIN))

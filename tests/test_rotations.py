@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+import random
+from types import SimpleNamespace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from robustmatch import (
     Matching,
+    PreferenceInstance,
     Rotation,
     boy_optimal,
     build_rotation_poset,
@@ -18,7 +23,7 @@ from robustmatch import (
     matching_to_closed_set,
 )
 from robustmatch.oracle import enumerate_stable_bruteforce
-from robustmatch.rotations import ids_to_mask, mask_to_ids
+from robustmatch.rotations import closed_subsets, ids_to_mask, mask_to_ids
 
 from test_instance import random_instances
 from test_matching import M0_I2, M0_I3, M1_I3, MZ_I2, MZ_I3
@@ -26,6 +31,62 @@ from test_matching import M0_I2, M0_I3, M1_I3, MZ_I2, MZ_I3
 RHO_I2 = Rotation(((0, 0), (1, 1)))
 RHO_A = Rotation(((0, 0), (1, 1), (2, 2)))
 RHO_B = Rotation(((0, 1), (1, 2), (2, 0)))
+
+# taller than Python's default recursion limit (1000)
+DEEP_CHAIN = 2000
+
+
+def recursive_closed_subsets(preds, ids) -> list[int]:
+    """Test-only reference: the recursive enumerator closed_subsets replaced.
+
+    Emits a set, then grows it by each admissible ids[at:] in turn; the
+    output order of every closed-set enumerator in the package is pinned to it.
+    """
+    out: list[int] = []
+
+    def grow(mask: int, start: int):
+        out.append(mask)
+        for at in range(start, len(ids)):
+            v = ids[at]
+            if not (mask >> v) & 1 and (preds[at] & ~mask) == 0:
+                grow(mask | (1 << v), at + 1)
+
+    grow(0, 0)
+    return out
+
+
+def cyclic_blocks(sizes, seed) -> PreferenceInstance:
+    """Disjoint cyclic Latin-square blocks (I3 is the one block of size 3),
+    complete lists, agents relabelled by the seed.
+
+    Every agent lists its own block first, then the rest in seeded order, so
+    a block of size m adds a chain of m - 1 rotations: random instances of
+    this size rarely have more than two or three rotations.
+    """
+    rng = random.Random(seed)
+    n = sum(sizes)
+    boys, girls = rng.sample(range(n), n), rng.sample(range(n), n)
+    boy_prefs, girl_prefs = [None] * n, [None] * n
+    base = 0
+    for m in sizes:
+        for i in range(m):
+            own_girls = [girls[base + (i + j) % m] for j in range(m)]
+            own_boys = [boys[base + (i + 1 + t) % m] for t in range(m)]
+            boy_prefs[boys[base + i]] = own_girls + rng.sample([g for g in girls if g not in own_girls], n - m)
+            girl_prefs[girls[base + i]] = own_boys + rng.sample([b for b in boys if b not in own_boys], n - m)
+        base += m
+    return PreferenceInstance.from_lists(boy_prefs, girl_prefs)
+
+
+def lattice_instances():
+    """Random instances, complete and incomplete, and many-rotation block instances."""
+    blocks = st.builds(cyclic_blocks, st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(0, 10**6))
+    return st.one_of(random_instances(max_n=7), blocks)
+
+
+def chain_prefixes(ids) -> list[int]:
+    """The closed sets of a chain through ids, shortest first."""
+    return [ids_to_mask(ids[:k]) for k in range(len(ids) + 1)]
 
 
 class TestRotation:
@@ -192,6 +253,14 @@ class TestClosedSets:
         poset = build_rotation_poset(i3)
         assert sorted(enumerate_closed_masks(poset)) == [0b00, 0b01, 0b11]
 
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_cyclic_blocks_lattice(self, sizes, seed):
+        inst = cyclic_blocks(sizes, seed)
+        poset = build_rotation_poset(inst)
+        assert poset.size == sum(m - 1 for m in sizes)
+        assert len(enumerate_closed_masks(poset)) == math.prod(sizes)
+
     def test_matching_to_closed_set_round_trip(self, i3):
         poset = build_rotation_poset(i3)
         for mask in enumerate_closed_masks(poset):
@@ -219,3 +288,29 @@ class TestClosedSets:
     def test_girl_optimal_is_full_mask(self, inst):
         poset = build_rotation_poset(inst)
         assert closed_set_to_matching(poset, poset.full_mask) == girl_optimal(inst)
+
+
+class TestClosedSubsets:
+    @given(lattice_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_full_lattice_order_matches_recursive_reference(self, inst):
+        poset = build_rotation_poset(inst)
+        expected = recursive_closed_subsets(poset.pred_closure, range(poset.size))
+        assert enumerate_closed_masks(poset) == expected
+
+    @given(st.integers(0, 10), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_random_dags_match_recursive_reference(self, n, rng):
+        ids = rng.sample(range(3 * n), n)  # distinct bits in any order
+        density = rng.random()
+        preds = [ids_to_mask(u for u in ids[:k] if rng.random() < density) for k in range(n)]
+        got = closed_subsets(preds, ids)
+        assert got == recursive_closed_subsets(preds, ids)
+        subsets = (ids_to_mask(v for k, v in enumerate(ids) if (sub >> k) & 1) for sub in range(1 << n))
+        closed = [m for m in subsets if all(not preds[k] & ~m for k, v in enumerate(ids) if (m >> v) & 1)]
+        assert sorted(got) == sorted(closed)
+
+    def test_deep_chain(self):
+        """Needs no recursion: 2,000 rotations in a chain give 2,001 prefixes."""
+        stand_in = SimpleNamespace(pred_closure=tuple((1 << v) - 1 for v in range(DEEP_CHAIN)), size=DEEP_CHAIN)
+        assert enumerate_closed_masks(stand_in) == chain_prefixes(range(DEEP_CHAIN))

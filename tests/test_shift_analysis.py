@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,12 +33,14 @@ from robustmatch.shift_analysis import (
     PROPER,
     STATUSES,
     ShiftAnalysis,
+    SublatticePoset,
     find_component_rotations,
     shift_runs,
 )
 
 from test_instance import random_instances
 from test_matching import M0_I2, M1_I3, MZ_I2
+from test_rotations import DEEP_CHAIN, chain_prefixes, lattice_instances, recursive_closed_subsets
 
 I2_SHIFT = Shift(GIRL_LIST, 0, 0, 1)   # g1 moves b1 above b2
 I3_SHIFT = Shift(GIRL_LIST, 0, 0, 1)   # g1 moves b1 above b3
@@ -322,3 +325,25 @@ class TestSublattice:
                 for m2 in members:
                     assert meet(inst, m1, m2) in expected
                     assert join(inst, m1, m2) in expected
+
+    @given(lattice_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_fragment_order_matches_recursive_reference(self, inst):
+        poset = build_rotation_poset(inst)
+        for shift in enumerate_shift_domain(inst):
+            analysis = analyze_shift(poset, inst, shift)
+            if analysis.status != PROPER:
+                continue
+            fragment, _, _ = sublattice_poset(poset, analysis)
+            ids = fragment.fragment_ids
+            fmask = sum(1 << v for v in ids)
+            expected = recursive_closed_subsets([poset.pred_closure[v] & fmask for v in ids], ids)
+            assert fragment.closed_masks() == expected
+
+    def test_deep_chain(self):
+        """Needs no recursion: a 2,000-rotation fragment of a chain, cut off
+        below and above, gives 2,001 prefixes."""
+        n = DEEP_CHAIN + 2
+        stand_in = SimpleNamespace(pred_closure=tuple((1 << v) - 1 for v in range(n)))
+        fragment = SublatticePoset(stand_in, in_mask=0b1, out_mask=1 << (n - 1), fragment_ids=tuple(range(1, n - 1)))
+        assert fragment.closed_masks() == chain_prefixes(range(1, n - 1))
