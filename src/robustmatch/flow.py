@@ -11,17 +11,17 @@ each shift contributes an edge from its exit to its entry with capacity equal
 to its probability.  Max flow from T to S equals the minimum breaking
 probability, and the residual graph pins down every optimal closed set.
 
-Everything is computed in exact arithmetic.  Shift weights accumulate as
-integer numerators over one denominator and become Fractions once per merged
-edge; the full-uniform distribution is read in runs of windows, never shift
-by shift.  Capacities are scaled to a common integer denominator, flow is
-integral, the optimality certificate is checked in those integers, and
-results convert back to Fractions.
+Everything is computed in exact arithmetic.  Inside, a weight is an integer
+count over the distribution's one denominator: the network's merged shift
+edges and constant carry those integers, the max flow uses them as its
+capacities, and the optimality certificate is checked in them.  The
+full-uniform distribution is read in runs of windows, never shift by shift.
+Fractions are made only at the boundary: the flow value, the solution, the
+text dumps and the certificate messages.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,13 +40,22 @@ from .shift_analysis import DISJOINT, PROPER, ShiftAnalysis, analyze_shift, shif
 
 @dataclass(frozen=True)
 class ClosureNetwork:
-    """Flow network over rotation nodes plus the two virtual endpoints."""
+    """Flow network over the poset's rotations plus the two virtual endpoints.
 
-    n_rotations: int
-    hasse_edges: tuple[tuple[int, int], ...]           # ascending cover edges, unbounded
-    shift_edges: tuple[tuple[int, int, Fraction], ...]  # (exit, entry, probability), merged
-    constant_loss: Fraction
-    poset: RotationPoset | None = None  # set when built from a poset; None for ad-hoc networks
+    Weights are integers over one denominator: a shift edge of weight w
+    carries probability w / denominator, and so does the constant weight of
+    the shifts that break every matching.
+    """
+
+    poset: RotationPoset
+    hasse_edges: tuple[tuple[int, int], ...]      # ascending cover edges, unbounded
+    shift_edges: tuple[tuple[int, int, int], ...]  # (exit, entry, weight), merged
+    constant_weight: int
+    denominator: int
+
+    @property
+    def n_rotations(self) -> int:
+        return self.poset.size
 
     @property
     def bottom(self) -> int:
@@ -80,13 +89,13 @@ def build_network(poset: RotationPoset, dist: ShiftDistribution) -> ClosureNetwo
     """Translate a shift distribution over the poset's instance into the closure network.
 
     EMPTY_MAB shifts are dropped; DISJOINT shifts break every matching and
-    accumulate into constant_loss; PROPER shifts become edges from their exit
-    rotation (T when absent) to their entry rotation (S when absent).
+    accumulate into constant_weight; PROPER shifts become edges from their
+    exit rotation (T when absent) to their entry rotation (S when absent).
     Parallel edges merge.  Weights are integer numerators over the one
-    denominator ``dist.denominator``, turned into Fractions once per merged
-    edge: the full-uniform distribution is read run by run (``shift_runs``),
-    a run weighing its window count, without building any per-shift object;
-    an explicit distribution's shifts are analysed one by one.
+    denominator ``dist.denominator`` and stay integers: the full-uniform
+    distribution is read run by run (``shift_runs``), a run weighing its
+    window count, without building any per-shift object; an explicit
+    distribution's shifts are analysed one by one.
     """
     if dist.uniform_over is not None:
         dist.validate_for(poset.inst)
@@ -110,9 +119,8 @@ def build_network(poset: RotationPoset, dist: ShiftDistribution) -> ClosureNetwo
         hasse.append((bottom, v))
     for v in poset.maximal_ids:
         hasse.append((v, top))
-    denominator = dist.denominator
-    shift_edges = tuple((u, v, Fraction(w, denominator)) for (u, v), w in sorted(merged.items()))
-    return ClosureNetwork(poset.size, tuple(hasse), shift_edges, Fraction(constant, denominator), poset)
+    shift_edges = tuple((u, v, w) for (u, v), w in sorted(merged.items()))
+    return ClosureNetwork(poset, tuple(hasse), shift_edges, constant, dist.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +175,18 @@ class FlowResult:
     """A maximum flow plus the residual state needed for extraction."""
 
     network: ClosureNetwork
-    scale: int            # common denominator: integer capacity = probability * scale
-    value_scaled: int
+    value_scaled: int     # flow value times the network's denominator
     to: list[int]
     cap: list[int]        # residual capacities (paired edges: e ^ 1 is the reverse)
     original: list[int]
     adj: list[list[int]]
     hasse_eidx: tuple[int, ...]
     shift_eidx: tuple[int, ...]
+
+    @property
+    def scale(self) -> int:
+        """The denominator of every capacity and flow: integer = probability * scale."""
+        return self.network.denominator
 
     @property
     def flow_value(self) -> Fraction:
@@ -184,10 +196,10 @@ class FlowResult:
 def solve(network: ClosureNetwork) -> FlowResult:
     """Maximum flow from the top endpoint to the bottom endpoint.
 
-    The "infinite" capacity on Hasse edges is one more than the total shift
-    capacity, which no cut avoiding Hasse edges can reach.
+    Capacities are the network's integer shift weights as they are.  The
+    "infinite" capacity on Hasse edges is one more than the total shift
+    weight, which no cut avoiding Hasse edges can reach.
     """
-    scale = math.lcm(*(c.denominator for _, _, c in network.shift_edges)) if network.shift_edges else 1
     to: list[int] = []
     cap: list[int] = []
     adj: list[list[int]] = [[] for _ in range(network.n_nodes)]
@@ -202,10 +214,9 @@ def solve(network: ClosureNetwork) -> FlowResult:
         adj[v].append(e + 1)
         return e
 
-    scaled = [c.numerator * (scale // c.denominator) for _, _, c in network.shift_edges]
-    inf = sum(scaled) + 1
+    inf = sum(w for _, _, w in network.shift_edges) + 1
     hasse_eidx = tuple(add(u, v, inf) for u, v in network.hasse_edges)
-    shift_eidx = tuple(add(u, v, c) for (u, v, _), c in zip(network.shift_edges, scaled))
+    shift_eidx = tuple(add(u, v, w) for u, v, w in network.shift_edges)
     original = cap.copy()
 
     flow = 0
@@ -219,7 +230,7 @@ def solve(network: ClosureNetwork) -> FlowResult:
             if not pushed:
                 break
             flow += pushed
-    return FlowResult(network, scale, flow, to, cap, original, adj, hasse_eidx, shift_eidx)
+    return FlowResult(network, flow, to, cap, original, adj, hasse_eidx, shift_eidx)
 
 
 def extract_closed_set(network: ClosureNetwork, flow: FlowResult) -> int:
@@ -269,15 +280,15 @@ def certificate_violations(network: ClosureNetwork, flow: FlowResult, mask: int)
             y[r] = 0
     problems: list[str] = []
     name = network.node_name
-    # compared in scaled integers: original[e] is the edge's capacity times flow.scale
+    # compared in integer weights: original[e] is the edge's probability times flow.scale
     original, cap, scale = flow.original, flow.cap, flow.scale
     separated = 0
-    for (u, v, p), e in zip(network.shift_edges, flow.shift_eidx):
+    for (u, v, w), e in zip(network.shift_edges, flow.shift_eidx):
         g = original[e] - cap[e]
         if y[u] > y[v]:
             separated += original[e]
             if g != original[e]:
-                problems.append(f"separated shift edge {name(u)}->{name(v)} carries {Fraction(g, scale)}, not its capacity {p}")
+                problems.append(f"separated shift edge {name(u)}->{name(v)} carries {Fraction(g, scale)}, not its capacity {Fraction(w, scale)}")
         elif y[u] < y[v] and g != 0:
             problems.append(f"shift edge {name(u)}->{name(v)} crosses back into the cut with flow {Fraction(g, scale)}")
     for (u, v), e in zip(network.hasse_edges, flow.hasse_eidx):
@@ -327,15 +338,6 @@ def analyze_domain(poset: RotationPoset, inst: PreferenceInstance, dist: ShiftDi
     return [analyze_shift(poset, inst, shift) for shift, _ in dist.entries]
 
 
-def objective_of_mask(analyses: list[ShiftAnalysis], dist: ShiftDistribution, mask: int) -> Fraction:
-    """Breaking probability of the matching with closed set `mask`, from analyses alone."""
-    total = Fraction(0)
-    for analysis, (_, p) in zip(analyses, dist.entries):
-        if analysis.destabilizes_mask(mask):
-            total += p
-    return total
-
-
 def solve_pipeline(inst: PreferenceInstance, dist: ShiftDistribution) -> SolveRun:
     """Solve and certify: raises AssertionError when the optimality
     certificate of the extracted cut fails."""
@@ -347,13 +349,13 @@ def solve_pipeline(inst: PreferenceInstance, dist: ShiftDistribution) -> SolveRu
     violations = certificate_violations(network, flow, mask)
     if violations:
         raise AssertionError("optimality certificate failed: " + "; ".join(violations))
-    matching = closed_set_to_matching(poset, mask)
+    constant_loss = Fraction(network.constant_weight, network.denominator)
     solution = RobustSolution(
-        matching=matching,
+        matching=closed_set_to_matching(poset, mask),
         closed_set=mask_to_ids(mask),
-        objective=flow.flow_value + network.constant_loss,
+        objective=flow.flow_value + constant_loss,
         flow_value=flow.flow_value,
-        constant_loss=network.constant_loss,
+        constant_loss=constant_loss,
     )
     return SolveRun(inst, dist, poset, network, flow, mask, solution)
 
@@ -367,21 +369,22 @@ def robust_matching(inst: PreferenceInstance, dist: ShiftDistribution) -> Robust
 # debug printers
 
 def dump_network(network: ClosureNetwork) -> str:
-    name = network.node_name
+    """Nodes, edges and constant, each weight printed as its probability."""
+    name, d = network.node_name, network.denominator
     lines = ["NODES " + " ".join([f"R{r}" for r in range(network.n_rotations)] + ["S", "T"])]
     for u, v in network.hasse_edges:
         lines.append(f"HASSE {name(u)} -> {name(v)}")
-    for u, v, p in network.shift_edges:
-        lines.append(f"SHIFT {name(u)} -> {name(v)} cap {p}")
-    lines.append(f"CONSTANT {network.constant_loss}")
+    for u, v, w in network.shift_edges:
+        lines.append(f"SHIFT {name(u)} -> {name(v)} cap {Fraction(w, d)}")
+    lines.append(f"CONSTANT {Fraction(network.constant_weight, d)}")
     return "\n".join(lines)
 
 
 def dump_ip(network: ClosureNetwork) -> str:
     """The 0/1 program the flow solves, in a plain text form."""
-    name = network.node_name
-    terms = [f"{p} x{k}" for k, (_, _, p) in enumerate(network.shift_edges)]
-    lines = ["min " + (" + ".join(terms) if terms else "0") + f" + {network.constant_loss}"]
+    name, d = network.node_name, network.denominator
+    terms = [f"{Fraction(w, d)} x{k}" for k, (_, _, w) in enumerate(network.shift_edges)]
+    lines = ["min " + (" + ".join(terms) if terms else "0") + f" + {Fraction(network.constant_weight, d)}"]
     lines.append("s.t.")
     for k, (u, v, _) in enumerate(network.shift_edges):
         lines.append(f"  x{k} >= y_{name(u)} - y_{name(v)}    (shift edge {name(u)}->{name(v)})")

@@ -43,8 +43,13 @@ def girl_name(g: Agent) -> str:
     return f"g{g + 1}"
 
 
+def _is_number(token: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also accepts "²", which ``int`` rejects."""
+    return token.isascii() and token.isdigit()
+
+
 def _parse_agent(token: str, prefix: str, count: int, line: int) -> Agent:
-    if not token.startswith(prefix) or not token[len(prefix):].isdigit():
+    if not token.startswith(prefix) or not _is_number(token[len(prefix):]):
         raise InstanceFormatError(f"expected an agent like {prefix}3, got {token!r}", line)
     ident = int(token[len(prefix):]) - 1
     if not 0 <= ident < count:
@@ -311,7 +316,7 @@ def parse_shift(text: str, inst: PreferenceInstance, line: int | None = None) ->
     else:
         agent = _parse_agent(agent_tok, "b", inst.n_boys, line)
         mover = _parse_agent(mover_tok, "g", inst.n_girls, line)
-    if not k_tok.isdigit() or int(k_tok) < 1:
+    if not _is_number(k_tok) or int(k_tok) < 1:
         raise InstanceFormatError(f"window must be a positive integer, got {k_tok!r}", line)
     shift = Shift(side, agent, mover, int(k_tok))
     try:
@@ -366,7 +371,7 @@ def parse_instance(text: str) -> PreferenceInstance:
         raise InstanceFormatError("empty instance file")
     header_line, header = meaningful[0]
     counts = header.split()
-    if len(counts) not in (1, 2) or not all(c.isdigit() for c in counts):
+    if len(counts) not in (1, 2) or not all(_is_number(c) for c in counts):
         raise InstanceFormatError(f"expected 'n' or 'n_boys n_girls', got {header!r}", header_line)
     n_boys = int(counts[0])
     n_girls = int(counts[-1])

@@ -2,12 +2,14 @@
 
 One max flow pins down one robust matching, but usually many closed sets
 achieve the same minimum.  They are exactly the residual-closed vertex sets:
-no residual edge may enter the set from outside.  Contracting the residual
-graph's strongly connected components gives a DAG whose downward-closed
-subsets of *free* elements are in bijection with the optimal closed sets —
-components that can reach the bottom endpoint are forced into every optimum,
-components reachable from the top endpoint can never be used, and everything
-else is free to toggle subject to the DAG's order.
+no residual edge may enter the set from outside (Picard and Queyranne, "On
+the structure of all minimum cuts in a network", 1980).  Rotations with a
+residual path to the bottom endpoint -- the solver's own cut, as
+``extract_closed_set`` reads it -- are forced into every optimum; rotations
+the top endpoint reaches can never be used; everything else is free.
+Contracting the strongly connected components of the residual graph on the
+free rotations gives a DAG whose downward-closed subsets are in bijection
+with the optimal closed sets.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 
-from .flow import ClosureNetwork, FlowResult
+from .flow import ClosureNetwork, FlowResult, extract_closed_set
 from .matching import Matching
 from .rotations import RotationPoset, closed_set_to_matching, closed_subsets, ids_to_mask, mask_to_ids
 
@@ -102,98 +104,92 @@ class RobustPoset:
         return closed_subsets(self._pred_masks(), range(len(self.free_elements)))
 
     def rotation_mask(self, element_ids) -> int:
-        return self.mandatory_mask | ids_to_mask(r for i in element_ids for r in self.free_elements[i])
+        """The mandatory rotations plus those of the given free elements.
+
+        Raises ValueError when an id names no free element.
+        """
+        ids = list(element_ids)
+        if any(i not in range(len(self.free_elements)) for i in ids):
+            raise ValueError("element set contains unknown ids")
+        return self.mandatory_mask | ids_to_mask(r for i in ids for r in self.free_elements[i])
 
 
 def build_robust_poset(network: ClosureNetwork, flow: FlowResult) -> RobustPoset:
-    """Condense the residual graph into the poset of optimal closed sets."""
-    if network.poset is None:
-        raise ValueError("network lacks its rotation poset; build it with build_network")
-    n = network.n_nodes
-    adj: list[list[int]] = [[] for _ in range(n)]
+    """Condense the residual graph into the poset of optimal closed sets.
+
+    The mandatory rotations are ``extract_closed_set``'s, which raises
+    ValueError when the flow is not maximum; the excluded ones are those
+    one forward walk from the top endpoint reaches.  A residual cycle
+    through a free rotation meets neither kind (it would make the rotation
+    reach the bottom or be reached from the top), so components, DAG edges
+    and the order of the free elements -- Kahn's, smallest least member
+    first -- are computed over the free rotations alone.
+    """
+    mandatory = extract_closed_set(network, flow)
+    adj: list[list[int]] = [[] for _ in range(network.n_nodes)]
     for e, v in enumerate(flow.to):
         if flow.cap[e] > 0:
             adj[flow.to[e ^ 1]].append(v)
+    reached = [False] * network.n_nodes
+    reached[network.top] = True
+    stack = [network.top]
+    while stack:
+        for v in adj[stack.pop()]:
+            if not reached[v]:
+                reached[v] = True
+                stack.append(v)
+    rotations = range(network.n_rotations)
+    excluded = tuple(r for r in rotations if reached[r])
+    free = [r for r in rotations if not reached[r] and not (mandatory >> r) & 1]
+    index = {r: i for i, r in enumerate(free)}
+    free_adj = [[index[v] for v in adj[r] if v in index] for r in free]
 
-    count, comp = _tarjan_scc(adj)
+    count, comp = _tarjan_scc(free_adj)
     members: list[list[int]] = [[] for _ in range(count)]
-    for r in range(network.n_rotations):
-        members[comp[r]].append(r)
-    bottom_c = comp[network.bottom]
-    top_c = comp[network.top]
-
+    for r, c in zip(free, comp):
+        members[c].append(r)
     dag_succ: list[set[int]] = [set() for _ in range(count)]
-    dag_pred: list[set[int]] = [set() for _ in range(count)]
-    for u in range(n):
-        cu = comp[u]
-        for v in adj[u]:
-            cv = comp[v]
-            if cu != cv:
-                dag_succ[cu].add(cv)
-                dag_pred[cv].add(cu)
+    for i, succ in enumerate(free_adj):
+        dag_succ[comp[i]].update(comp[j] for j in succ if comp[j] != comp[i])
 
-    def closure(starts, step) -> set[int]:
-        seen = set(starts)
-        frontier = list(starts)
-        while frontier:
-            c = frontier.pop()
-            for d in step[c]:
-                if d not in seen:
-                    seen.add(d)
-                    frontier.append(d)
-        return seen
-
-    reaches_bottom = closure([bottom_c], dag_pred)   # components with a path to bottom
-    from_top = closure([top_c], dag_succ)            # components reachable from top
-    if top_c in reaches_bottom:
-        raise ValueError("flow is not maximum: the top endpoint still reaches the bottom")
-
-    mandatory = sorted(r for c in reaches_bottom for r in members[c])
-    excluded = sorted(r for c in from_top for r in members[c])
-    free_set = {c for c in range(count) if c not in reaches_bottom and c not in from_top}
-
-    # deterministic topological order of the free components
-    pending = {c: sum(1 for d in dag_pred[c] if d in free_set) for c in free_set}
-    ready = sorted((min(members[c]), c) for c in free_set if pending[c] == 0)
+    pending = [0] * count
+    for succ in dag_succ:
+        for d in succ:
+            pending[d] += 1
+    ready = sorted((members[c][0], c) for c in range(count) if pending[c] == 0)
     order: list[int] = []
     while ready:
         _, c = ready.pop(0)
         order.append(c)
-        for d in sorted(dag_succ[c]):
-            if d in free_set:
-                pending[d] -= 1
-                if pending[d] == 0:
-                    insort(ready, (min(members[d]), d))
-    if len(order) != len(free_set):
+        for d in dag_succ[c]:
+            pending[d] -= 1
+            if pending[d] == 0:
+                insort(ready, (members[d][0], d))
+    if len(order) != count:
         raise AssertionError("free components of the residual condensation do not form a DAG")
 
-    position = {c: i for i, c in enumerate(order)}
-    edges = sorted(
-        (position[c], position[d])
-        for c in free_set
-        for d in dag_succ[c]
-        if d in free_set
-    )
+    position = [0] * count
+    for i, c in enumerate(order):
+        position[c] = i
     return RobustPoset(
         poset=network.poset,
-        mandatory=tuple(mandatory),
-        excluded=tuple(excluded),
-        free_elements=tuple(tuple(sorted(members[c])) for c in order),
-        edges=tuple(edges),
+        mandatory=mask_to_ids(mandatory),
+        excluded=excluded,
+        free_elements=tuple(tuple(members[c]) for c in order),
+        edges=tuple(sorted((position[c], position[d]) for c in range(count) for d in dag_succ[c])),
     )
 
 
 def robust_members(robust: RobustPoset, element_ids) -> Matching:
     """The robust matching selected by a closed set of free elements."""
     chosen = sorted(set(element_ids))
-    if any(i not in range(len(robust.free_elements)) for i in chosen):
-        raise ValueError("element set contains unknown ids")
+    selected = robust.rotation_mask(chosen)  # rejects unknown ids first
     preds = robust._pred_masks()
     mask = ids_to_mask(chosen)
     for i in chosen:
         if preds[i] & ~mask:
             raise ValueError("element set is not downward closed in the robust poset")
-    return closed_set_to_matching(robust.poset, robust.rotation_mask(chosen))
+    return closed_set_to_matching(robust.poset, selected)
 
 
 def enumerate_robust(robust: RobustPoset) -> list[Matching]:

@@ -238,7 +238,7 @@ def check_optimality(study: InstanceStudy, dists):
         network, flow = solve_case(study, dist)
         obj = mask_objectives(study, dist)
         best = min(obj)
-        assert flow.flow_value + network.constant_loss == best
+        assert flow.flow_value + Fraction(network.constant_weight, network.denominator) == best
         mask = extract_closed_set(network, flow)
         assert obj[study.mask_index[mask]] == best
 
@@ -275,7 +275,7 @@ def check_constant_loss(study: InstanceStudy):
             disjoint_mass += p[shift]
     if study.domain:
         network, _ = solve_case(study, uniform)
-        assert network.constant_loss == disjoint_mass
+        assert Fraction(network.constant_weight, network.denominator) == disjoint_mass
 
 
 # ---------------------------------------------------------------------------

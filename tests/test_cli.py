@@ -105,6 +105,48 @@ class TestSolve:
         payload = json.loads(out)
         assert "NODES R0 R1 S T" in payload["network"]
 
+    def test_dumps_full_uniform_golden(self, capsys, i3_path):
+        """|D| = 18 is three times the lcm of the merged probabilities' denominators,
+        so every integer capacity triples; the printed probabilities do not change."""
+        code, out, _ = cli(
+            capsys, "solve", "--instance", str(i3_path), "--dist", "full-uniform",
+            "--dump-network", "--dump-ip",
+        )
+        assert code == 0
+        assert out == (
+            "b1 g1\n"
+            "b2 g2\n"
+            "b3 g3\n"
+            "objective 1/3\n"
+            "flow 1/3\n"
+            "constant 0/1\n"
+            "closed set (empty)\n"
+            "\n"
+            "NODES R0 R1 S T\n"
+            "HASSE R0 -> R1\n"
+            "HASSE S -> R0\n"
+            "HASSE R1 -> T\n"
+            "SHIFT R0 -> S cap 1/6\n"
+            "SHIFT R1 -> R0 cap 1/3\n"
+            "SHIFT R1 -> S cap 1/6\n"
+            "SHIFT T -> R0 cap 1/6\n"
+            "SHIFT T -> R1 cap 1/6\n"
+            "CONSTANT 0\n"
+            "\n"
+            "min 1/6 x0 + 1/3 x1 + 1/6 x2 + 1/6 x3 + 1/6 x4 + 0\n"
+            "s.t.\n"
+            "  x0 >= y_R0 - y_S    (shift edge R0->S)\n"
+            "  x1 >= y_R1 - y_R0    (shift edge R1->R0)\n"
+            "  x2 >= y_R1 - y_S    (shift edge R1->S)\n"
+            "  x3 >= y_T - y_R0    (shift edge T->R0)\n"
+            "  x4 >= y_T - y_R1    (shift edge T->R1)\n"
+            "  y_R0 <= y_R1    (precedence)\n"
+            "  y_S <= y_R0    (precedence)\n"
+            "  y_R1 <= y_T    (precedence)\n"
+            "  y_S = 0, y_T = 1\n"
+            "  all x, y in {0, 1}\n"
+        )
+
 
 class TestLattice:
     def test_text_output(self, capsys, i3_path):

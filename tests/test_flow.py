@@ -29,7 +29,6 @@ from robustmatch.flow import (
     dump_ip,
     dump_network,
     extract_closed_set,
-    objective_of_mask,
     solve,
 )
 from robustmatch.oracle import oracle_argmin, oracle_objective
@@ -47,22 +46,32 @@ def point_dist(inst, text):
     return ShiftDistribution(((parse_shift(text, inst), Fraction(1)),))
 
 
-def chain_network() -> ClosureNetwork:
-    """Two-rotation chain with F-edges on every interval, bottleneck 1/10.
+def chain_network(i3) -> ClosureNetwork:
+    """I3's two-rotation chain with F-edges on every interval, bottleneck 1/10.
 
     Nodes: R0, R1, S=2, T=3; the three closed sets {}, {R0}, {R0,R1} pay
     1/10, 6/10, 3/10 respectively, so the optimum is 1/10 at the empty set.
     """
     return ClosureNetwork(
-        n_rotations=2,
+        poset=build_rotation_poset(i3),
         hasse_edges=((2, 0), (0, 1), (1, 3)),
         shift_edges=(
-            (0, 2, Fraction(1, 10)),   # separated exactly by S = {}
-            (1, 0, Fraction(6, 10)),   # separated exactly by S = {R0}
-            (3, 1, Fraction(3, 10)),   # separated exactly by S = {R0, R1}
+            (0, 2, 1),   # separated exactly by S = {}
+            (1, 0, 6),   # separated exactly by S = {R0}
+            (3, 1, 3),   # separated exactly by S = {R0, R1}
         ),
-        constant_loss=Fraction(0),
+        constant_weight=0,
+        denominator=10,
     )
+
+
+def objective_of_mask(analyses, dist: ShiftDistribution, mask: int) -> Fraction:
+    """Breaking probability of the matching with closed set `mask`, from analyses alone."""
+    total = Fraction(0)
+    for analysis, (_, p) in zip(analyses, dist.entries):
+        if analysis.destabilizes_mask(mask):
+            total += p
+    return total
 
 
 class TestBuildNetwork:
@@ -71,9 +80,10 @@ class TestBuildNetwork:
         dist = point_dist(i3, I3_POINT)
         network = build_network(poset, dist)
         assert network.n_rotations == 2
-        assert network.shift_edges == ((1, 0, Fraction(1)),)
+        assert network.denominator == 1
+        assert network.shift_edges == ((1, 0, 1),)
         assert set(network.hasse_edges) == {(0, 1), (network.bottom, 0), (1, network.top)}
-        assert network.constant_loss == 0
+        assert network.constant_weight == 0
 
     def test_parallel_edges_merged(self, i3):
         poset = build_rotation_poset(i3)
@@ -90,7 +100,7 @@ class TestBuildNetwork:
         dist = point_dist(UNIQUE, "GIRL_LIST g1 b3 1")
         network = build_network(poset, dist)
         assert network.shift_edges == ()
-        assert network.constant_loss == 1
+        assert (network.constant_weight, network.denominator) == (1, 1)
 
     def test_uniform_over_other_instance_rejected(self, i2, i3):
         poset = build_rotation_poset(i3)
@@ -108,7 +118,8 @@ class TestBuildNetwork:
 
 def reference_network(poset, analyses, dist) -> ClosureNetwork:
     """The per-shift construction: one analysis per distribution entry, and
-    probabilities summed as Fractions one shift at a time."""
+    probabilities summed as Fractions one shift at a time, then written as
+    integers over ``dist.denominator``."""
     assert len(analyses) == len(dist.entries)
     bottom, top = poset.size, poset.size + 1
     constant = Fraction(0)
@@ -123,8 +134,14 @@ def reference_network(poset, analyses, dist) -> ClosureNetwork:
             merged[(u, v)] = merged.get((u, v), Fraction(0)) + p
     hasse = [(u, v) for v in range(poset.size) for u in poset.hasse_preds[v]]
     hasse += [(bottom, v) for v in poset.minimal_ids] + [(v, top) for v in poset.maximal_ids]
-    shift_edges = tuple((u, v, c) for (u, v), c in sorted(merged.items()))
-    return ClosureNetwork(poset.size, tuple(hasse), shift_edges, constant, poset)
+
+    def weight(q: Fraction) -> int:
+        scaled = q * dist.denominator
+        assert scaled.denominator == 1
+        return scaled.numerator
+
+    shift_edges = tuple((u, v, weight(c)) for (u, v), c in sorted(merged.items()))
+    return ClosureNetwork(poset, tuple(hasse), shift_edges, weight(constant), dist.denominator)
 
 
 def sub_distribution(inst, rng) -> ShiftDistribution:
@@ -148,7 +165,8 @@ class TestNetworkMatchesPerShiftReference:
         assert network.n_rotations == reference.n_rotations
         assert network.hasse_edges == reference.hasse_edges
         assert network.shift_edges == reference.shift_edges
-        assert network.constant_loss == reference.constant_loss
+        assert network.constant_weight == reference.constant_weight
+        assert network.denominator == reference.denominator
 
     @given(random_instances(max_n=8, completeness=st.sampled_from([1.0, 0.9, 0.7, 0.5, 0.3])))
     @settings(max_examples=120, deadline=None)
@@ -174,8 +192,8 @@ class TestNetworkMatchesPerShiftReference:
 
 
 class TestSolve:
-    def test_chain_bottleneck(self):
-        network = chain_network()
+    def test_chain_bottleneck(self, i3):
+        network = chain_network(i3)
         flow = solve(network)
         assert flow.flow_value == Fraction(1, 10)
         assert extract_closed_set(network, flow) == 0
@@ -191,18 +209,31 @@ class TestSolve:
 
     def test_unavoidable_edge(self):
         network = ClosureNetwork(
-            n_rotations=0, hasse_edges=(), shift_edges=((1, 0, Fraction(3, 7)),),
-            constant_loss=Fraction(0),
+            poset=build_rotation_poset(gen_random_instance(1, 0)), hasse_edges=(),
+            shift_edges=((1, 0, 3),), constant_weight=0, denominator=7,
         )
+        assert network.n_rotations == 0
         flow = solve(network)
         assert flow.flow_value == Fraction(3, 7)
 
-    def test_flow_before_extraction_must_be_maximum(self):
-        network = chain_network()
+    def test_flow_before_extraction_must_be_maximum(self, i3):
+        network = chain_network(i3)
         flow = solve(network)
         flow.cap[:] = flow.original  # roll the residual back to an empty flow
         with pytest.raises(ValueError, match="not maximum"):
             extract_closed_set(network, flow)
+
+
+class TestOneDenominator:
+    def test_capacities_are_weights_over_the_distribution_denominator(self, i3):
+        """|D| = 18 on I3, three times the lcm (6) of the merged probabilities' denominators."""
+        run = solve_pipeline(i3, ShiftDistribution.uniform(i3))
+        assert run.network.denominator == run.dist.denominator == 18
+        assert run.flow.scale == 18
+        assert [w for _, _, w in run.network.shift_edges] == [3, 6, 3, 3, 3]
+        assert [run.flow.original[e] for e in run.flow.shift_eidx] == [3, 6, 3, 3, 3]
+        assert run.flow.value_scaled == 6
+        assert run.flow.flow_value == Fraction(1, 3)
 
 
 class TestCertificate:

@@ -84,6 +84,14 @@ class TestParsing:
         with pytest.raises(InstanceFormatError, match="empty"):
             parse_instance("\n\n")
 
+    def test_non_ascii_header_digit_rejected(self):
+        with pytest.raises(InstanceFormatError, match="line 1.*expected 'n' or 'n_boys n_girls'"):
+            parse_instance("\u00b2\nb1: g1\ng1: b1\n")
+
+    def test_non_ascii_agent_digit_rejected(self):
+        with pytest.raises(InstanceFormatError, match="line 2.*expected an agent like g3"):
+            parse_instance("1\nb1: g\u00b2\ng1: b1\n")
+
     def test_missing_lines_rejected(self):
         with pytest.raises(InstanceFormatError, match="expected 4 preference lines"):
             parse_instance("2\nb1: g1 g2\n")
@@ -218,6 +226,10 @@ class TestDistribution:
     def test_parse_distribution_reports_line(self, i2):
         with pytest.raises(InstanceFormatError, match="line 2"):
             parse_distribution("GIRL_LIST g1 b1 1 1/2\nGIRL_LIST g9 b1 1 1/2\n", i2)
+
+    def test_non_ascii_window_digit_rejected(self, i2):
+        with pytest.raises(InstanceFormatError, match="line 2.*window must be a positive integer"):
+            parse_distribution("# comment\nGIRL_LIST g1 b1 \u00b2 1/1\n", i2)
 
     def test_comments_and_blanks_skipped(self, i2):
         dist = parse_distribution("# comment\n\nGIRL_LIST g1 b1 1 1/1\n", i2)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+from bisect import insort
 from fractions import Fraction
 
 import pytest
@@ -17,15 +20,21 @@ from robustmatch import (
     robust_members,
     solve_pipeline,
 )
-from robustmatch.flow import ClosureNetwork, solve
+from robustmatch.flow import ClosureNetwork, build_network, extract_closed_set, solve
 from robustmatch.oracle import oracle_argmin
-from robustmatch.representation import RobustPoset
+from robustmatch.representation import RobustPoset, _tarjan_scc
 from robustmatch.rotations import build_rotation_poset, ids_to_mask, mask_to_ids
 
 from test_flow import point_dist, sub_distribution
 from test_instance import random_instances
 from test_matching import M0_I2, M0_I3, M1_I3, MZ_I2, MZ_I3
-from test_rotations import DEEP_CHAIN, chain_prefixes, lattice_instances, recursive_closed_subsets
+from test_rotations import (
+    DEEP_CHAIN,
+    chain_prefixes,
+    cyclic_blocks,
+    lattice_instances,
+    recursive_closed_subsets,
+)
 
 
 def robust_of(inst, dist):
@@ -69,17 +78,17 @@ class TestBuildRobustPoset:
 
 
 class TestManualNetworks:
-    def chain_with_poset(self, i3, shift_edges):
+    def chain_with_poset(self, i3, shift_edges, denominator):
         return ClosureNetwork(
-            n_rotations=2,
+            poset=build_rotation_poset(i3),
             hasse_edges=((2, 0), (0, 1), (1, 3)),
             shift_edges=shift_edges,
-            constant_loss=Fraction(0),
-            poset=build_rotation_poset(i3),
+            constant_weight=0,
+            denominator=denominator,
         )
 
     def test_unavoidable_shift_edge_flows_through(self, i3):
-        network = self.chain_with_poset(i3, ((3, 2, Fraction(1, 2)),))
+        network = self.chain_with_poset(i3, ((3, 2, 1),), 2)
         flow = solve(network)
         assert flow.flow_value == Fraction(1, 2)
         robust = build_robust_poset(network, flow)
@@ -88,19 +97,8 @@ class TestManualNetworks:
         assert robust.free_elements == ((0,), (1,))
         assert robust.edges == ((0, 1),)
 
-    def test_rejects_network_without_poset(self):
-        network = ClosureNetwork(
-            n_rotations=1,
-            hasse_edges=((1, 0), (0, 2)),
-            shift_edges=(),
-            constant_loss=Fraction(0),
-        )
-        flow = solve(network)
-        with pytest.raises(ValueError, match="rotation poset"):
-            build_robust_poset(network, flow)
-
     def test_rejects_non_maximum_flow(self, i3):
-        network = self.chain_with_poset(i3, ((3, 2, Fraction(1, 2)),))
+        network = self.chain_with_poset(i3, ((3, 2, 1),), 2)
         flow = solve(network)
         flow.cap[:] = flow.original  # roll the residual back to an empty flow
         with pytest.raises(ValueError, match="not maximum"):
@@ -125,6 +123,13 @@ class TestRobustMembers:
         assert len(robust.free_elements) == 2
         with pytest.raises(ValueError, match="unknown ids"):
             robust_members(robust, ids)
+
+    @pytest.mark.parametrize("ids", [[5], [-1], [0, 2]])
+    def test_rotation_mask_rejects_unknown_ids(self, i3, ids):
+        robust, _ = robust_of(i3, ShiftDistribution(()))
+        assert len(robust.free_elements) == 2
+        with pytest.raises(ValueError, match="unknown ids"):
+            robust.rotation_mask(ids)
 
     def test_rotation_mask_includes_mandatory(self, i2):
         robust, _ = robust_of(i2, point_dist(i2, "BOY_LIST b1 g2 1"))
@@ -189,3 +194,115 @@ class TestElementClosedSets:
             edges=tuple((i, i + 1) for i in range(DEEP_CHAIN - 1)),
         )
         assert robust.element_closed_sets() == chain_prefixes(range(DEEP_CHAIN))
+
+
+def reference_robust_poset(network: ClosureNetwork, flow) -> RobustPoset:
+    """Test-only reference: the condensation build_robust_poset replaced.
+
+    Condenses the whole residual graph, endpoints included, and finds the
+    mandatory and excluded components by walking the condensation DAG.
+    """
+    n = network.n_nodes
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for e, v in enumerate(flow.to):
+        if flow.cap[e] > 0:
+            adj[flow.to[e ^ 1]].append(v)
+    count, comp = _tarjan_scc(adj)
+    members: list[list[int]] = [[] for _ in range(count)]
+    for r in range(network.n_rotations):
+        members[comp[r]].append(r)
+    dag_succ: list[set[int]] = [set() for _ in range(count)]
+    dag_pred: list[set[int]] = [set() for _ in range(count)]
+    for u in range(n):
+        for v in adj[u]:
+            if comp[u] != comp[v]:
+                dag_succ[comp[u]].add(comp[v])
+                dag_pred[comp[v]].add(comp[u])
+
+    def closure(start, step) -> set[int]:
+        seen, frontier = {start}, [start]
+        while frontier:
+            for d in step[frontier.pop()]:
+                if d not in seen:
+                    seen.add(d)
+                    frontier.append(d)
+        return seen
+
+    reaches_bottom = closure(comp[network.bottom], dag_pred)
+    from_top = closure(comp[network.top], dag_succ)
+    assert comp[network.top] not in reaches_bottom
+    free_set = {c for c in range(count) if c not in reaches_bottom and c not in from_top}
+    pending = {c: sum(1 for d in dag_pred[c] if d in free_set) for c in free_set}
+    ready = sorted((min(members[c]), c) for c in free_set if pending[c] == 0)
+    order: list[int] = []
+    while ready:
+        _, c = ready.pop(0)
+        order.append(c)
+        for d in sorted(dag_succ[c]):
+            if d in free_set:
+                pending[d] -= 1
+                if pending[d] == 0:
+                    insort(ready, (min(members[d]), d))
+    assert len(order) == len(free_set)
+    position = {c: i for i, c in enumerate(order)}
+    return RobustPoset(
+        poset=network.poset,
+        mandatory=tuple(sorted(r for c in reaches_bottom for r in members[c])),
+        excluded=tuple(sorted(r for c in from_top for r in members[c])),
+        free_elements=tuple(tuple(sorted(members[c])) for c in order),
+        edges=tuple(sorted((position[c], position[d]) for c in free_set for d in dag_succ[c] if d in free_set)),
+    )
+
+
+def condensation_fields(robust: RobustPoset):
+    return robust.mandatory, robust.excluded, robust.free_elements, robust.edges
+
+
+class TestCondensationMatchesReference:
+    """build_robust_poset (the solver's cut, components over free rotations only)
+    equals the whole-graph condensation."""
+
+    @staticmethod
+    def check(inst, dist) -> RobustPoset:
+        run = solve_pipeline(inst, dist)
+        robust = build_robust_poset(run.network, run.flow)
+        assert condensation_fields(robust) == condensation_fields(reference_robust_poset(run.network, run.flow))
+        return robust
+
+    def test_cyclic_blocks(self):
+        rng = random.Random(5)
+        with_edges = 0
+        for seed in range(60):
+            inst = cyclic_blocks([rng.randint(2, 5) for _ in range(rng.randint(1, 3))], seed)
+            robust = self.check(inst, sparse_distribution(inst, rng))
+            with_edges += bool(robust.edges)
+        assert with_edges > 0
+
+    @given(lattice_instances(), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_random_instances(self, inst, rng):
+        self.check(inst, sparse_distribution(inst, rng))
+
+
+class TestScaledWeights:
+    """Dinic's choices depend only on which residual capacities are positive,
+    so k times every weight over k times the denominator gives the same cut."""
+
+    @given(lattice_instances(), st.randoms(use_true_random=False), st.integers(2, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_same_residual_pattern_cut_and_poset(self, inst, rng, k):
+        network = build_network(build_rotation_poset(inst), sparse_distribution(inst, rng))
+        scaled = dataclasses.replace(
+            network,
+            shift_edges=tuple((u, v, k * w) for u, v, w in network.shift_edges),
+            constant_weight=k * network.constant_weight,
+            denominator=k * network.denominator,
+        )
+        flow, scaled_flow = solve(network), solve(scaled)
+        assert [c > 0 for c in scaled_flow.cap] == [c > 0 for c in flow.cap]
+        assert scaled_flow.value_scaled == k * flow.value_scaled
+        assert scaled_flow.flow_value == flow.flow_value
+        assert extract_closed_set(scaled, scaled_flow) == extract_closed_set(network, flow)
+        assert condensation_fields(build_robust_poset(scaled, scaled_flow)) == condensation_fields(
+            build_robust_poset(network, flow)
+        )
