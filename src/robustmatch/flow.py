@@ -179,7 +179,7 @@ class FlowResult:
     to: list[int]
     cap: list[int]        # residual capacities (paired edges: e ^ 1 is the reverse)
     original: list[int]
-    adj: list[list[int]]
+    adj: list[list[int]]  # ids of the edges leaving each node, reverse edges included
     hasse_eidx: tuple[int, ...]
     shift_eidx: tuple[int, ...]
 
@@ -241,17 +241,15 @@ def extract_closed_set(network: ClosureNetwork, flow: FlowResult) -> int:
     Raises ValueError when the flow is not maximum (the top endpoint would
     have such a path).
     """
-    preds: list[list[int]] = [[] for _ in range(network.n_nodes)]
-    for e, v in enumerate(flow.to):
-        if flow.cap[e] > 0:
-            preds[v].append(flow.to[e ^ 1])
+    to, cap = flow.to, flow.cap
     seen = [False] * network.n_nodes
     seen[network.bottom] = True
     stack = [network.bottom]
     while stack:
-        x = stack.pop()
-        for u in preds[x]:
-            if not seen[u]:
+        # e leaves x, so the residual edge e ^ 1 enters x from to[e]
+        for e in flow.adj[stack.pop()]:
+            u = to[e]
+            if cap[e ^ 1] > 0 and not seen[u]:
                 seen[u] = True
                 stack.append(u)
     if seen[network.top]:

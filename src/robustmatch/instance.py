@@ -198,12 +198,6 @@ def apply_shift(inst: PreferenceInstance, shift: Shift) -> PreferenceInstance:
     return PreferenceInstance(tuple(boy_prefs), inst.girl_prefs)
 
 
-def reversed_shift(shift: Shift) -> Shift:
-    """The same list edit, expressed for the role-reversed instance."""
-    side = BOY_LIST if shift.side == GIRL_LIST else GIRL_LIST
-    return Shift(side, shift.agent, shift.mover, shift.window)
-
-
 def enumerate_shift_domain(inst: PreferenceInstance) -> list[Shift]:
     """All single upward shifts over the instance, in a deterministic order.
 
@@ -337,6 +331,8 @@ def parse_distribution(text: str, inst: PreferenceInstance) -> ShiftDistribution
         if len(parts) != 2:
             raise InstanceFormatError("expected 'SIDE agent mover k p_num/p_den'", line_no)
         shift = parse_shift(parts[0], inst, line_no)
+        if not parts[1].isascii():  # Fraction also reads non-ASCII digits such as "\u0661"
+            raise InstanceFormatError(f"bad probability {parts[1]!r}", line_no)
         try:
             p = Fraction(parts[1])
         except (ValueError, ZeroDivisionError):

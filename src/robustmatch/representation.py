@@ -126,23 +126,21 @@ def build_robust_poset(network: ClosureNetwork, flow: FlowResult) -> RobustPoset
     first -- are computed over the free rotations alone.
     """
     mandatory = extract_closed_set(network, flow)
-    adj: list[list[int]] = [[] for _ in range(network.n_nodes)]
-    for e, v in enumerate(flow.to):
-        if flow.cap[e] > 0:
-            adj[flow.to[e ^ 1]].append(v)
+    to, cap = flow.to, flow.cap
     reached = [False] * network.n_nodes
     reached[network.top] = True
     stack = [network.top]
     while stack:
-        for v in adj[stack.pop()]:
-            if not reached[v]:
+        for e in flow.adj[stack.pop()]:
+            v = to[e]
+            if cap[e] > 0 and not reached[v]:
                 reached[v] = True
                 stack.append(v)
     rotations = range(network.n_rotations)
     excluded = tuple(r for r in rotations if reached[r])
     free = [r for r in rotations if not reached[r] and not (mandatory >> r) & 1]
     index = {r: i for i, r in enumerate(free)}
-    free_adj = [[index[v] for v in adj[r] if v in index] for r in free]
+    free_adj = [[index[to[e]] for e in flow.adj[r] if cap[e] > 0 and to[e] in index] for r in free]
 
     count, comp = _tarjan_scc(free_adj)
     members: list[list[int]] = [[] for _ in range(count)]

@@ -12,6 +12,7 @@ between stable matchings and downward-closed rotation sets.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .instance import PreferenceInstance, boy_name, girl_name
@@ -150,6 +151,17 @@ class RotationPoset:
     picks the exposed rotation with the smallest leading boy; that order is a
     linear extension of the precedence order.  Stable matchings correspond
     one-to-one with downward-closed id sets (kept as bitmasks here).
+
+    Every agent matched in the stable matchings has a partner chain.
+    ``*_slot_positions[a]`` holds the ascending positions, on a's own list,
+    of a's stable partners: slot k is a's (k+1)-th best.  The boundary ids
+    ``*_slot_rotations[a]`` have one entry more: entry k is the id of the
+    rotation that moves a across the boundary between slot k-1 and slot k,
+    with None at both ends.  A boy crosses his boundaries downwards and a
+    girl upwards, so a boy holds slot k in the stable matchings whose
+    rotation sets contain entry k but not entry k+1, and a girl in those
+    that contain entry k+1 but not entry k (None: no condition).  Agents
+    unmatched in every stable matching have no chain.
     """
 
     inst: PreferenceInstance
@@ -160,15 +172,10 @@ class RotationPoset:
     succ_closure: tuple[int, ...]
     hasse_preds: tuple[tuple[int, ...], ...]
     hasse_succs: tuple[tuple[int, ...], ...]
-    # movement indexes; each key appears for at most one rotation
-    post_pair: dict    # (b, g) -> id of the rotation after which b and g are matched
-    pre_pair: dict     # (b, g) -> id of the rotation that removes the pair (b, g)
-    below_girl: dict   # (b, g) -> id of the rotation after which b's partner is worse than g
-    above_boy: dict    # (g, b) -> id of the rotation after which g's partner is no worse than b
-    girl_slot_positions: dict  # g -> ascending positions on g's list of her possible partners
-    girl_slot_boys: dict       # g -> boys parallel to girl_slot_positions
-    boy_slot_positions: dict   # b -> ascending positions on b's list of his possible partners
-    boy_slot_girls: dict       # b -> girls parallel to boy_slot_positions
+    girl_slot_positions: dict  # g -> ascending positions on g's list of her stable partners
+    girl_slot_rotations: dict  # g -> boundary ids around girl_slot_positions[g]
+    boy_slot_positions: dict   # b -> ascending positions on b's list of his stable partners
+    boy_slot_rotations: dict   # b -> boundary ids around boy_slot_positions[b]
 
     @property
     def size(self) -> int:
@@ -221,60 +228,37 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
     if current != mz:
         raise AssertionError("elimination path did not terminate at the girl-optimal matching")
 
-    post_pair: dict[tuple[int, int], int] = {}
-    pre_pair: dict[tuple[int, int], int] = {}
-    below_girl: dict[tuple[int, int], int] = {}
-    above_boy: dict[tuple[int, int], int] = {}
-
-    def claim(table: dict, key, rid: int, what: str):
-        if key in table:
-            raise AssertionError(f"{what} happens in two rotations for {key}")
-        table[key] = rid
-
-    for rid, rot in enumerate(rotations):
-        r = len(rot.pairs)
-        for i, (b, g) in enumerate(rot.pairs):
-            claim(pre_pair, (b, g), rid, "pair removal")
-            g_next = rot.pairs[(i + 1) % r][1]
-            claim(post_pair, (b, g_next), rid, "pair creation")
-            # b's partner drops from g to g_next: he passes every girl
-            # at positions [pos(g), pos(g_next)) on his list
-            prefs = inst.boy_prefs[b]
-            lo, hi = inst.boy_rank[b][g], inst.boy_rank[b][g_next]
-            for p in range(lo, hi):
-                claim(below_girl, (b, prefs[p]), rid, "downward sweep")
-            # g_next's partner rises from b_next to b: she passes every boy
-            # at positions [pos(b), pos(b_next)) on her list
-            b_next = rot.pairs[(i + 1) % r][0]
-            gprefs = inst.girl_prefs[g_next]
-            lo, hi = inst.girl_rank[g_next][b], inst.girl_rank[g_next][b_next]
-            if lo >= hi:
-                raise AssertionError("girl did not improve in a rotation")
-            for q in range(lo, hi):
-                claim(above_boy, (g_next, gprefs[q]), rid, "upward sweep")
-
-    # precedence edges
+    # each agent's stable partners in lattice order and the rotations that
+    # move the agent along them; boys only get worse and girls only better.
+    # A rotation that moves a boy off a partner removes the pair his previous
+    # move created: pair-creation precedence.
     edges: set[tuple[int, int]] = set()
+    boy_chains = {b: [g] for b, g in m0.pairs}
+    girl_chains = {g: [b] for b, g in m0.pairs}
+    boy_moves: dict[int, list] = {b: [None] for b in boy_chains}
+    girl_moves: dict[int, list] = {g: [None] for g in girl_chains}
     for v, rot in enumerate(rotations):
-        for b, g in rot.pairs:
-            u = post_pair.get((b, g))
-            if u is not None:
-                if u >= v:
-                    raise AssertionError("pair-creation precedence points forward")
-                edges.add((u, v))
-        for i, (b, g) in enumerate(rot.pairs):
-            g_next = rot.pairs[(i + 1) % len(rot.pairs)][1]
-            prefs = inst.boy_prefs[b]
-            for p in range(inst.boy_rank[b][g] + 1, inst.boy_rank[b][g_next]):
-                mid = prefs[p]
-                u = above_boy.get((mid, b))
-                if u is None:
-                    # she must already start out holding someone better than b
-                    holder = m0.boy_of(mid)
-                    if holder is None or inst.girl_rank[mid][holder] > inst.girl_rank[mid][b]:
-                        raise AssertionError("swept girl never rises above the boy sweeping past her")
-                    continue
-                if u == v:
+        for b, g in rot.post_pairs:
+            if boy_moves[b][-1] is not None:
+                edges.add((boy_moves[b][-1], v))
+            boy_chains[b].append(g)
+            boy_moves[b].append(v)
+            girl_chains[g].append(b)
+            girl_moves[g].append(v)
+    boy_slot_positions, boy_slot_rotations = _slots(boy_chains, boy_moves, inst.boy_rank, 1)
+    girl_slot_positions, girl_slot_rotations = _slots(girl_chains, girl_moves, inst.girl_rank, -1)
+
+    # sweep precedence: v drops a boy past a girl strictly between his two
+    # partners, so the rotation that lifts her above him must come first
+    for v, rot in enumerate(rotations):
+        for (b, g), (_, g_next) in zip(rot.pairs, rot.post_pairs):
+            rank = inst.boy_rank[b]
+            for mid in inst.boy_prefs[b][rank[g] + 1:rank[g_next]]:
+                k = bisect_right(girl_slot_positions.get(mid, ()), inst.girl_rank[mid][b])
+                if k == 0:
+                    raise AssertionError("swept girl never rises above the boy sweeping past her")
+                u = girl_slot_rotations[mid][k]
+                if u is None or u == v:  # None: she starts out holding someone better
                     continue
                 if u > v:
                     raise AssertionError("sweep precedence points forward")
@@ -309,18 +293,6 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
         for u in hasse_preds[v]:
             hasse_succs_sets[u].append(v)
 
-    # each agent's possible partners, keyed by position on his or her list;
-    # along the elimination path boys only get worse and girls only better
-    girl_chains: dict[int, list[int]] = {g: [b] for b, g in m0.pairs}
-    boy_chains: dict[int, list[int]] = {b: [g] for b, g in m0.pairs}
-    for rot in rotations:
-        for b, g in rot.post_pairs:
-            girl_chains[g].append(b)
-            boy_chains[b].append(g)
-    girl_slot_positions, girl_slot_boys = _slots(
-        {g: chain[::-1] for g, chain in girl_chains.items()}, inst.girl_rank)
-    boy_slot_positions, boy_slot_girls = _slots(boy_chains, inst.boy_rank)
-
     return RotationPoset(
         inst=inst,
         rotations=tuple(rotations),
@@ -330,28 +302,25 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
         succ_closure=tuple(succ_closure),
         hasse_preds=tuple(hasse_preds),
         hasse_succs=tuple(tuple(s) for s in hasse_succs_sets),
-        post_pair=post_pair,
-        pre_pair=pre_pair,
-        below_girl=below_girl,
-        above_boy=above_boy,
         girl_slot_positions=girl_slot_positions,
-        girl_slot_boys=girl_slot_boys,
+        girl_slot_rotations=girl_slot_rotations,
         boy_slot_positions=boy_slot_positions,
-        boy_slot_girls=boy_slot_girls,
+        boy_slot_rotations=boy_slot_rotations,
     )
 
 
-def _slots(chains: dict, rank) -> tuple[dict, dict]:
-    """(agent -> positions of the partners on the agent's list, agent -> partners),
-    both tuples in chain order; the positions must strictly ascend."""
+def _slots(chains: dict, moves: dict, rank, step: int) -> tuple[dict, dict]:
+    """(agent -> slot positions, agent -> boundary ids) from each agent's
+    partners and moves in elimination order, read forwards (step 1) or
+    backwards (step -1) so the positions ascend; they must strictly ascend."""
     positions: dict[int, tuple[int, ...]] = {}
-    partners: dict[int, tuple[int, ...]] = {}
+    boundaries: dict[int, tuple] = {}
     for a, chain in chains.items():
-        pos = tuple(rank[a][p] for p in chain)
+        pos = tuple(rank[a][p] for p in chain[::step])
         if any(x >= y for x, y in itertools.pairwise(pos)):
             raise AssertionError("a partner chain is not strictly monotone along the lattice")
-        positions[a], partners[a] = pos, tuple(chain)
-    return positions, partners
+        positions[a], boundaries[a] = pos, tuple(moves[a] + [None])[::step]
+    return positions, boundaries
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,16 @@ Moving one entry up in one list can only create one new blocking pair
 candidate: the moved agent together with the list owner.  Which stable
 matchings that pair actually breaks is an interval-like slice of the
 lattice, pinned down by at most one entry rotation and one exit rotation.
-Both list sides are read off the instance's one rotation poset: a girl's
-stable partners only improve along the lattice and a boy's only worsen, so
-the same positional rule serves a girl-list shift and its mirror image.
-This module computes those rotations for a shift, classifies the outcome,
-and exposes the destabilized set as a poset fragment of its own.
+Both list sides are read off the partner chains of the instance's one
+rotation poset (see ``RotationPoset``) by one rule, mirrored between the
+sides because a girl rises across the boundaries of her chain and a boy
+falls.  The owner holds a partner in window slots run..right-1 from boundary
+right to boundary run of a girl owner's chain, and from boundary run to
+boundary right of a boy owner's.  The mover's partner crosses the owner's
+position q on the mover's list at boundary bisect_right(positions, q) of the
+mover's chain.  This module computes those rotations for a shift,
+classifies the outcome, and exposes the destabilized set as a poset
+fragment of its own.
 
 A shift's outcome depends on its window only through which of the owner's
 stable partners the window holds, so the windows of one mover fall into at
@@ -18,7 +23,7 @@ the run of one shift; ``shift_runs`` walks the whole domain run by run.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,7 +75,7 @@ class _MoverContext(NamedTuple):
     side: str
     owner: int
     slot_positions: tuple[int, ...]
-    slot_partners: tuple[int, ...]
+    slot_rotations: tuple[int | None, ...]
     right: int
     never: bool              # the mover never prefers the owner (see _mover_crossing)
     crossing: int | None
@@ -78,32 +83,28 @@ class _MoverContext(NamedTuple):
 
 def _mover_context(poset: RotationPoset, inst: PreferenceInstance, side: str, owner: int,
                    mover: int, position: int) -> _MoverContext:
-    if side == GIRL_LIST:
-        positions, partners = poset.girl_slot_positions, poset.girl_slot_boys
-    else:
-        positions, partners = poset.boy_slot_positions, poset.boy_slot_girls
-    positions, partners = positions.get(owner, ()), partners.get(owner, ())
+    positions, boundaries = _chain(poset, side == GIRL_LIST, owner)
     right = bisect_left(positions, position)
     never, crossing = True, None
     if right:
         never, crossing = _mover_crossing(poset, inst, side, owner, mover)
-    return _MoverContext(side, owner, positions, partners, right, never, crossing)
+    return _MoverContext(side, owner, positions, boundaries, right, never, crossing)
 
 
-def _window_rotations(poset: RotationPoset, ctx: _MoverContext, run: int):
+def _window_rotations(ctx: _MoverContext, run: int):
     """(entry, exit) rotations of the owner's stable partners inside the windows of one run.
 
     A partner in the window is outranked by the mover after the shift.  The
     owner holds an in-window partner exactly in the matchings that contain
     the entry rotation and not the exit one (None for the bottom and top).
-    The run must hold a partner (run < ctx.right).  A girl's entry is fixed
-    by the mover and her exit moves with the run; a boy's is the mirror.
+    The run must hold a partner (run < ctx.right).  A girl rises across her
+    boundaries, so she enters the window at boundary right and leaves it at
+    boundary run; a boy falls across his, the mirror: (run, right).
     """
-    partners, owner = ctx.slot_partners, ctx.owner
+    bd = ctx.slot_rotations
     if ctx.side == GIRL_LIST:
-        # a girl's best in-window partner is the last one she reaches
-        return poset.post_pair.get((partners[ctx.right - 1], owner)), poset.pre_pair.get((partners[run], owner))
-    return poset.post_pair.get((owner, partners[run])), poset.pre_pair.get((owner, partners[ctx.right - 1]))
+        return bd[ctx.right], bd[run]
+    return bd[run], bd[ctx.right]
 
 
 def _run_outcome(poset: RotationPoset, ctx: _MoverContext, run: int):
@@ -118,7 +119,7 @@ def _run_outcome(poset: RotationPoset, ctx: _MoverContext, run: int):
     """
     if run == ctx.right or ctx.never:
         return EMPTY_MAB, None, None
-    rho_in, rho_out = _window_rotations(poset, ctx, run)
+    rho_in, rho_out = _window_rotations(ctx, run)
     crossing = ctx.crossing
     if crossing is not None:
         if ctx.side == GIRL_LIST:
@@ -134,26 +135,32 @@ def _run_outcome(poset: RotationPoset, ctx: _MoverContext, run: int):
     return PROPER, rho_in, rho_out
 
 
+def _chain(poset: RotationPoset, girl: bool, agent: int):
+    """(slot positions, boundary ids) of one agent's partner chain; empty for
+    an agent unmatched in every stable matching."""
+    if girl:
+        return poset.girl_slot_positions.get(agent, ()), poset.girl_slot_rotations.get(agent, ())
+    return poset.boy_slot_positions.get(agent, ()), poset.boy_slot_rotations.get(agent, ())
+
+
 def _mover_crossing(poset: RotationPoset, inst: PreferenceInstance, side: str, owner: int, mover: int):
     """(never, crossing): where the mover's preference for the list owner flips.
 
-    never is True when the mover is matched in every stable matching and
-    even the mover's worst stable partner ranks at or above the owner.
-    Otherwise crossing is the rotation after which a boy mover (who only
-    gets worse) prefers the girl owner, or a girl mover (who only gets
-    better) stops preferring the boy owner; None when that never changes.
+    Read off the mover's own chain at k = bisect_right(positions, q), q the
+    owner's position on the mover's list: slots 0..k-1 rank at or above the
+    owner and the rest below.  never is True when the mover is matched in
+    every stable matching and even the worst slot ranks at or above the owner
+    (k = len(positions)).  Otherwise crossing is boundary k: the rotation
+    after which a boy mover (who only gets worse) prefers the girl owner, or
+    a girl mover (who only gets better) stops preferring the boy owner; None
+    when that never changes.
     """
-    if side == GIRL_LIST:
-        rank, worst, best = inst.boy_rank[mover], poset.girl_opt.girl_of(mover), poset.boy_opt.girl_of(mover)
-        crossing = poset.below_girl.get((mover, owner))
-    else:
-        rank, worst, best = inst.girl_rank[mover], poset.boy_opt.boy_of(mover), poset.girl_opt.boy_of(mover)
-        crossing = poset.above_boy.get((mover, owner))
-    if worst is not None and rank[worst] <= rank[owner]:
-        return True, None
-    if crossing is None and best is not None and rank[best] <= rank[owner]:
-        raise AssertionError("mover crosses the list owner but no rotation records it")
-    return False, crossing
+    girl_mover = side == BOY_LIST
+    positions, boundaries = _chain(poset, girl_mover, mover)
+    if not positions:
+        return False, None
+    k = bisect_right(positions, (inst.girl_rank if girl_mover else inst.boy_rank)[mover][owner])
+    return k == len(positions), boundaries[k]
 
 
 def _shift_context(poset: RotationPoset, inst: PreferenceInstance, shift: Shift):
@@ -173,7 +180,7 @@ def find_component_rotations(poset: RotationPoset, inst: PreferenceInstance, shi
     if shift.side != GIRL_LIST:
         raise ValueError("component rotations are defined on girl-list shifts; reverse roles first")
     ctx, run = _shift_context(poset, inst, shift)
-    rho1, rho3 = _window_rotations(poset, ctx, run) if run < ctx.right else (None, None)
+    rho1, rho3 = _window_rotations(ctx, run) if run < ctx.right else (None, None)
     _, rho2 = _mover_crossing(poset, inst, shift.side, shift.agent, shift.mover)
     return rho1, rho2, rho3
 

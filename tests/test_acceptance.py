@@ -27,7 +27,6 @@ from robustmatch.instance import (
     GIRL_LIST,
     enumerate_shift_domain,
     reversed_instance,
-    reversed_shift,
 )
 from robustmatch.matching import unmatched_agents
 from robustmatch.oracle import destabilized_set, enumerate_stable_bruteforce, oracle_poset
@@ -46,6 +45,8 @@ from robustmatch.shift_analysis import (
     sublattice_poset,
 )
 from robustmatch.verification import posets_isomorphic
+
+from test_instance import reversed_shift
 
 COMPLETE = [(2 + (i % 6), i) for i in range(200)]
 INCOMPLETE = [(2 + (i % 6), 1000 + i) for i in range(200)]

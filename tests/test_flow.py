@@ -35,7 +35,7 @@ from robustmatch.oracle import oracle_argmin, oracle_objective
 
 from test_instance import random_instances
 from test_matching import M0_I2, M0_I3, MZ_I3
-from test_shift_analysis import UNEQUAL_SIDES
+from test_rotations import UNEQUAL_SIDES, cyclic_blocks
 
 I3_POINT = "GIRL_LIST g1 b1 1"
 
@@ -180,6 +180,12 @@ class TestNetworkMatchesPerShiftReference:
     @pytest.mark.parametrize("text", UNEQUAL_SIDES, ids=["3x4", "5x6", "6x5"])
     def test_uniform_unequal_sides(self, text):
         inst = parse_instance(text)
+        self.check(inst, ShiftDistribution.uniform(inst))
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_uniform_cyclic_blocks(self, sizes, seed):
+        inst = cyclic_blocks(sizes, seed)
         self.check(inst, ShiftDistribution.uniform(inst))
 
     @given(random_instances(max_n=6), st.randoms(use_true_random=False))

@@ -23,7 +23,7 @@ from robustmatch import (
     serialize_instance,
 )
 from robustmatch.cli import gen_random_instance
-from robustmatch.instance import mover_position, reversed_instance, reversed_shift
+from robustmatch.instance import mover_position, reversed_instance
 
 
 def random_instances(max_n=7, completeness=st.sampled_from([1.0, 0.7, 0.5])):
@@ -33,6 +33,12 @@ def random_instances(max_n=7, completeness=st.sampled_from([1.0, 0.7, 0.5])):
         st.integers(0, 10**6),
         completeness,
     )
+
+
+def reversed_shift(shift: Shift) -> Shift:
+    """The same list edit, expressed for the role-reversed instance."""
+    side = BOY_LIST if shift.side == GIRL_LIST else GIRL_LIST
+    return Shift(side, shift.agent, shift.mover, shift.window)
 
 
 class TestPreferenceInstance:
@@ -230,6 +236,10 @@ class TestDistribution:
     def test_non_ascii_window_digit_rejected(self, i2):
         with pytest.raises(InstanceFormatError, match="line 2.*window must be a positive integer"):
             parse_distribution("# comment\nGIRL_LIST g1 b1 \u00b2 1/1\n", i2)
+
+    def test_non_ascii_probability_digit_rejected(self, i2):
+        with pytest.raises(InstanceFormatError, match="line 2.*bad probability"):
+            parse_distribution("# comment\nGIRL_LIST g1 b1 1 \u0661/\u0661\n", i2)
 
     def test_comments_and_blanks_skipped(self, i2):
         dist = parse_distribution("# comment\n\nGIRL_LIST g1 b1 1 1/1\n", i2)

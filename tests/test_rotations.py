@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robustmatch import (
+    BOY_LIST,
+    GIRL_LIST,
     Matching,
     PreferenceInstance,
     Rotation,
@@ -21,9 +23,11 @@ from robustmatch import (
     exposed_rotations,
     girl_optimal,
     matching_to_closed_set,
+    parse_instance,
 )
 from robustmatch.oracle import enumerate_stable_bruteforce
 from robustmatch.rotations import closed_subsets, ids_to_mask, mask_to_ids
+from robustmatch.shift_analysis import _mover_crossing
 
 from test_instance import random_instances
 from test_matching import M0_I2, M0_I3, M1_I3, MZ_I2, MZ_I3
@@ -55,6 +59,49 @@ def recursive_closed_subsets(preds, ids) -> list[int]:
     return out
 
 
+def reference_movement_index(poset):
+    """Test-only reference: the four movement dicts the partner chains replaced.
+
+    post_pair[(b, g)] and pre_pair[(b, g)] are the rotations that create and
+    remove the pair; below_girl[(b, g)] is the rotation after which b's
+    partner ranks below g on his list, and above_boy[(g, b)] the one after
+    which g's partner ranks at or above b on hers.  No key has two rotations.
+    """
+    inst = poset.inst
+    post_pair: dict = {}
+    pre_pair: dict = {}
+    below_girl: dict = {}
+    above_boy: dict = {}
+
+    def claim(table: dict, key, rid: int):
+        assert key not in table, f"{key} happens in two rotations"
+        table[key] = rid
+
+    for rid, rot in enumerate(poset.rotations):
+        for (b, g), (b_next, g_next) in zip(rot.pairs, rot.pairs[1:] + rot.pairs[:1]):
+            claim(pre_pair, (b, g), rid)
+            claim(post_pair, (b, g_next), rid)
+            # b drops from g to g_next past the girls at [pos(g), pos(g_next));
+            # g_next rises from b_next to b past the boys at [pos(b), pos(b_next))
+            for p in range(inst.boy_rank[b][g], inst.boy_rank[b][g_next]):
+                claim(below_girl, (b, inst.boy_prefs[b][p]), rid)
+            for q in range(inst.girl_rank[g_next][b], inst.girl_rank[g_next][b_next]):
+                claim(above_boy, (g_next, inst.girl_prefs[g_next][q]), rid)
+    return post_pair, pre_pair, below_girl, above_boy
+
+
+def chain_pair_rotations(poset, girl: bool, agent: int, q: int):
+    """(creating, removing) rotation of the pair of the agent with the partner
+    at position q on the agent's list, read off the agent's chain: a boy holds
+    slot k from boundary k to k+1, a girl from boundary k+1 to k."""
+    positions = (poset.girl_slot_positions if girl else poset.boy_slot_positions).get(agent, ())
+    if q not in positions:
+        return None, None
+    k = positions.index(q)
+    bd = (poset.girl_slot_rotations if girl else poset.boy_slot_rotations)[agent]
+    return (bd[k + 1], bd[k]) if girl else (bd[k], bd[k + 1])
+
+
 def cyclic_blocks(sizes, seed) -> PreferenceInstance:
     """Disjoint cyclic Latin-square blocks (I3 is the one block of size 3),
     complete lists, agents relabelled by the seed.
@@ -76,6 +123,19 @@ def cyclic_blocks(sizes, seed) -> PreferenceInstance:
             girl_prefs[girls[base + i]] = own_boys + rng.sample([b for b in boys if b not in own_boys], n - m)
         base += m
     return PreferenceInstance.from_lists(boy_prefs, girl_prefs)
+
+
+# incomplete instances with unequal sides, two rotations each
+UNEQUAL_SIDES = [
+    "3 4\nb1: g1 g2 g4\nb2: g1 g2 g4\nb3: g4 g2 g1 g3\n"
+    "g1: b3 b1 b2\ng2: b1 b3 b2\ng3: b3\ng4: b2 b1 b3\n",
+    "5 6\nb1: g3 g4 g5 g1\nb2: g6 g4 g3 g2 g1\nb3: g4 g2 g1 g3\nb4: g5 g2 g4 g1 g6 g3\n"
+    "b5: g2 g5 g3\ng1: b3 b2 b4 b1\ng2: b3 b4 b2 b5\ng3: b3 b1 b5 b2 b4\n"
+    "g4: b4 b3 b1 b2\ng5: b5 b4 b1\ng6: b2 b4\n",
+    "6 5\nb1: g2 g1 g4 g5\nb2: g2 g5 g4 g1\nb3: g2 g4 g1 g5\nb4: g3 g4 g2\n"
+    "b5: g1 g4 g5 g2 g3\nb6: g5 g4 g2 g1\ng1: b2 b1 b5 b3 b6\n"
+    "g2: b6 b5 b2 b3 b4 b1\ng3: b5 b4\ng4: b2 b6 b4 b5 b3 b1\ng5: b1 b2 b5 b6 b3\n",
+]
 
 
 def lattice_instances():
@@ -185,8 +245,6 @@ class TestRotationPoset:
             poset.index_of(RHO_A)
 
     def test_unique_matching_means_empty_poset(self):
-        from robustmatch import parse_instance
-
         inst = parse_instance("2\nb1: g1 g2\nb2: g1 g2\ng1: b1 b2\ng2: b1 b2\n")
         poset = build_rotation_poset(inst)
         assert poset.size == 0
@@ -221,16 +279,49 @@ class TestRotationPoset:
                 boy_partners.setdefault(b, set()).add(g)
                 girl_partners.setdefault(g, set()).add(b)
         # every list best first; the slot positions are the ranks of those partners
-        assert poset.boy_slot_girls == {
+        assert {b: tuple(inst.boy_prefs[b][p] for p in pos) for b, pos in poset.boy_slot_positions.items()} == {
             b: tuple(sorted(gs, key=inst.boy_rank[b].get)) for b, gs in boy_partners.items()
         }
-        assert poset.girl_slot_boys == {
+        assert {g: tuple(inst.girl_prefs[g][p] for p in pos) for g, pos in poset.girl_slot_positions.items()} == {
             g: tuple(sorted(bs, key=inst.girl_rank[g].get)) for g, bs in girl_partners.items()
         }
-        for b, girls in poset.boy_slot_girls.items():
-            assert poset.boy_slot_positions[b] == tuple(inst.boy_rank[b][g] for g in girls)
-        for g, boys in poset.girl_slot_boys.items():
-            assert poset.girl_slot_positions[g] == tuple(inst.girl_rank[g][b] for b in boys)
+
+
+class TestPartnerChainsMatchMovementDicts:
+    """Every lookup of the four movement dicts equals the one read off a
+    partner chain, for every (agent, list position)."""
+
+    @staticmethod
+    def check(inst):
+        poset = build_rotation_poset(inst)
+        post_pair, pre_pair, below_girl, above_boy = reference_movement_index(poset)
+        for girl, lists in ((False, inst.boy_prefs), (True, inst.girl_prefs)):
+            positions = poset.girl_slot_positions if girl else poset.boy_slot_positions
+            for a, bd in (poset.girl_slot_rotations if girl else poset.boy_slot_rotations).items():
+                assert len(bd) == len(positions[a]) + 1
+                assert bd[0] is None and bd[-1] is None and None not in bd[1:-1]
+            for a, prefs in enumerate(lists):
+                for q, x in enumerate(prefs):
+                    pair = (x, a) if girl else (a, x)
+                    assert chain_pair_rotations(poset, girl, a, q) == (post_pair.get(pair), pre_pair.get(pair))
+                    # a as the mover on x's list: the rotation after which a's
+                    # partner crosses x's position on a's own list
+                    side, swept = (BOY_LIST, above_boy) if girl else (GIRL_LIST, below_girl)
+                    assert _mover_crossing(poset, inst, side, x, a)[1] == swept.get((a, x))
+
+    @given(random_instances(max_n=8, completeness=st.sampled_from([1.0, 0.9, 0.7, 0.5, 0.3])))
+    @settings(max_examples=120, deadline=None)
+    def test_random_instances(self, inst):
+        self.check(inst)
+
+    @pytest.mark.parametrize("text", UNEQUAL_SIDES, ids=["3x4", "5x6", "6x5"])
+    def test_unequal_sides(self, text):
+        self.check(parse_instance(text))
+
+    def test_cyclic_blocks(self):
+        rng = random.Random(6)
+        for seed in range(30):
+            self.check(cyclic_blocks([rng.randint(1, 6) for _ in range(rng.randint(1, 3))], seed))
 
 
 class TestClosedSets:

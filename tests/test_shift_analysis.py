@@ -25,7 +25,7 @@ from robustmatch import (
     parse_instance,
     sublattice_poset,
 )
-from robustmatch.instance import reversed_instance, reversed_shift
+from robustmatch.instance import reversed_instance
 from robustmatch.matching import boy_optimal, unmatched_agents
 from robustmatch.shift_analysis import (
     DISJOINT,
@@ -38,9 +38,9 @@ from robustmatch.shift_analysis import (
     shift_runs,
 )
 
-from test_instance import random_instances
+from test_instance import random_instances, reversed_shift
 from test_matching import M0_I2, M1_I3, MZ_I2
-from test_rotations import DEEP_CHAIN, chain_prefixes, lattice_instances, recursive_closed_subsets
+from test_rotations import DEEP_CHAIN, UNEQUAL_SIDES, chain_prefixes, lattice_instances, recursive_closed_subsets
 
 I2_SHIFT = Shift(GIRL_LIST, 0, 0, 1)   # g1 moves b1 above b2
 I3_SHIFT = Shift(GIRL_LIST, 0, 0, 1)   # g1 moves b1 above b3
@@ -58,17 +58,6 @@ UNMATCHED_CHANGE = parse_instance(
 UNMATCHED_CHANGE_BOYS = parse_instance(
     "3\nb1: g1 g3\nb2: g3\nb3: g2 g1\ng1: b1 b3\ng2: b3\ng3: b1 b2\n"
 )
-# incomplete instances with unequal sides, two rotations each
-UNEQUAL_SIDES = [
-    "3 4\nb1: g1 g2 g4\nb2: g1 g2 g4\nb3: g4 g2 g1 g3\n"
-    "g1: b3 b1 b2\ng2: b1 b3 b2\ng3: b3\ng4: b2 b1 b3\n",
-    "5 6\nb1: g3 g4 g5 g1\nb2: g6 g4 g3 g2 g1\nb3: g4 g2 g1 g3\nb4: g5 g2 g4 g1 g6 g3\n"
-    "b5: g2 g5 g3\ng1: b3 b2 b4 b1\ng2: b3 b4 b2 b5\ng3: b3 b1 b5 b2 b4\n"
-    "g4: b4 b3 b1 b2\ng5: b5 b4 b1\ng6: b2 b4\n",
-    "6 5\nb1: g2 g1 g4 g5\nb2: g2 g5 g4 g1\nb3: g2 g4 g1 g5\nb4: g3 g4 g2\n"
-    "b5: g1 g4 g5 g2 g3\nb6: g5 g4 g2 g1\ng1: b2 b1 b5 b3 b6\n"
-    "g2: b6 b5 b2 b3 b4 b1\ng3: b5 b4\ng4: b2 b6 b4 b5 b3 b1\ng5: b1 b2 b5 b6 b3\n",
-]
 
 
 def mirrored_boy_analyses(poset):
@@ -83,11 +72,8 @@ def mirrored_boy_analyses(poset):
     """
     inst = poset.inst
     rposet = build_rotation_poset(reversed_instance(inst))
-    mapping = []
-    for rot in rposet.rotations:
-        ids = {poset.post_pair.get((b, g)) for g, b in rot.pairs}
-        assert len(ids) == 1 and None not in ids
-        mapping.append(ids.pop())
+    undone = {frozenset(rot.post_pairs): v for v, rot in enumerate(poset.rotations)}
+    mapping = [undone[frozenset((b, g) for g, b in rot.pairs)] for rot in rposet.rotations]
     assert sorted(mapping) == list(range(poset.size))
     out = {}
     for shift in enumerate_shift_domain(inst):
