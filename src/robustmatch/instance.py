@@ -169,12 +169,11 @@ class Shift:
 
 def mover_position(inst: PreferenceInstance, shift: Shift) -> int:
     """Position of the mover in the agent's list; validates the shift."""
-    prefs = inst.prefs_of(shift.side, shift.agent)
+    rank = (inst.girl_rank if shift.side == GIRL_LIST else inst.boy_rank)[shift.agent]
     agent = girl_name(shift.agent) if shift.side == GIRL_LIST else boy_name(shift.agent)
-    try:
-        pos = prefs.index(shift.mover)
-    except ValueError:
-        raise ValueError(f"shift mover is not on the list of {agent}") from None
+    pos = rank.get(shift.mover)
+    if pos is None:
+        raise ValueError(f"shift mover is not on the list of {agent}")
     if pos < shift.window:
         raise ValueError(
             f"shift window {shift.window} does not fit above position {pos} "

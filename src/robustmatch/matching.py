@@ -50,6 +50,10 @@ class Matching:
     def boy_of(self, g: Agent) -> Agent | None:
         return self._boy_of.get(g)
 
+    def partner_maps(self) -> tuple[dict[Agent, Agent], dict[Agent, Agent]]:
+        """Fresh boy -> girl and girl -> boy maps, the first in boy order."""
+        return self._girl_of.copy(), self._boy_of.copy()
+
     def __len__(self):
         return len(self._pairs)
 

@@ -67,17 +67,17 @@ class Rotation:
         return len(self.pairs)
 
 
-def _successor_girl(inst: PreferenceInstance, matching: Matching, b: int) -> int | None:
+def _successor_girl(inst: PreferenceInstance, girl_of: dict, boy_of: dict, b: int) -> int | None:
     """First girl below b's partner who strictly prefers b to her current boy.
 
+    Partners are read from a boy->girl and a girl->boy map of one matching.
     Scanning stops without an answer when it hits a girl who is unmatched:
     she would rather take b than stay alone, so b can never be pushed past
     her and takes part in no rotation at this matching.
     """
-    g = matching.girl_of(b)
-    start = inst.boy_rank[b][g] + 1
+    start = inst.boy_rank[b][girl_of[b]] + 1
     for g2 in inst.boy_prefs[b][start:]:
-        holder = matching.boy_of(g2)
+        holder = boy_of.get(g2)
         if holder is None:
             return None
         if inst.girl_rank[g2][b] < inst.girl_rank[g2][holder]:
@@ -92,11 +92,12 @@ def exposed_rotations(inst: PreferenceInstance, matching: Matching) -> list[Rota
     graph over the matched boys, and are therefore vertex-disjoint.  Sorted
     by their canonical pair tuples.
     """
+    girl_of, boy_of = matching.partner_maps()
     succ: dict[int, int] = {}
-    for b, _ in matching.pairs:
-        s = _successor_girl(inst, matching, b)
+    for b in girl_of:
+        s = _successor_girl(inst, girl_of, boy_of, b)
         if s is not None:
-            succ[b] = matching.boy_of(s)
+            succ[b] = boy_of[s]
     state: dict[int, int] = {}
     out = []
     for b0 in succ:
@@ -110,30 +111,43 @@ def exposed_rotations(inst: PreferenceInstance, matching: Matching) -> list[Rota
             b = succ[b]
         if state.get(b) == 0:
             cycle = path[path.index(b):]
-            out.append(Rotation.from_cycle((x, matching.girl_of(x)) for x in cycle))
+            out.append(Rotation.from_cycle((x, girl_of[x]) for x in cycle))
         for x in path:
             state[x] = 1
     out.sort(key=lambda r: r.pairs)
     return out
 
 
+def _eliminate_in_place(inst: PreferenceInstance, girl_of: dict, boy_of: dict, rotation: Rotation):
+    """Apply an exposed rotation to a boy->girl / girl->boy pair of maps.
+
+    Every pair of the rotation is checked against the maps before any is
+    written: the pair must be present, and the next girl of the rotation
+    must be the boy's successor girl.  Raises ValueError, with the maps
+    untouched, when either check fails.
+    """
+    pairs = rotation.pairs
+    after = pairs[1:] + pairs[:1]  # after[i][1] is b_i's next girl
+    for (b, g), (_, g_next) in zip(pairs, after):
+        if girl_of.get(b) != g:
+            raise ValueError(f"rotation pair ({boy_name(b)},{girl_name(g)}) is not in the matching")
+        if _successor_girl(inst, girl_of, boy_of, b) != g_next:
+            raise ValueError(f"rotation is not exposed: {girl_name(g_next)} is not the successor girl of {boy_name(b)}")
+    for (b, _), (_, g_next) in zip(pairs, after):
+        girl_of[b] = g_next
+        boy_of[g_next] = b
+
+
 def eliminate(inst: PreferenceInstance, matching: Matching, rotation: Rotation) -> Matching:
     """Apply an exposed rotation: every boy in it moves to the next girl.
 
-    Raises ValueError when the rotation is not exposed at this matching,
-    i.e. some pair is absent or some girl is not her boy's successor girl.
+    Checks every pair of the rotation: the pair is in the matching and the
+    next girl is the boy's successor girl.  Raises ValueError when the
+    rotation is not exposed at this matching, i.e. either check fails.
     """
-    replaced = dict(matching.pairs)
-    r = len(rotation.pairs)
-    for i, (b, g) in enumerate(rotation.pairs):
-        if replaced.get(b) != g:
-            raise ValueError(f"rotation pair ({boy_name(b)},{girl_name(g)}) is not in the matching")
-        expected = rotation.pairs[(i + 1) % r][1]
-        if _successor_girl(inst, matching, b) != expected:
-            raise ValueError(f"rotation is not exposed: {girl_name(expected)} is not the successor girl of {boy_name(b)}")
-    for b, g in rotation.post_pairs:
-        replaced[b] = g
-    return Matching(replaced.items())
+    girl_of, boy_of = matching.partner_maps()
+    _eliminate_in_place(inst, girl_of, boy_of, rotation)
+    return Matching(girl_of.items())
 
 
 def _bits(mask: int):
@@ -331,15 +345,23 @@ def is_closed_mask(poset: RotationPoset, mask: int) -> bool:
 
 
 def closed_set_to_matching(poset: RotationPoset, mask: int) -> Matching:
-    """Eliminate the rotations of a downward-closed set from the boy-optimal matching."""
+    """Eliminate the rotations of a downward-closed set from the boy-optimal matching.
+
+    Raises ValueError for unknown ids and for a set that is not downward
+    closed.  The rotations are applied in ascending id order to one pair of
+    partner maps, and each one is checked as in eliminate: every pair is
+    present and every next girl is the boy's successor girl, so a rotation
+    that is not exposed raises ValueError instead of yielding an unstable
+    matching.  One Matching is built at the end.
+    """
     if mask >> poset.size:
         raise ValueError("rotation set contains unknown ids")
     if not is_closed_mask(poset, mask):
         raise ValueError("rotation set is not downward closed")
-    m = poset.boy_opt
+    girl_of, boy_of = poset.boy_opt.partner_maps()
     for v in _bits(mask):  # ascending id order is a linear extension
-        m = eliminate(poset.inst, m, poset.rotations[v])
-    return m
+        _eliminate_in_place(poset.inst, girl_of, boy_of, poset.rotations[v])
+    return Matching(girl_of.items())
 
 
 def matching_to_closed_set(poset: RotationPoset, matching: Matching) -> int:

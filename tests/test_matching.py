@@ -38,6 +38,15 @@ class TestMatching:
         assert MZ_I2.girl_of(0) == 1 and MZ_I2.boy_of(0) == 1
         assert MZ_I2.girl_of(9) is None
 
+    def test_partner_maps_are_fresh(self):
+        m = Matching([(1, 0), (0, 1)])
+        girl_of, boy_of = m.partner_maps()
+        assert list(girl_of.items()) == [(0, 1), (1, 0)] and boy_of == {1: 0, 0: 1}
+        girl_of[0] = 0
+        boy_of.clear()
+        assert m.partner_maps() == ({0: 1, 1: 0}, {1: 0, 0: 1})
+        assert m.girl_of(0) == 1 and m.boy_of(0) == 1
+
     def test_agent_appears_once(self):
         with pytest.raises(ValueError, match="appears twice"):
             Matching([(0, 0), (0, 1)])

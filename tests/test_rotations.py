@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from types import SimpleNamespace
@@ -22,9 +23,11 @@ from robustmatch import (
     enumerate_closed_masks,
     exposed_rotations,
     girl_optimal,
+    is_stable,
     matching_to_closed_set,
     parse_instance,
 )
+from robustmatch.instance import boy_name, girl_name
 from robustmatch.oracle import enumerate_stable_bruteforce
 from robustmatch.rotations import closed_subsets, ids_to_mask, mask_to_ids
 from robustmatch.shift_analysis import _mover_crossing
@@ -88,6 +91,43 @@ def reference_movement_index(poset):
             for q in range(inst.girl_rank[g_next][b], inst.girl_rank[g_next][b_next]):
                 claim(above_boy, (g_next, inst.girl_prefs[g_next][q]), rid)
     return post_pair, pre_pair, below_girl, above_boy
+
+
+def reference_eliminate(inst, matching, rotation):
+    """Test-only reference: eliminate as it was before elimination moved onto
+    partner maps, reading partners off the Matching and checking every pair
+    (present, next girl is the successor girl) before building a new one."""
+
+    def successor_girl(b):
+        start = inst.boy_rank[b][matching.girl_of(b)] + 1
+        for g2 in inst.boy_prefs[b][start:]:
+            holder = matching.boy_of(g2)
+            if holder is None:
+                return None
+            if inst.girl_rank[g2][b] < inst.girl_rank[g2][holder]:
+                return g2
+        return None
+
+    replaced = dict(matching.pairs)
+    r = len(rotation.pairs)
+    for i, (b, g) in enumerate(rotation.pairs):
+        if replaced.get(b) != g:
+            raise ValueError(f"rotation pair ({boy_name(b)},{girl_name(g)}) is not in the matching")
+        expected = rotation.pairs[(i + 1) % r][1]
+        if successor_girl(b) != expected:
+            raise ValueError(f"rotation is not exposed: {girl_name(expected)} is not the successor girl of {boy_name(b)}")
+    for b, g in rotation.post_pairs:
+        replaced[b] = g
+    return Matching(replaced.items())
+
+
+def reference_closed_set_to_matching(poset, mask):
+    """Test-only reference: one reference_eliminate per rotation of the set,
+    in ascending id order, from the boy-optimal matching."""
+    m = poset.boy_opt
+    for v in mask_to_ids(mask):
+        m = reference_eliminate(poset.inst, m, poset.rotations[v])
+    return m
 
 
 def chain_pair_rotations(poset, girl: bool, agent: int, q: int):
@@ -214,8 +254,6 @@ class TestEliminate:
 
     @given(random_instances(max_n=6))
     def test_elimination_preserves_stability(self, inst):
-        from robustmatch import is_stable
-
         m = boy_optimal(inst)
         for rot in exposed_rotations(inst, m):
             assert is_stable(inst, eliminate(inst, m, rot))
@@ -336,6 +374,21 @@ class TestClosedSets:
         with pytest.raises(ValueError, match="not downward closed"):
             closed_set_to_matching(poset, 0b10)
 
+    def test_rotation_not_exposed_raises(self, i3):
+        """Every rotation applied is checked, even when the poset's order is
+        wrong: a set that only looks closed raises instead of returning."""
+        poset = build_rotation_poset(i3)
+        # with no precedence, {RHO_B} looks closed, but (b1,g2) is not in M0
+        unordered = dataclasses.replace(poset, pred_closure=(0, 0))
+        with pytest.raises(ValueError, match="not in the matching"):
+            closed_set_to_matching(unordered, 0b10)
+        # both pairs are in M0, but g3 is not b1's successor girl; applied
+        # unchecked, the rotation would give an unstable matching
+        wrong = dataclasses.replace(poset, rotations=(Rotation(((0, 0), (2, 2))), RHO_B))
+        assert not is_stable(i3, Matching([(0, 2), (1, 1), (2, 0)]))
+        with pytest.raises(ValueError, match="not exposed"):
+            closed_set_to_matching(wrong, 0b01)
+
     def test_i2_enumeration(self, i2):
         poset = build_rotation_poset(i2)
         assert enumerate_closed_masks(poset) == [0, 1]
@@ -379,6 +432,31 @@ class TestClosedSets:
     def test_girl_optimal_is_full_mask(self, inst):
         poset = build_rotation_poset(inst)
         assert closed_set_to_matching(poset, poset.full_mask) == girl_optimal(inst)
+
+
+class TestMatchesEliminateChain:
+    """closed_set_to_matching equals the chain of reference eliminations on
+    every closed set."""
+
+    @staticmethod
+    def check(inst):
+        poset = build_rotation_poset(inst)
+        for mask in enumerate_closed_masks(poset):
+            assert closed_set_to_matching(poset, mask) == reference_closed_set_to_matching(poset, mask)
+
+    @given(lattice_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_lattice_instances(self, inst):
+        self.check(inst)
+
+    @pytest.mark.parametrize("text", UNEQUAL_SIDES, ids=["3x4", "5x6", "6x5"])
+    def test_unequal_sides(self, text):
+        self.check(parse_instance(text))
+
+    def test_cyclic_blocks(self):
+        rng = random.Random(7)
+        for seed in range(30):
+            self.check(cyclic_blocks([rng.randint(1, 6) for _ in range(rng.randint(1, 3))], seed))
 
 
 class TestClosedSubsets:
