@@ -15,7 +15,8 @@ Everything is computed in exact arithmetic.  Inside, a weight is an integer
 count over the distribution's one denominator: the network's merged shift
 edges and constant carry those integers, the max flow uses them as its
 capacities, and the optimality certificate is checked in them.  The
-full-uniform distribution is read in runs of windows, never shift by shift.
+full-uniform distribution is never read shift by shift: each mover of each
+list adds one count, and the counts of one list owner become its edges.
 Fractions are made only at the boundary: the flow value, the solution, the
 text dumps and the certificate messages.
 """
@@ -35,7 +36,7 @@ from .rotations import (
     closed_set_to_matching,
     mask_to_ids,
 )
-from .shift_analysis import DISJOINT, PROPER, ShiftAnalysis, analyze_shift, shift_runs
+from .shift_analysis import DISJOINT, PROPER, ShiftAnalysis, analyze_shift, uniform_weights
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,13 @@ def build_network(poset: RotationPoset, dist: ShiftDistribution) -> ClosureNetwo
     exit rotation (T when absent) to their entry rotation (S when absent).
     Parallel edges merge.  Weights are integer numerators over the one
     denominator ``dist.denominator`` and stay integers: the full-uniform
-    distribution is read run by run (``shift_runs``), a run weighing its
-    window count, without building any per-shift object; an explicit
-    distribution's shifts are analysed one by one.
+    distribution is read from one count per mover (``uniform_weights``), an
+    edge weighing its window count, without building any per-shift object;
+    an explicit distribution's shifts are analysed one by one.
     """
     if dist.uniform_over is not None:
         dist.validate_for(poset.inst)
-        weighted = shift_runs(poset, poset.inst)
+        weighted = uniform_weights(poset, poset.inst)
     else:
         weighted = _explicit_weights(poset, dist)
     bottom, top = poset.size, poset.size + 1

@@ -169,7 +169,10 @@ class Shift:
 
 def mover_position(inst: PreferenceInstance, shift: Shift) -> int:
     """Position of the mover in the agent's list; validates the shift."""
-    rank = (inst.girl_rank if shift.side == GIRL_LIST else inst.boy_rank)[shift.agent]
+    ranks = inst.girl_rank if shift.side == GIRL_LIST else inst.boy_rank
+    if not 0 <= shift.agent < len(ranks):
+        raise ValueError(f"{shift.side} shift agent {shift.agent} out of range (0..{len(ranks) - 1})")
+    rank = ranks[shift.agent]
     agent = girl_name(shift.agent) if shift.side == GIRL_LIST else boy_name(shift.agent)
     pos = rank.get(shift.mover)
     if pos is None:

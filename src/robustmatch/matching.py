@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .instance import Agent, PreferenceInstance, boy_name, girl_name, reversed_instance
+from .instance import Agent, PreferenceInstance, boy_name, girl_name
 
 
 class Matching:
@@ -115,35 +115,40 @@ def is_stable(inst: PreferenceInstance, matching: Matching) -> bool:
     return True
 
 
+def _deferred_acceptance(proposer_prefs, receiver_rank) -> dict[Agent, Agent]:
+    """Receiver -> proposer after deferred acceptance, proposers starting in
+    ascending id order."""
+    next_choice = [0] * len(proposer_prefs)
+    fiance: dict[Agent, Agent] = {}
+    free = deque(range(len(proposer_prefs)))
+    while free:
+        a = free.popleft()
+        prefs = proposer_prefs[a]
+        while next_choice[a] < len(prefs):
+            r = prefs[next_choice[a]]
+            next_choice[a] += 1
+            holder = fiance.get(r)
+            if holder is None:
+                fiance[r] = a
+                break
+            if receiver_rank[r][a] < receiver_rank[r][holder]:
+                fiance[r] = a
+                free.append(holder)
+                break
+    return fiance
+
+
 def boy_optimal(inst: PreferenceInstance) -> Matching:
     """Deferred acceptance with boys proposing in ascending id order.
 
     The result is stable and dominates every stable matching of the instance.
     """
-    next_choice = [0] * inst.n_boys
-    fiance: dict[Agent, Agent] = {}
-    free = deque(range(inst.n_boys))
-    while free:
-        b = free.popleft()
-        prefs = inst.boy_prefs[b]
-        while next_choice[b] < len(prefs):
-            g = prefs[next_choice[b]]
-            next_choice[b] += 1
-            holder = fiance.get(g)
-            if holder is None:
-                fiance[g] = b
-                break
-            if inst.girl_rank[g][b] < inst.girl_rank[g][holder]:
-                fiance[g] = b
-                free.append(holder)
-                break
-    return Matching((b, g) for g, b in fiance.items())
+    return Matching((b, g) for g, b in _deferred_acceptance(inst.boy_prefs, inst.girl_rank).items())
 
 
 def girl_optimal(inst: PreferenceInstance) -> Matching:
     """Deferred acceptance with girls proposing; the boy-pessimal stable matching."""
-    flipped = boy_optimal(reversed_instance(inst))
-    return Matching((b, g) for g, b in flipped.pairs)
+    return Matching(_deferred_acceptance(inst.girl_prefs, inst.boy_rank).items())
 
 
 def _boy_rank_or_inf(inst, matching, b):

@@ -18,7 +18,9 @@ fragment of its own.
 A shift's outcome depends on its window only through which of the owner's
 stable partners the window holds, so the windows of one mover fall into at
 most (#partners + 1) runs with one outcome each.  ``analyze_shift`` looks up
-the run of one shift; ``shift_runs`` walks the whole domain run by run.
+the run of one shift.  ``uniform_weights`` reads the whole domain without
+visiting runs: per mover it finds one fixed endpoint and how many of its runs
+survive, counts that, and turns the counts of one list owner into its edges.
 """
 
 from __future__ import annotations
@@ -187,30 +189,85 @@ def find_component_rotations(poset: RotationPoset, inst: PreferenceInstance, shi
 
 def analyze_shift(poset: RotationPoset, inst: PreferenceInstance, shift: Shift) -> ShiftAnalysis:
     """Classify one shift and find its entry/exit rotations: the outcome of
-    the run of windows that holds it (see ``shift_runs``)."""
+    the run of windows that holds it (see ``_MoverContext``)."""
     ctx, run = _shift_context(poset, inst, shift)
     return ShiftAnalysis(shift, *_run_outcome(poset, ctx, run))
 
 
-def shift_runs(poset: RotationPoset, inst: PreferenceInstance):
-    """The whole shift domain of the instance, grouped into runs of windows.
+def _surviving_runs(poset: RotationPoset, girl: bool, boundaries, right: int, crossing):
+    """(fixed endpoint, t) of one mover: runs 0..t-1 are not EMPTY_MAB, runs t..right-1 are.
 
-    Yields (windows, status, rho_in, rho_out) per run, one run per stable
-    partner of the list owner above the mover plus one for the windows that
-    hold none; every shift of a run has that analysis, and the window
-    counts add up to the size of the domain.  No per-shift object is built.
+    For a mover that does not ``never`` prefer the owner, with ``right``
+    stable partners of the owner above it.  One endpoint of run j is fixed:
+    on a girl list the entry E (the crossing, else boundary ``right``), on a
+    boy list the exit X (likewise).  The other is boundary j, and run j is
+    EMPTY_MAB exactly when leq(bd[j], E) on a girl list, leq(X, bd[j]) on a
+    boy list; run 0 never is (bd[0] is None).
+
+    The EMPTY_MAB runs form a suffix.  A girl's partners improve along every
+    maximal chain of the lattice, so her boundaries are a chain in the
+    rotation order, bd[right-1] < ... < bd[2] < bd[1]: bd[j] ascends as j
+    falls.  If leq(bd[j], E) holds, then so does leq(bd[j'], E) for every
+    j' > j, since bd[j'] < bd[j].  A boy's partners worsen along every
+    maximal chain, so bd[j] descends as j falls, and leq(X, bd[j]) carries
+    over to every j' > j in the same way.  Hence t is a bisection over j in
+    [1, right).  Without a crossing no run may be EMPTY_MAB (it would mean
+    an exit at or below its entry); by the same order it suffices to test
+    run right-1.
+    """
+    fixed = boundaries[right] if crossing is None else crossing
+    if fixed is None:
+        return fixed, right
+
+    def empty(j: int) -> bool:
+        return poset.leq(boundaries[j], fixed) if girl else poset.leq(fixed, boundaries[j])
+
+    if crossing is None:
+        if right > 1 and empty(right - 1):
+            raise AssertionError("exit rotation precedes entry rotation in a proper analysis")
+        return fixed, right
+    return fixed, 1 + bisect_left(range(1, right), True, key=empty)
+
+
+def uniform_weights(poset: RotationPoset, inst: PreferenceInstance):
+    """The whole shift domain of the instance, as (windows, status, rho_in, rho_out).
+
+    Every shift of the domain falls into exactly one yielded tuple, whose
+    window count is its weight; EMPTY_MAB shifts are left out.  For one mover
+    at position i on an owner's list, run j < right holds p_j - p_{j-1}
+    windows (p_{-1} = -1), which does not depend on the mover, and the runs
+    that are not EMPTY_MAB are 0..t-1 (see ``_surviving_runs``).  So each
+    mover adds one to a count at (fixed endpoint, t), and one suffix sum per
+    owner and endpoint gives run j the weight w_j times the number of movers
+    with t > j.  Run j pairs the fixed endpoint with boundary j: entry and
+    exit on a girl list, exit and entry on a boy list; with both None the
+    shifts break every matching (DISJOINT).  No per-shift or per-run object
+    is built: the work is one bisection per mover plus one tuple per edge
+    before merging.
     """
     for side, lists in ((GIRL_LIST, inst.girl_prefs), (BOY_LIST, inst.boy_prefs)):
+        girl = side == GIRL_LIST
         for owner, prefs in enumerate(lists):
-            for i in range(1, len(prefs)):
-                ctx = _mover_context(poset, inst, side, owner, prefs[i], i)
-                previous = -1
-                for run in range(ctx.right):
-                    position = ctx.slot_positions[run]
-                    yield (position - previous, *_run_outcome(poset, ctx, run))
-                    previous = position
-                if i - 1 > previous:
-                    yield (i - 1 - previous, *_run_outcome(poset, ctx, ctx.right))
+            positions, boundaries = _chain(poset, girl, owner)
+            if not positions:
+                continue
+            counts: dict[int | None, dict[int, int]] = {}  # fixed endpoint -> t -> movers
+            for i in range(positions[0] + 1, len(prefs)):
+                never, crossing = _mover_crossing(poset, inst, side, owner, prefs[i])
+                if never:
+                    continue
+                right = bisect_left(positions, i)
+                fixed, t = _surviving_runs(poset, girl, boundaries, right, crossing)
+                per_t = counts.setdefault(fixed, {})
+                per_t[t] = per_t.get(t, 0) + 1
+            widths = [p - q for p, q in zip(positions, (-1,) + positions)]
+            for fixed, per_t in counts.items():
+                movers = 0
+                for j in range(max(per_t) - 1, -1, -1):
+                    movers += per_t.get(j + 1, 0)
+                    rho_in, rho_out = (fixed, boundaries[j]) if girl else (boundaries[j], fixed)
+                    status = DISJOINT if rho_in is None and rho_out is None else PROPER
+                    yield movers * widths[j], status, rho_in, rho_out
 
 
 def characterize_MAB(inst: PreferenceInstance, shift: Shift, matching: Matching) -> bool:

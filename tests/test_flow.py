@@ -21,6 +21,7 @@ from robustmatch import (
     robust_matching,
     solve_pipeline,
 )
+from robustmatch import flow
 from robustmatch.cli import gen_random_instance
 from robustmatch.flow import (
     ClosureNetwork,
@@ -36,6 +37,7 @@ from robustmatch.oracle import oracle_argmin, oracle_objective
 from test_instance import random_instances
 from test_matching import M0_I2, M0_I3, MZ_I3
 from test_rotations import UNEQUAL_SIDES, cyclic_blocks
+from test_shift_analysis import shift_runs
 
 I3_POINT = "GIRL_LIST g1 b1 1"
 
@@ -188,6 +190,14 @@ class TestNetworkMatchesPerShiftReference:
         inst = cyclic_blocks(sizes, seed)
         self.check(inst, ShiftDistribution.uniform(inst))
 
+    @pytest.mark.parametrize("size", range(5, 13))
+    def test_uniform_single_cyclic_block(self, size):
+        """Every list position is a stable partner, so each mover has as many
+        of the owner's partners above it as its position, and usually a fixed
+        endpoint of its own."""
+        inst = cyclic_blocks([size], size)
+        self.check(inst, ShiftDistribution.uniform(inst))
+
     @given(random_instances(max_n=6), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_explicit_sub_distributions(self, inst, rng):
@@ -195,6 +205,24 @@ class TestNetworkMatchesPerShiftReference:
 
     def test_empty_distribution(self, i3):
         self.check(i3, ShiftDistribution(()))
+
+
+class TestNetworkMatchesRunWalk:
+    """At sizes the per-shift reference is too slow for, build_network equals
+    the same merge fed by the run-by-run walk of the whole domain."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: cyclic_blocks([60], 60),
+        lambda: gen_random_instance(100, 4242),
+        lambda: gen_random_instance(60, 7, 0.5),
+    ], ids=["cyclic-60", "random-100", "random-60-half"])
+    def test_large_instances(self, make, monkeypatch):
+        inst = make()
+        poset = build_rotation_poset(inst)
+        dist = ShiftDistribution.uniform(inst)
+        network = build_network(poset, dist)
+        monkeypatch.setattr(flow, "uniform_weights", shift_runs)
+        assert build_network(poset, dist) == network
 
 
 class TestSolve:

@@ -14,7 +14,9 @@ from robustmatch import (
     PreferenceInstance,
     Shift,
     ShiftDistribution,
+    analyze_shift,
     apply_shift,
+    build_rotation_poset,
     enumerate_shift_domain,
     parse_distribution,
     parse_instance,
@@ -153,6 +155,22 @@ class TestShift:
             else (inst.girl_prefs, shifted.girl_prefs)
         )
         assert other[0] == other[1]
+
+    @pytest.mark.parametrize("side", [GIRL_LIST, BOY_LIST])
+    @pytest.mark.parametrize("agent", [-1, 3])
+    def test_agent_out_of_range(self, i3, side, agent):
+        """Negative ids would silently read the last list; too large ones
+        would raise a bare IndexError."""
+        shift = Shift(side, agent, 0, 1)
+        message = f"{side} shift agent {agent} out of range \\(0..2\\)"
+        with pytest.raises(ValueError, match=message):
+            mover_position(i3, shift)
+        with pytest.raises(ValueError, match=message):
+            apply_shift(i3, shift)
+        with pytest.raises(ValueError, match=message):
+            ShiftDistribution(((shift, Fraction(1)),)).validate_for(i3)
+        with pytest.raises(ValueError, match=message):
+            analyze_shift(build_rotation_poset(i3), i3, shift)
 
     def test_reversed_shift_flips_side(self):
         shift = Shift(GIRL_LIST, 1, 2, 1)

@@ -27,7 +27,7 @@ from robustmatch import (
     matching_to_closed_set,
     parse_instance,
 )
-from robustmatch.instance import boy_name, girl_name
+from robustmatch.instance import boy_name, girl_name, reversed_instance
 from robustmatch.oracle import enumerate_stable_bruteforce
 from robustmatch.rotations import closed_subsets, ids_to_mask, mask_to_ids
 from robustmatch.shift_analysis import _mover_crossing
@@ -432,6 +432,32 @@ class TestClosedSets:
     def test_girl_optimal_is_full_mask(self, inst):
         poset = build_rotation_poset(inst)
         assert closed_set_to_matching(poset, poset.full_mask) == girl_optimal(inst)
+
+
+def reference_girl_optimal(inst):
+    """Girl-optimal matching by the flip: boy-proposing deferred acceptance
+    on the role-reversed instance, pairs swapped back."""
+    return Matching((b, g) for g, b in boy_optimal(reversed_instance(inst)).pairs)
+
+
+class TestGirlOptimalMatchesFlip:
+    """girl_optimal, girls proposing on the instance itself, equals the flip."""
+
+    @given(random_instances(completeness=st.sampled_from([1.0, 0.8, 0.6, 0.45, 0.3])))
+    @settings(max_examples=80)
+    def test_random_instances(self, inst):
+        assert girl_optimal(inst) == reference_girl_optimal(inst)
+
+    @pytest.mark.parametrize("text", UNEQUAL_SIDES, ids=["3x4", "5x6", "6x5"])
+    def test_unequal_sides(self, text):
+        inst = parse_instance(text)
+        assert girl_optimal(inst) == reference_girl_optimal(inst)
+
+    def test_cyclic_blocks(self):
+        rng = random.Random(11)
+        for seed in range(30):
+            inst = cyclic_blocks([rng.randint(1, 6) for _ in range(rng.randint(1, 3))], seed)
+            assert girl_optimal(inst) == reference_girl_optimal(inst)
 
 
 class TestMatchesEliminateChain:

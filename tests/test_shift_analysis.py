@@ -34,13 +34,23 @@ from robustmatch.shift_analysis import (
     STATUSES,
     ShiftAnalysis,
     SublatticePoset,
+    _mover_context,
+    _run_outcome,
+    _surviving_runs,
     find_component_rotations,
-    shift_runs,
+    uniform_weights,
 )
 
 from test_instance import random_instances, reversed_shift
 from test_matching import M0_I2, M1_I3, MZ_I2
-from test_rotations import DEEP_CHAIN, UNEQUAL_SIDES, chain_prefixes, lattice_instances, recursive_closed_subsets
+from test_rotations import (
+    DEEP_CHAIN,
+    UNEQUAL_SIDES,
+    chain_prefixes,
+    cyclic_blocks,
+    lattice_instances,
+    recursive_closed_subsets,
+)
 
 I2_SHIFT = Shift(GIRL_LIST, 0, 0, 1)   # g1 moves b1 above b2
 I3_SHIFT = Shift(GIRL_LIST, 0, 0, 1)   # g1 moves b1 above b3
@@ -58,6 +68,27 @@ UNMATCHED_CHANGE = parse_instance(
 UNMATCHED_CHANGE_BOYS = parse_instance(
     "3\nb1: g1 g3\nb2: g3\nb3: g2 g1\ng1: b1 b3\ng2: b3\ng3: b1 b2\n"
 )
+
+
+def shift_runs(poset, inst):
+    """Reference for ``uniform_weights``: the whole shift domain walked run
+    by run, one (windows, status, rho_in, rho_out) per run of windows.
+
+    One run per stable partner of the list owner above the mover plus one
+    for the windows that hold none; every shift of a run has that analysis,
+    and the window counts add up to the size of the domain.
+    """
+    for side, lists in ((GIRL_LIST, inst.girl_prefs), (BOY_LIST, inst.boy_prefs)):
+        for owner, prefs in enumerate(lists):
+            for i in range(1, len(prefs)):
+                ctx = _mover_context(poset, inst, side, owner, prefs[i], i)
+                previous = -1
+                for run in range(ctx.right):
+                    position = ctx.slot_positions[run]
+                    yield (position - previous, *_run_outcome(poset, ctx, run))
+                    previous = position
+                if i - 1 > previous:
+                    yield (i - 1 - previous, *_run_outcome(poset, ctx, ctx.right))
 
 
 def mirrored_boy_analyses(poset):
@@ -195,7 +226,9 @@ class TestBoyListMirror:
 
 
 class TestShiftRuns:
-    """Runs of windows carry exactly the per-shift analyses, counted."""
+    """Runs of windows carry exactly the per-shift analyses, counted, and the
+    per-mover counts of ``uniform_weights`` carry the same weight per
+    outcome, EMPTY_MAB left out."""
 
     @staticmethod
     def check(inst):
@@ -209,6 +242,11 @@ class TestShiftRuns:
             assert windows > 0
             runs[tuple(outcome)] += windows
         assert runs == expected
+        counted = Counter()
+        for windows, *outcome in uniform_weights(poset, inst):
+            assert windows > 0 and outcome[0] != EMPTY_MAB
+            counted[tuple(outcome)] += windows
+        assert counted == Counter({o: w for o, w in expected.items() if o[0] != EMPTY_MAB})
 
     def test_i2_i3(self, i2, i3):
         self.check(i2)
@@ -222,6 +260,37 @@ class TestShiftRuns:
     @pytest.mark.parametrize("text", UNEQUAL_SIDES, ids=["3x4", "5x6", "6x5"])
     def test_unequal_sides(self, text):
         self.check(parse_instance(text))
+
+
+class TestSurvivingRunsArePrefix:
+    """Per mover, the runs that are not EMPTY_MAB are exactly 0..t-1, and
+    each pairs the fixed endpoint with the run's own boundary."""
+
+    @staticmethod
+    def check(inst):
+        poset = build_rotation_poset(inst)
+        for side, lists in ((GIRL_LIST, inst.girl_prefs), (BOY_LIST, inst.boy_prefs)):
+            girl = side == GIRL_LIST
+            for owner, prefs in enumerate(lists):
+                for i in range(1, len(prefs)):
+                    ctx = _mover_context(poset, inst, side, owner, prefs[i], i)
+                    if not ctx.right or ctx.never:
+                        continue
+                    outcomes = [_run_outcome(poset, ctx, run) for run in range(ctx.right)]
+                    fixed, t = _surviving_runs(poset, girl, ctx.slot_rotations, ctx.right, ctx.crossing)
+                    assert [o[0] != EMPTY_MAB for o in outcomes] == [run < t for run in range(ctx.right)]
+                    for run, (_, rho_in, rho_out) in enumerate(outcomes[:t]):
+                        bd = ctx.slot_rotations[run]
+                        assert (rho_in, rho_out) == ((fixed, bd) if girl else (bd, fixed))
+
+    @given(st.one_of(lattice_instances(), random_instances(max_n=8, completeness=st.sampled_from([0.9, 0.7, 0.5, 0.3]))))
+    @settings(max_examples=120, deadline=None)
+    def test_random_and_block_instances(self, inst):
+        self.check(inst)
+
+    @pytest.mark.parametrize("size", range(5, 13))
+    def test_single_cyclic_block(self, size):
+        self.check(cyclic_blocks([size], size))
 
 
 class TestDestabilizesMask:
