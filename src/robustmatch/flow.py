@@ -80,10 +80,9 @@ class ClosureNetwork:
 
 def _explicit_weights(poset: RotationPoset, dist: ShiftDistribution):
     """(weight, status, rho_in, rho_out) per listed shift, weight = p * dist.denominator."""
-    denominator = dist.denominator
-    for shift, p in dist.entries:
+    for shift, weight in dist.weights:
         analysis = analyze_shift(poset, poset.inst, shift)
-        yield p.numerator * (denominator // p.denominator), analysis.status, analysis.rho_in, analysis.rho_out
+        yield weight, analysis.status, analysis.rho_in, analysis.rho_out
 
 
 def build_network(poset: RotationPoset, dist: ShiftDistribution) -> ClosureNetwork:
@@ -334,7 +333,7 @@ class SolveRun:
 
 def analyze_domain(poset: RotationPoset, inst: PreferenceInstance, dist: ShiftDistribution) -> list[ShiftAnalysis]:
     """The per-shift reference: ``analyze_shift`` on every entry of the distribution."""
-    return [analyze_shift(poset, inst, shift) for shift, _ in dist.entries]
+    return [analyze_shift(poset, inst, shift) for shift, _ in dist.weights]
 
 
 def solve_pipeline(inst: PreferenceInstance, dist: ShiftDistribution) -> SolveRun:

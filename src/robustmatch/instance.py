@@ -9,6 +9,11 @@ A shift is the elementary preference error studied here: one agent's list is
 altered by moving a single entry (the mover) upward over a window of k
 consecutive entries.  All data structures in this module are immutable, so
 instances and shifts can be shared freely between threads.
+
+A distribution holds its probabilities as integer weights over one
+denominator; the ``Fraction`` form (``entries``) is built on its first read.
+The readers resolve agent names through per-instance tables (``boy_ids``,
+``girl_ids``) and read ``a/b`` probabilities as two integers.
 """
 
 from __future__ import annotations
@@ -48,12 +53,25 @@ def _is_number(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-def _parse_agent(token: str, prefix: str, count: int, line: int) -> Agent:
+def _name_table(prefix: str, count: int) -> dict[str, Agent]:
+    """Every agent's own name to its id: ``b7`` -> 6."""
+    return {f"{prefix}{i + 1}": i for i in range(count)}
+
+
+def _parse_agent(token: str, ids: dict[str, Agent], prefix: str, line: int | None) -> Agent:
+    """The id of an agent token, read from the side's name table ``ids``.
+
+    Only a token that is not an agent's own name (``g01``, ``g0``, ``x1``)
+    is parsed, and accepted when its digits name an agent of the side.
+    """
+    ident = ids.get(token)
+    if ident is not None:
+        return ident
     if not token.startswith(prefix) or not _is_number(token[len(prefix):]):
         raise InstanceFormatError(f"expected an agent like {prefix}3, got {token!r}", line)
     ident = int(token[len(prefix):]) - 1
-    if not 0 <= ident < count:
-        raise InstanceFormatError(f"agent {token!r} out of range (1..{count})", line)
+    if not 0 <= ident < len(ids):
+        raise InstanceFormatError(f"agent {token!r} out of range (1..{len(ids)})", line)
     return ident
 
 
@@ -107,6 +125,15 @@ class PreferenceInstance:
     @cached_property
     def girl_rank(self) -> tuple[dict[Agent, int], ...]:
         return tuple({b: i for i, b in enumerate(p)} for p in self.girl_prefs)
+
+    @cached_property
+    def boy_ids(self) -> dict[str, Agent]:
+        """Boy name -> id (``b7`` -> 6)."""
+        return _name_table("b", self.n_boys)
+
+    @cached_property
+    def girl_ids(self) -> dict[str, Agent]:
+        return _name_table("g", self.n_girls)
 
     @cached_property
     def is_complete(self) -> bool:
@@ -222,79 +249,107 @@ def enumerate_shift_domain(inst: PreferenceInstance) -> list[Shift]:
 class ShiftDistribution:
     """A probability distribution over shifts, with exact rational weights.
 
+    Every probability is an integer weight over the one ``denominator``:
+    ``weights`` holds a (shift, weight) pair per listed shift, and the shift
+    has probability weight / denominator.  An explicit distribution's
+    denominator is the least common multiple of its probabilities'
+    denominators in lowest terms; the uniform one's is |D|.  The
+    ``Fraction`` pairs of ``entries`` are the ones given to the constructor,
+    or else built on their first read.
+
     Non-empty distributions must sum to exactly 1.  ``allow_partial`` relaxes
     that to <= 1 for internal sensitivity tests; file parsing never sets it.
     Distributions are not changed after construction.
     """
 
     def __init__(self, entries: tuple[tuple[Shift, Fraction], ...] = (), allow_partial: bool = False):
-        self._entries: tuple[tuple[Shift, Fraction], ...] | None = tuple(entries)
+        entries = tuple(entries)
+        self._set_weights(
+            [shift for shift, _ in entries],
+            [p.numerator for _, p in entries],
+            [p.denominator for _, p in entries],
+            allow_partial,
+        )
+        self._entries: tuple[tuple[Shift, Fraction], ...] | None = entries
+
+    def _set_weights(self, shifts: list[Shift], numerators: list[int], denominators: list[int], allow_partial: bool):
+        """Keep the shifts, probability i being numerators[i] / denominators[i]
+        in lowest terms, as integer weights over their least common
+        denominator, after the checks on duplicates, signs and the sum."""
         self.allow_partial = allow_partial
         # the instance whose whole shift domain this distribution is uniform over
         self.uniform_over: PreferenceInstance | None = None
-        self._domain_size = 0
+        # the instance every listed shift was located in when it was parsed
+        self._parsed_for: PreferenceInstance | None = None
+        self._entries = None
+        distinct = set(denominators)
+        self.denominator = math.lcm(*distinct)
+        scale = {d: self.denominator // d for d in distinct}
+        weights = [n * scale[d] for n, d in zip(numerators, denominators)]
         seen = set()
-        total = Fraction(0)
-        for shift, p in self._entries:
+        for shift, w in zip(shifts, weights):
             if shift in seen:
                 raise ValueError(f"duplicate shift in distribution: {shift.describe()}")
             seen.add(shift)
-            if p < 0:
+            if w < 0:
                 raise ValueError(f"negative probability for {shift.describe()}")
-            total += p
-        if self._entries and not self.allow_partial and total != 1:
-            raise ValueError(f"distribution sums to {total}, expected exactly 1")
-        if self.allow_partial and total > 1:
-            raise ValueError(f"distribution sums to {total}, more than 1")
+        self._weight_sum = sum(weights)
+        if shifts and not allow_partial and self._weight_sum != self.denominator:
+            raise ValueError(f"distribution sums to {self.total}, expected exactly 1")
+        if allow_partial and self._weight_sum > self.denominator:
+            raise ValueError(f"distribution sums to {self.total}, more than 1")
+        self._weights: tuple[tuple[Shift, int], ...] | None = tuple(zip(shifts, weights))
 
     @classmethod
     def uniform(cls, inst: PreferenceInstance) -> "ShiftDistribution":
         """Every shift of ``inst`` with probability 1/|D|.
 
         Only the instance and |D| (the sum of L(L-1)/2 over all lists) are
-        stored.  ``entries`` is built on its first read, in
-        ``enumerate_shift_domain`` order, so a solver that works from the
+        stored.  ``weights`` and ``entries`` are built on their first read,
+        in ``enumerate_shift_domain`` order, so a solver that works from the
         instance never creates the per-shift objects.
         """
         dist = cls()
         dist.uniform_over = inst
-        dist._domain_size = sum(len(p) * (len(p) - 1) // 2 for p in inst.girl_prefs + inst.boy_prefs)
-        if dist._domain_size:
-            dist._entries = None
+        domain_size = sum(len(p) * (len(p) - 1) // 2 for p in inst.girl_prefs + inst.boy_prefs)
+        if domain_size:
+            dist.denominator = dist._weight_sum = domain_size
+            dist._weights = dist._entries = None
         return dist
 
     @property
+    def weights(self) -> tuple[tuple[Shift, int], ...]:
+        """(shift, integer weight over ``denominator``) per listed shift."""
+        if self._weights is None:
+            self._weights = tuple((shift, 1) for shift in enumerate_shift_domain(self.uniform_over))
+        return self._weights
+
+    @property
     def entries(self) -> tuple[tuple[Shift, Fraction], ...]:
+        """(shift, probability) per listed shift."""
         if self._entries is None:
-            p = Fraction(1, self._domain_size)
-            self._entries = tuple((shift, p) for shift in enumerate_shift_domain(self.uniform_over))
+            probability = {w: Fraction(w, self.denominator) for w in {w for _, w in self.weights}}
+            self._entries = tuple((shift, probability[w]) for shift, w in self.weights)
         return self._entries
 
     @property
     def total(self) -> Fraction:
-        if self.uniform_over is not None:
-            return Fraction(1 if self._domain_size else 0)
-        return sum((p for _, p in self._entries), Fraction(0))
-
-    @cached_property
-    def denominator(self) -> int:
-        """A common denominator of every probability: |D| for the uniform
-        distribution, else the least common multiple of the entries'."""
-        if self.uniform_over is not None:
-            return max(self._domain_size, 1)
-        return math.lcm(*(p.denominator for _, p in self._entries))
+        return Fraction(self._weight_sum, self.denominator)
 
     def validate_for(self, inst: PreferenceInstance):
         """Check that every supported shift is applicable to ``inst``.
 
         A uniform distribution's shifts are exactly those of the instance it
-        was built over, so only that instance is compared.
+        was built over, and a parsed one's were each located in the instance
+        it was parsed against, so for those only the instance is compared.
         """
         if self.uniform_over is not None:
             if self.uniform_over != inst:
                 raise ValueError("the uniform distribution was built over another instance")
             return
-        for shift, _ in self._entries:
+        if self._parsed_for is not None and self._parsed_for == inst:
+            return
+        for shift, _ in self.weights:
             mover_position(inst, shift)
 
 
@@ -304,14 +359,14 @@ def parse_shift(text: str, inst: PreferenceInstance, line: int | None = None) ->
     if len(parts) != 4:
         raise InstanceFormatError(f"expected 'SIDE agent mover k', got {text!r}", line)
     side, agent_tok, mover_tok, k_tok = parts
-    if side not in _SIDES:
-        raise InstanceFormatError(f"unknown side {side!r}", line)
     if side == GIRL_LIST:
-        agent = _parse_agent(agent_tok, "g", inst.n_girls, line)
-        mover = _parse_agent(mover_tok, "b", inst.n_boys, line)
+        agent = _parse_agent(agent_tok, inst.girl_ids, "g", line)
+        mover = _parse_agent(mover_tok, inst.boy_ids, "b", line)
+    elif side == BOY_LIST:
+        agent = _parse_agent(agent_tok, inst.boy_ids, "b", line)
+        mover = _parse_agent(mover_tok, inst.girl_ids, "g", line)
     else:
-        agent = _parse_agent(agent_tok, "b", inst.n_boys, line)
-        mover = _parse_agent(mover_tok, "g", inst.n_girls, line)
+        raise InstanceFormatError(f"unknown side {side!r}", line)
     if not _is_number(k_tok) or int(k_tok) < 1:
         raise InstanceFormatError(f"window must be a positive integer, got {k_tok!r}", line)
     shift = Shift(side, agent, mover, int(k_tok))
@@ -322,9 +377,33 @@ def parse_shift(text: str, inst: PreferenceInstance, line: int | None = None) ->
     return shift
 
 
+def _parse_probability(token: str, line: int) -> tuple[int, int]:
+    """A probability as (numerator, denominator) in lowest terms.
+
+    ``a/b`` in ASCII digits is read as two integers.  Every other form
+    (``1``, ``0.5``, ``+1/2``, ``1e-1``) goes through ``Fraction``, but only
+    in ASCII (``Fraction`` also reads digits such as "\\u0661") and without
+    ``_`` (which ``Fraction`` reads from Python 3.11 on).
+    """
+    num, slash, den = token.partition("/")
+    if slash and token.isascii() and num.isdigit() and den.isdigit():
+        n, d = int(num), int(den)
+        if d:
+            g = math.gcd(n, d)
+            return n // g, d // g
+    elif token.isascii() and "_" not in token:
+        try:
+            p = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            pass
+        else:
+            return p.numerator, p.denominator
+    raise InstanceFormatError(f"bad probability {token!r}", line)
+
+
 def parse_distribution(text: str, inst: PreferenceInstance) -> ShiftDistribution:
     """Parse distribution text: one ``SIDE agent mover k p_num/p_den`` per line."""
-    entries = []
+    shifts, numerators, denominators = [], [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -332,18 +411,17 @@ def parse_distribution(text: str, inst: PreferenceInstance) -> ShiftDistribution
         parts = stripped.rsplit(None, 1)
         if len(parts) != 2:
             raise InstanceFormatError("expected 'SIDE agent mover k p_num/p_den'", line_no)
-        shift = parse_shift(parts[0], inst, line_no)
-        if not parts[1].isascii():  # Fraction also reads non-ASCII digits such as "\u0661"
-            raise InstanceFormatError(f"bad probability {parts[1]!r}", line_no)
-        try:
-            p = Fraction(parts[1])
-        except (ValueError, ZeroDivisionError):
-            raise InstanceFormatError(f"bad probability {parts[1]!r}", line_no) from None
-        entries.append((shift, p))
+        shifts.append(parse_shift(parts[0], inst, line_no))
+        n, d = _parse_probability(parts[1], line_no)
+        numerators.append(n)
+        denominators.append(d)
+    dist = ShiftDistribution()
     try:
-        return ShiftDistribution(tuple(entries))
+        dist._set_weights(shifts, numerators, denominators, False)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
+    dist._parsed_for = inst
+    return dist
 
 
 def serialize_distribution(dist: ShiftDistribution) -> str:
@@ -380,7 +458,7 @@ def parse_instance(text: str) -> PreferenceInstance:
             header_line,
         )
 
-    def read_lists(rows, prefix, count, other_prefix, other_count):
+    def read_lists(rows, prefix, other_prefix, other_ids):
         out = []
         for idx, (line_no, row) in enumerate(rows):
             head, sep, rest = row.partition(":")
@@ -394,7 +472,7 @@ def parse_instance(text: str) -> PreferenceInstance:
             prefs = []
             seen = set()
             for token in rest.split():
-                a = _parse_agent(token, other_prefix, other_count, line_no)
+                a = _parse_agent(token, other_ids, other_prefix, line_no)
                 if a in seen:
                     raise InstanceFormatError(f"duplicate entry {token}", line_no)
                 seen.add(a)
@@ -402,8 +480,8 @@ def parse_instance(text: str) -> PreferenceInstance:
             out.append(tuple(prefs))
         return tuple(out)
 
-    boy_prefs = read_lists(body[:n_boys], "b", n_boys, "g", n_girls)
-    girl_prefs = read_lists(body[n_boys:], "g", n_girls, "b", n_boys)
+    boy_prefs = read_lists(body[:n_boys], "b", "g", _name_table("g", n_girls))
+    girl_prefs = read_lists(body[n_boys:], "g", "b", _name_table("b", n_boys))
     try:
         return PreferenceInstance(boy_prefs, girl_prefs)
     except ValueError as exc:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from robustmatch import (
     BOY_LIST,
@@ -16,6 +17,7 @@ from robustmatch import (
     ShiftDistribution,
     analyze_shift,
     apply_shift,
+    build_network,
     build_rotation_poset,
     enumerate_shift_domain,
     parse_distribution,
@@ -24,6 +26,7 @@ from robustmatch import (
     serialize_distribution,
     serialize_instance,
 )
+from robustmatch import instance as instance_module
 from robustmatch.cli import gen_random_instance
 from robustmatch.instance import mover_position, reversed_instance
 
@@ -267,6 +270,181 @@ class TestDistribution:
         dist = parse_distribution("GIRL_LIST g1 b1 2 1/1", i3)
         with pytest.raises(ValueError, match="does not fit"):
             dist.validate_for(i2)
+
+
+class TestValidateFor:
+    """A parsed distribution's shifts were located when they were read, so
+    validating it on an equal instance compares the instances only."""
+
+    @pytest.fixture
+    def located(self, monkeypatch):
+        """The shifts ``mover_position`` is asked to locate from now on."""
+        calls = []
+        real = instance_module.mover_position
+
+        def counting(inst, shift):
+            calls.append(shift)
+            return real(inst, shift)
+
+        monkeypatch.setattr(instance_module, "mover_position", counting)
+        return calls
+
+    def test_parsed_on_equal_instance_locates_nothing(self, i3, located):
+        dist = parse_distribution(serialize_distribution(ShiftDistribution.uniform(i3)), i3)
+        located.clear()
+        dist.validate_for(i3)
+        dist.validate_for(parse_instance(serialize_instance(i3)))  # equal, not the same object
+        assert located == []
+
+    def test_constructed_or_other_instance_locates_every_shift(self, i3, located):
+        other = gen_random_instance(3, 1)
+        assert other != i3
+        common = set(enumerate_shift_domain(i3)) & set(enumerate_shift_domain(other))
+        shifts = [s for s in enumerate_shift_domain(i3) if s in common]
+        assert shifts
+        parsed = parse_distribution(
+            "".join(f"{s.describe()} 1/{len(shifts)}\n" for s in shifts), i3
+        )
+        located.clear()
+        parsed.validate_for(other)
+        assert located == shifts
+        located.clear()
+        ShiftDistribution(parsed.entries).validate_for(i3)
+        assert located == shifts
+
+
+def _unreduced(n: int, d: int, k: int) -> str:
+    return f"{n * k}/{d * k}"
+
+
+class TestParsedEqualsConstructed:
+    """The integer reader must give what the ``Fraction`` constructor gives,
+    and both what exact ``Fraction`` arithmetic says."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.builds(gen_random_instance, st.integers(2, 8), st.integers(0, 10**6), st.floats(0.3, 1.0)),
+        st.data(),
+    )
+    def test_equivalence(self, inst, data):
+        domain = enumerate_shift_domain(inst)
+        chosen = data.draw(st.lists(st.sampled_from(domain), unique=True)) if domain else []
+        raw = [data.draw(st.integers(0, 12)) for _ in chosen]
+        # a sum off by one in a fifth of the cases, to exercise the sum check
+        total = max(sum(raw) + data.draw(st.sampled_from([0, 0, 0, -1, 1])), 1)
+        written = [_unreduced(r, total, data.draw(st.integers(1, 6))) for r in raw]
+        text = "".join(f"{s.describe()} {w}\n" for s, w in zip(chosen, written))
+        entries = tuple((s, Fraction(r, total)) for s, r in zip(chosen, raw))
+        expected_total = sum((p for _, p in entries), Fraction(0))
+        if chosen and expected_total != 1:
+            message = f"distribution sums to {expected_total}, expected exactly 1"
+            with pytest.raises(InstanceFormatError) as parsed_exc:
+                parse_distribution(text, inst)
+            with pytest.raises(ValueError) as constructed_exc:
+                ShiftDistribution(entries)
+            assert str(parsed_exc.value) == str(constructed_exc.value) == message
+            return
+        parsed = parse_distribution(text, inst)
+        constructed = ShiftDistribution(entries)
+        expected_denominator = math.lcm(*(p.denominator for _, p in entries))
+        for dist in (parsed, constructed):
+            assert dist.entries == entries
+            assert dist.total == expected_total
+            assert dist.denominator == expected_denominator
+        poset = build_rotation_poset(inst)
+        a, b = build_network(poset, parsed), build_network(poset, constructed)
+        assert (a.shift_edges, a.constant_weight, a.denominator) == (
+            b.shift_edges, b.constant_weight, b.denominator)
+        serialized = serialize_distribution(parsed)
+        assert serialized == serialize_distribution(constructed)
+        again = parse_distribution(serialized, inst)
+        assert again.entries == entries
+        assert serialize_distribution(again) == serialized
+
+
+I3_TEXT = "3\nb1: g1 g2 g3\nb2: g2 g3 g1\nb3: g3 g1 g2\ng1: b2 b3 b1\ng2: b3 b1 b2\ng3: b1 b2 b3\n"
+# g2 lists only b2, so b1 is not on her list
+SHORT_TEXT = "2\nb1: g1\nb2: g1 g2\ng1: b1 b2\ng2: b2\n"
+
+# (instance text, distribution text, exact error message, its line number)
+DISTRIBUTION_ERRORS = [
+    (I3_TEXT, "# c\nGIRL_LIST g1 b1 1/1\n",
+     "line 2: expected 'SIDE agent mover k', got 'GIRL_LIST g1 b1'", 2),
+    (I3_TEXT, "# c\nGIRL_LIST g1 b1 1 1 1/1\n",
+     "line 2: expected 'SIDE agent mover k', got 'GIRL_LIST g1 b1 1 1'", 2),
+    (I3_TEXT, "GIRL_LIST g1 b1 1 1/2\nSIDEWAYS g1 b1 1 1/2\n", "line 2: unknown side 'SIDEWAYS'", 2),
+    (I3_TEXT, "GIRL_LIST g0 b1 1 1/1\n", "line 1: agent 'g0' out of range (1..3)", 1),
+    (I3_TEXT, "GIRL_LIST g1 b1 1 1/2\nBOY_LIST b2 g99 1 1/2\n", "line 2: agent 'g99' out of range (1..3)", 2),
+    (I3_TEXT, "GIRL_LIST x1 b1 1 1/1\n", "line 1: expected an agent like g3, got 'x1'", 1),
+    (I3_TEXT, "GIRL_LIST g1 b1 0 1/1\n", "line 1: window must be a positive integer, got '0'", 1),
+    (I3_TEXT, "GIRL_LIST g1 b1 ² 1/1\n", "line 1: window must be a positive integer, got '²'", 1),
+    (I3_TEXT, "GIRL_LIST g1 b1 3 1/1\n",
+     "line 1: shift window 3 does not fit above position 2 in the list of g1", 1),
+    (SHORT_TEXT, "\nGIRL_LIST g2 b1 1 1/1\n", "line 2: shift mover is not on the list of g2", 2),
+    (I3_TEXT, "GIRL_LIST g1 b1 1 1/0\n", "line 1: bad probability '1/0'", 1),
+    (I3_TEXT, "GIRL_LIST g1 b1 1 ١/١\n", "line 1: bad probability '١/١'", 1),
+    (I3_TEXT, "GIRL_LIST g1 b1 1 -1/2\nBOY_LIST b1 g2 1 3/2\n",
+     "negative probability for GIRL_LIST g1 b1 1", None),
+    (I3_TEXT, "GIRL_LIST g1 b1 1 2/4\n", "distribution sums to 1/2, expected exactly 1", None),
+    (I3_TEXT, "GIRL_LIST g1 b1 1 1/2\nGIRL_LIST g1 b1 1 1/2\n",
+     "duplicate shift in distribution: GIRL_LIST g1 b1 1", None),
+    (I3_TEXT, "GIRL_LIST g1 b1 1 1/3\nBOY_LIST b1 g2 1 1/3\n", "distribution sums to 2/3, expected exactly 1", None),
+    (I3_TEXT, "GIRL_LIST g1 b1 1 1/2\nBOY_LIST b1 g2 1 3/2\n", "distribution sums to 2, expected exactly 1", None),
+]
+
+# (distribution text on I3, its serialization, its denominator)
+DISTRIBUTIONS_ACCEPTED = [
+    ("GIRL_LIST g01 b1 1 1/1\n", "GIRL_LIST g1 b1 1 1/1\n", 1),
+    ("GIRL_LIST g1 b01 1 1/1\n", "GIRL_LIST g1 b1 1 1/1\n", 1),
+    ("GIRL_LIST g1 b1 1 0.5\nBOY_LIST b1 g2 1 1/2\n", "GIRL_LIST g1 b1 1 1/2\nBOY_LIST b1 g2 1 1/2\n", 2),
+    ("GIRL_LIST g1 b1 1 1\n", "GIRL_LIST g1 b1 1 1/1\n", 1),
+    ("GIRL_LIST g1 b1 1 2/4\nBOY_LIST b1 g2 1 2/4\n", "GIRL_LIST g1 b1 1 1/2\nBOY_LIST b1 g2 1 1/2\n", 2),
+    ("GIRL_LIST g1 b1 1 +1/2\nBOY_LIST b1 g2 1 1e-1\nBOY_LIST b1 g3 2 4/10\n",
+     "GIRL_LIST g1 b1 1 1/2\nBOY_LIST b1 g2 1 1/10\nBOY_LIST b1 g3 2 2/5\n", 10),
+    ("GIRL_LIST g1 b1 1 0/5\nBOY_LIST b1 g2 1 1/1\n", "GIRL_LIST g1 b1 1 0/1\nBOY_LIST b1 g2 1 1/1\n", 1),
+]
+
+# (instance text, exact error message, its line number)
+INSTANCE_ERRORS = [
+    ("1\nb01: g1\ng1: b1\n", "line 2: expected list for b1, got 'b01'", 2),
+    ("2\nb1: g1 g01\nb2: g1 g2\ng1: b1 b2\ng2: b2 b1\n", "line 2: duplicate entry g01", 2),
+    ("2\nb1: g1 g2\nb2: g1 g3\ng1: b1 b2\ng2: b2 b1\n", "line 3: agent 'g3' out of range (1..2)", 3),
+    ("2\nb1: g1 g2\nb2: g1 g2\ng1: b1 b0\ng2: b2 b1\n", "line 4: agent 'b0' out of range (1..2)", 4),
+    ("2\nb1: g1 g2\nb2: g1 g2\ng1: b1 b١\ng2: b2 b1\n", "line 4: expected an agent like b3, got 'b١'", 4),
+]
+
+
+class TestReaderMessages:
+    """Every reader message and line number, pinned exactly."""
+
+    @pytest.mark.parametrize("inst_text, text, message, line", DISTRIBUTION_ERRORS)
+    def test_distribution_error(self, inst_text, text, message, line):
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_distribution(text, parse_instance(inst_text))
+        assert (str(exc.value), exc.value.line) == (message, line)
+
+    @pytest.mark.parametrize("text, serialized, denominator", DISTRIBUTIONS_ACCEPTED)
+    def test_distribution_accepted(self, i3, text, serialized, denominator):
+        dist = parse_distribution(text, i3)
+        assert serialize_distribution(dist) == serialized
+        assert dist.denominator == denominator
+        assert dist.total == 1
+
+    def test_underscore_probability_rejected(self, i3):
+        """``Fraction`` accepts "1_0" from Python 3.11 on; the format does not, on any version."""
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_distribution("# c\nGIRL_LIST g1 b1 1 1_0/1_0\n", i3)
+        assert (str(exc.value), exc.value.line) == ("line 2: bad probability '1_0/1_0'", 2)
+
+    @pytest.mark.parametrize("text, message, line", INSTANCE_ERRORS)
+    def test_instance_error(self, text, message, line):
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(text)
+        assert (str(exc.value), exc.value.line) == (message, line)
+
+    def test_leading_zero_agent_accepted(self):
+        inst = parse_instance("2\nb1: g01 g2\nb2: g1 g2\ng1: b1 b2\ng2: b2 b1\n")
+        assert inst.boy_prefs == ((0, 1), (0, 1)) and inst.girl_prefs == ((0, 1), (1, 0))
 
 
 class TestGenRandomInstance:
