@@ -191,10 +191,10 @@ def _cmd_lattice(args) -> int:
     return 0
 
 
-def _mab_size(poset, analysis) -> int | None:
-    """|M_AB| when small enough to enumerate, else None."""
+def _mab_size(poset, analysis, fragment) -> int | None:
+    """|M_AB| when small enough to enumerate, else None; fragment is the
+    sublattice fragment of a PROPER analysis."""
     if analysis.status == PROPER:
-        fragment, _, _ = sublattice_poset(poset, analysis)
         if len(fragment.fragment_ids) > _COUNT_LIMIT:
             return None
         return len(fragment.closed_masks())
@@ -210,11 +210,10 @@ def _cmd_analyze_shift(args) -> int:
     shift = parse_shift(args.shift, inst)
     poset = build_rotation_poset(inst)
     analysis = analyze_shift(poset, inst, shift)
-    size = _mab_size(poset, analysis)
-    boy_best = girl_best = None
-    fragment = None
+    fragment = boy_best = girl_best = None
     if analysis.status == PROPER:
         fragment, boy_best, girl_best = sublattice_poset(poset, analysis)
+    size = _mab_size(poset, analysis, fragment)
     if args.format == "json":
         payload = {
             "schema": 1,
@@ -441,3 +440,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

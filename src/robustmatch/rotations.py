@@ -92,7 +92,11 @@ def exposed_rotations(inst: PreferenceInstance, matching: Matching) -> list[Rota
     graph over the matched boys, and are therefore vertex-disjoint.  Sorted
     by their canonical pair tuples.
     """
-    girl_of, boy_of = matching.partner_maps()
+    return _exposed(inst, *matching.partner_maps())
+
+
+def _exposed(inst: PreferenceInstance, girl_of: dict, boy_of: dict) -> list[Rotation]:
+    """exposed_rotations of the stable matching held in a boy->girl / girl->boy pair of maps."""
     succ: dict[int, int] = {}
     for b in girl_of:
         s = _successor_girl(inst, girl_of, boy_of, b)
@@ -183,7 +187,6 @@ class RotationPoset:
     boy_opt: Matching
     girl_opt: Matching
     pred_closure: tuple[int, ...]   # strict predecessors of each id, as a bitmask
-    succ_closure: tuple[int, ...]
     hasse_preds: tuple[tuple[int, ...], ...]
     hasse_succs: tuple[tuple[int, ...], ...]
     girl_slot_positions: dict  # g -> ascending positions on g's list of her stable partners
@@ -230,35 +233,34 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
     m0 = boy_optimal(inst)
     mz = girl_optimal(inst)
 
-    # one elimination path visits every rotation exactly once
+    # One elimination path from the boy-optimal matching visits every
+    # rotation exactly once; it is walked on one pair of partner maps, each
+    # step eliminating the exposed rotation with the smallest leading boy.
+    # Along it, each agent's stable partners come in lattice order with the
+    # rotations that move the agent along them; boys only get worse and girls
+    # only better.  A rotation that moves a boy off a partner removes the pair
+    # his previous move created: pair-creation precedence.
+    girl_of, boy_of = m0.partner_maps()
     rotations: list[Rotation] = []
-    current = m0
-    while True:
-        exposed = exposed_rotations(inst, current)
-        if not exposed:
-            break
-        rotations.append(exposed[0])
-        current = eliminate(inst, current, exposed[0])
-    if current != mz:
-        raise AssertionError("elimination path did not terminate at the girl-optimal matching")
-
-    # each agent's stable partners in lattice order and the rotations that
-    # move the agent along them; boys only get worse and girls only better.
-    # A rotation that moves a boy off a partner removes the pair his previous
-    # move created: pair-creation precedence.
     edges: set[tuple[int, int]] = set()
     boy_chains = {b: [g] for b, g in m0.pairs}
     girl_chains = {g: [b] for b, g in m0.pairs}
     boy_moves: dict[int, list] = {b: [None] for b in boy_chains}
     girl_moves: dict[int, list] = {g: [None] for g in girl_chains}
-    for v, rot in enumerate(rotations):
-        for b, g in rot.post_pairs:
+    while exposed := _exposed(inst, girl_of, boy_of):
+        v = len(rotations)
+        rotations.append(exposed[0])
+        for b, g in exposed[0].post_pairs:
+            girl_of[b] = g
+            boy_of[g] = b
             if boy_moves[b][-1] is not None:
                 edges.add((boy_moves[b][-1], v))
             boy_chains[b].append(g)
             boy_moves[b].append(v)
             girl_chains[g].append(b)
             girl_moves[g].append(v)
+    if Matching(girl_of.items()) != mz:
+        raise AssertionError("elimination path did not terminate at the girl-optimal matching")
     boy_slot_positions, boy_slot_rotations = _slots(boy_chains, boy_moves, inst.boy_rank, 1)
     girl_slot_positions, girl_slot_rotations = _slots(girl_chains, girl_moves, inst.girl_rank, -1)
 
@@ -290,11 +292,6 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
             mask |= pred_closure[u] | (1 << u)
         pred_closure[v] = mask
 
-    succ_closure = [0] * n
-    for v in range(n):
-        for u in _bits(pred_closure[v]):
-            succ_closure[u] |= 1 << v
-
     hasse_preds: list[tuple[int, ...]] = []
     for v in range(n):
         mask = pred_closure[v]
@@ -313,7 +310,6 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
         boy_opt=m0,
         girl_opt=mz,
         pred_closure=tuple(pred_closure),
-        succ_closure=tuple(succ_closure),
         hasse_preds=tuple(hasse_preds),
         hasse_succs=tuple(tuple(s) for s in hasse_succs_sets),
         girl_slot_positions=girl_slot_positions,

@@ -7,27 +7,51 @@ lattice, pinned down by at most one entry rotation and one exit rotation.
 Both list sides are read off the partner chains of the instance's one
 rotation poset (see ``RotationPoset``) by one rule, mirrored between the
 sides because a girl rises across the boundaries of her chain and a boy
-falls.  The owner holds a partner in window slots run..right-1 from boundary
-right to boundary run of a girl owner's chain, and from boundary run to
-boundary right of a boy owner's.  The mover's partner crosses the owner's
-position q on the mover's list at boundary bisect_right(positions, q) of the
-mover's chain.  This module computes those rotations for a shift,
-classifies the outcome, and exposes the destabilized set as a poset
-fragment of its own.
+falls.  This module computes those rotations for a shift, classifies the
+outcome, and exposes the destabilized set as a poset fragment of its own.
 
 A shift's outcome depends on its window only through which of the owner's
-stable partners the window holds, so the windows of one mover fall into at
-most (#partners + 1) runs with one outcome each.  ``analyze_shift`` looks up
-the run of one shift.  ``uniform_weights`` reads the whole domain without
-visiting runs: per mover it finds one fixed endpoint and how many of its runs
-survive, counts that, and turns the counts of one list owner into its edges.
+stable partners the window holds.  The owner's partners sit at ascending
+positions p_0 < p_1 < ... on its list, and ``right`` of them lie above the
+mover's position i.  A window of k entries holds slots j..right-1 with
+j = bisect_left(p, i - k), so the windows of one mover fall into runs with
+one outcome each: run j < right covers k in [i - p_j, i - p_{j-1} - 1]
+(p_{-1} = -1), and the shorter windows, run ``right``, hold no partner and
+break nothing (EMPTY_MAB).  The mover's partner crosses the owner's
+position q on the mover's list at boundary bisect_right(positions, q) of the
+mover's chain (see ``_mover_crossing``); a mover that never prefers the
+owner breaks nothing either.  Otherwise run j has one outcome:
+
+- the fixed endpoint is the mover's crossing, else boundary ``right`` of
+  the owner's chain;
+- run j pairs the fixed endpoint with boundary j: (entry, exit) on a girl
+  list, (exit, entry) on a boy list, None standing for the bottom and top;
+- with both None the run breaks every matching (DISJOINT);
+- with the exit at or below the entry it breaks none (EMPTY_MAB), which
+  only a crossing can cause;
+- otherwise it is PROPER with that entry and exit.
+
+Why: a matching breaks when the owner's partner lies in the window, where
+the mover outranks it after the shift, and the mover prefers the owner.  A
+girl owner rises across her boundaries, so she holds a partner in the window
+of run j from boundary ``right`` to boundary j; a boy owner falls across
+his, the mirror, from boundary j to boundary ``right``.  On a girl list the
+mover's crossing is a second entry, which never precedes the window's; on a
+boy list it is a second exit, which never follows the window's; so the
+crossing, when there is one, replaces boundary ``right``.  With both ends
+None the window holds every stable partner of the owner and the mover always
+prefers the owner.
+
+``analyze_shift`` applies the rule to the run of one shift.
+``uniform_weights`` reads the whole domain without visiting runs: per mover
+it finds the fixed endpoint and how many of its runs survive, counts that,
+and turns the counts of one list owner into its edges.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .instance import BOY_LIST, GIRL_LIST, PreferenceInstance, Shift, mover_position
 from .matching import Matching
@@ -62,81 +86,6 @@ class ShiftAnalysis:
         return self.rho_out is None or not (mask >> self.rho_out) & 1
 
 
-class _MoverContext(NamedTuple):
-    """What a shift's outcome depends on apart from its window.
-
-    One context serves every window of the mover at position i on one
-    owner's list.  The owner's stable partners sit at ascending positions
-    p_0 < p_1 < ... on that list, and ``right`` of them lie above i.  A
-    window of k entries holds slots j..right-1 with j = bisect_left(p, i - k),
-    so windows with equal j form one run with one outcome: run j < right
-    covers k in [i - p_j, i - p_{j-1} - 1] (p_{-1} = -1), and the shorter
-    windows, run ``right``, hold no partner.
-    """
-
-    side: str
-    owner: int
-    slot_positions: tuple[int, ...]
-    slot_rotations: tuple[int | None, ...]
-    right: int
-    never: bool              # the mover never prefers the owner (see _mover_crossing)
-    crossing: int | None
-
-
-def _mover_context(poset: RotationPoset, inst: PreferenceInstance, side: str, owner: int,
-                   mover: int, position: int) -> _MoverContext:
-    positions, boundaries = _chain(poset, side == GIRL_LIST, owner)
-    right = bisect_left(positions, position)
-    never, crossing = True, None
-    if right:
-        never, crossing = _mover_crossing(poset, inst, side, owner, mover)
-    return _MoverContext(side, owner, positions, boundaries, right, never, crossing)
-
-
-def _window_rotations(ctx: _MoverContext, run: int):
-    """(entry, exit) rotations of the owner's stable partners inside the windows of one run.
-
-    A partner in the window is outranked by the mover after the shift.  The
-    owner holds an in-window partner exactly in the matchings that contain
-    the entry rotation and not the exit one (None for the bottom and top).
-    The run must hold a partner (run < ctx.right).  A girl rises across her
-    boundaries, so she enters the window at boundary right and leaves it at
-    boundary run; a boy falls across his, the mirror: (run, right).
-    """
-    bd = ctx.slot_rotations
-    if ctx.side == GIRL_LIST:
-        return bd[ctx.right], bd[run]
-    return bd[run], bd[ctx.right]
-
-
-def _run_outcome(poset: RotationPoset, ctx: _MoverContext, run: int):
-    """(status, rho_in, rho_out) shared by every window of one run.
-
-    A matching breaks when the owner's partner lies in the window and the
-    mover prefers the owner.  On a girl list the mover's crossing is a
-    second entry, which never precedes the window's; on a boy list it is a
-    second exit, which never follows the window's.  With neither endpoint
-    left, the window holds every stable partner of the owner and the mover
-    always prefers the owner, so every matching breaks.
-    """
-    if run == ctx.right or ctx.never:
-        return EMPTY_MAB, None, None
-    rho_in, rho_out = _window_rotations(ctx, run)
-    crossing = ctx.crossing
-    if crossing is not None:
-        if ctx.side == GIRL_LIST:
-            rho_in = crossing
-        else:
-            rho_out = crossing
-    if rho_in is None and rho_out is None:
-        return DISJOINT, None, None
-    if rho_in is not None and rho_out is not None and poset.leq(rho_out, rho_in):
-        if crossing is None:
-            raise AssertionError("exit rotation precedes entry rotation in a proper analysis")
-        return EMPTY_MAB, None, None
-    return PROPER, rho_in, rho_out
-
-
 def _chain(poset: RotationPoset, girl: bool, agent: int):
     """(slot positions, boundary ids) of one agent's partner chain; empty for
     an agent unmatched in every stable matching."""
@@ -165,11 +114,13 @@ def _mover_crossing(poset: RotationPoset, inst: PreferenceInstance, side: str, o
     return k == len(positions), boundaries[k]
 
 
-def _shift_context(poset: RotationPoset, inst: PreferenceInstance, shift: Shift):
-    """(context, run) of one shift."""
+def _window_runs(poset: RotationPoset, inst: PreferenceInstance, shift: Shift):
+    """(owner's boundary ids, right, run j) of one shift, by two bisects on
+    the owner's chain (see the module docstring)."""
     i = mover_position(inst, shift)
-    ctx = _mover_context(poset, inst, shift.side, shift.agent, shift.mover, i)
-    return ctx, bisect_left(ctx.slot_positions, i - shift.window)
+    positions, boundaries = _chain(poset, shift.side == GIRL_LIST, shift.agent)
+    right = bisect_left(positions, i)
+    return boundaries, right, bisect_left(positions, i - shift.window, 0, right)
 
 
 def find_component_rotations(poset: RotationPoset, inst: PreferenceInstance, shift: Shift):
@@ -181,28 +132,44 @@ def find_component_rotations(poset: RotationPoset, inst: PreferenceInstance, shi
     """
     if shift.side != GIRL_LIST:
         raise ValueError("component rotations are defined on girl-list shifts; reverse roles first")
-    ctx, run = _shift_context(poset, inst, shift)
-    rho1, rho3 = _window_rotations(ctx, run) if run < ctx.right else (None, None)
+    boundaries, right, run = _window_runs(poset, inst, shift)
+    rho1, rho3 = (boundaries[right], boundaries[run]) if run < right else (None, None)
     _, rho2 = _mover_crossing(poset, inst, shift.side, shift.agent, shift.mover)
     return rho1, rho2, rho3
 
 
 def analyze_shift(poset: RotationPoset, inst: PreferenceInstance, shift: Shift) -> ShiftAnalysis:
     """Classify one shift and find its entry/exit rotations: the outcome of
-    the run of windows that holds it (see ``_MoverContext``)."""
-    ctx, run = _shift_context(poset, inst, shift)
-    return ShiftAnalysis(shift, *_run_outcome(poset, ctx, run))
+    the run of windows that holds it, by the rule in the module docstring."""
+    boundaries, right, run = _window_runs(poset, inst, shift)
+    if run == right:
+        return ShiftAnalysis(shift, EMPTY_MAB)
+    never, crossing = _mover_crossing(poset, inst, shift.side, shift.agent, shift.mover)
+    if never:
+        return ShiftAnalysis(shift, EMPTY_MAB)
+    fixed = boundaries[right] if crossing is None else crossing
+    if shift.side == GIRL_LIST:
+        rho_in, rho_out = fixed, boundaries[run]
+    else:
+        rho_in, rho_out = boundaries[run], fixed
+    if rho_in is None and rho_out is None:
+        return ShiftAnalysis(shift, DISJOINT)
+    if rho_in is not None and rho_out is not None and poset.leq(rho_out, rho_in):
+        if crossing is None:
+            raise AssertionError("exit rotation precedes entry rotation in a proper analysis")
+        return ShiftAnalysis(shift, EMPTY_MAB)
+    return ShiftAnalysis(shift, PROPER, rho_in, rho_out)
 
 
 def _surviving_runs(poset: RotationPoset, girl: bool, boundaries, right: int, crossing):
     """(fixed endpoint, t) of one mover: runs 0..t-1 are not EMPTY_MAB, runs t..right-1 are.
 
     For a mover that does not ``never`` prefer the owner, with ``right``
-    stable partners of the owner above it.  One endpoint of run j is fixed:
-    on a girl list the entry E (the crossing, else boundary ``right``), on a
-    boy list the exit X (likewise).  The other is boundary j, and run j is
-    EMPTY_MAB exactly when leq(bd[j], E) on a girl list, leq(X, bd[j]) on a
-    boy list; run 0 never is (bd[0] is None).
+    stable partners of the owner above it.  By the rule in the module
+    docstring run j pairs the fixed endpoint with boundary j, so it is
+    EMPTY_MAB exactly when leq(bd[j], fixed) on a girl list (the fixed entry
+    E), leq(fixed, bd[j]) on a boy list (the fixed exit X); run 0 never is
+    (bd[0] is None).
 
     The EMPTY_MAB runs form a suffix.  A girl's partners improve along every
     maximal chain of the lattice, so her boundaries are a chain in the
@@ -239,11 +206,10 @@ def uniform_weights(poset: RotationPoset, inst: PreferenceInstance):
     that are not EMPTY_MAB are 0..t-1 (see ``_surviving_runs``).  So each
     mover adds one to a count at (fixed endpoint, t), and one suffix sum per
     owner and endpoint gives run j the weight w_j times the number of movers
-    with t > j.  Run j pairs the fixed endpoint with boundary j: entry and
-    exit on a girl list, exit and entry on a boy list; with both None the
-    shifts break every matching (DISJOINT).  No per-shift or per-run object
-    is built: the work is one bisection per mover plus one tuple per edge
-    before merging.
+    with t > j.  Each emitted run pairs the fixed endpoint with boundary j
+    as the module docstring's rule says, inline: no per-shift or per-run
+    object or call, one bisection per mover plus one tuple per edge before
+    merging.
     """
     for side, lists in ((GIRL_LIST, inst.girl_prefs), (BOY_LIST, inst.boy_prefs)):
         girl = side == GIRL_LIST
@@ -346,7 +312,7 @@ def sublattice_poset(poset: RotationPoset, analysis: ShiftAnalysis):
         in_mask = poset.pred_closure[analysis.rho_in] | (1 << analysis.rho_in)
     out_mask = 0
     if analysis.rho_out is not None:
-        out_mask = poset.succ_closure[analysis.rho_out] | (1 << analysis.rho_out)
+        out_mask = ids_to_mask(v for v in range(poset.size) if poset.leq(analysis.rho_out, v))
     fragment_ids = tuple(v for v in range(poset.size) if not ((in_mask | out_mask) >> v) & 1)
     boy_best = closed_set_to_matching(poset, in_mask)
     girl_best = closed_set_to_matching(poset, poset.full_mask & ~out_mask)

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import shlex
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import robustmatch.cli
 from robustmatch import serialize_instance
 from robustmatch.cli import entrypoint, gen_random_instance, run
 from robustmatch.verification import VerificationReport
@@ -15,6 +21,23 @@ from robustmatch.verification import VerificationReport
 from test_matching import M0_I2, MZ_I2
 
 I3_POINT_DIST = "GIRL_LIST g1 b1 1 1/1\n"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """(instance text, distribution text, [(argv, shown output lines)]) of
+    the README's Quick start and Commands sections: its two plain blocks and
+    every `$ robustmatch ...` block."""
+    text = README.read_text(encoding="utf-8")
+    text = text[text.index("## Quick start"):text.index("## Library use")]
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", text, re.S | re.M)
+    instance, dist = (body for lang, body in blocks if not lang)
+    examples = []
+    for lang, body in blocks:
+        command, *shown = body.splitlines()
+        if lang == "sh" and command.startswith("$ robustmatch "):
+            examples.append((shlex.split(command)[2:], shown))
+    return instance, dist, examples
 
 
 def cli(capsys, *argv):
@@ -224,6 +247,19 @@ class TestAnalyzeShift:
         assert code == 1
         assert err.startswith("error: ")
         assert "line" not in err
+
+    def test_one_sublattice_per_run(self, capsys, monkeypatch, i3_path):
+        original = robustmatch.cli.sublattice_poset
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(robustmatch.cli, "sublattice_poset", counting)
+        code, _, _ = cli(capsys, "analyze-shift", "--instance", str(i3_path), "--shift", "GIRL_LIST g1 b1 1")
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestRepresent:
@@ -487,3 +523,52 @@ class TestErrorHandling:
             entrypoint()
         assert exc.value.code == 0
         capsys.readouterr()
+
+
+class TestRunAsModule:
+    """``python -m robustmatch.cli`` runs the command line as ``run`` does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--instance", "I3", "--dist", "full-uniform"],
+            ["analyze-shift", "--instance", "I3", "--shift", "GIRL_LIST g1 b1 9"],
+        ],
+        ids=["solve", "bad-shift"],
+    )
+    def test_same_as_run(self, capsys, i3_path, argv):
+        argv = [str(i3_path) if a == "I3" else a for a in argv]
+        expected = cli(capsys, *argv)
+        src = Path(robustmatch.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "robustmatch.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == expected
+
+
+class TestReadmeExamples:
+    """Every example of the README's Quick start and Commands sections prints
+    what the README shows, run on I3 (the Quick start instance) and the
+    README's two-line distribution; for ``gen`` the lines shown before
+    ``...``."""
+
+    INSTANCE, DIST, EXAMPLES = readme_examples()
+
+    def test_quick_start_instance_is_i3(self, i3_path):
+        assert self.INSTANCE == i3_path.read_text(encoding="utf-8")
+        commands = [argv[0] for argv, _ in self.EXAMPLES]
+        assert commands == ["solve", "lattice", "analyze-shift", "represent", "enumerate", "verify", "gen"]
+
+    @pytest.mark.parametrize("argv, shown", EXAMPLES, ids=[argv[0] for argv, _ in EXAMPLES])
+    def test_example(self, capsys, tmp_path, i3_path, argv, shown):
+        dist = tmp_path / "err.dist"
+        dist.write_text(self.DIST, encoding="utf-8")
+        argv = [{"inst.txt": str(i3_path), "err.dist": str(dist)}.get(a, a) for a in argv]
+        code, out, err = cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        if shown[-1] == "...":
+            assert out.splitlines()[:len(shown) - 1] == shown[:-1]
+        else:
+            assert out.splitlines() == shown

@@ -16,21 +16,24 @@ from robustmatch import (
     Matching,
     PreferenceInstance,
     Rotation,
+    analyze_shift,
     boy_optimal,
     build_rotation_poset,
     closed_set_to_matching,
     eliminate,
     enumerate_closed_masks,
+    enumerate_shift_domain,
     exposed_rotations,
     girl_optimal,
     is_stable,
     matching_to_closed_set,
     parse_instance,
+    sublattice_poset,
 )
 from robustmatch.instance import boy_name, girl_name, reversed_instance
 from robustmatch.oracle import enumerate_stable_bruteforce
 from robustmatch.rotations import closed_subsets, ids_to_mask, mask_to_ids
-from robustmatch.shift_analysis import _mover_crossing
+from robustmatch.shift_analysis import PROPER, _mover_crossing
 
 from test_instance import random_instances
 from test_matching import M0_I2, M0_I3, M1_I3, MZ_I2, MZ_I3
@@ -128,6 +131,65 @@ def reference_closed_set_to_matching(poset, mask):
     for v in mask_to_ids(mask):
         m = reference_eliminate(poset.inst, m, poset.rotations[v])
     return m
+
+
+def reference_discovery(inst):
+    """Test-only reference: rotation discovery as it was before the walk moved
+    onto one pair of partner maps.  From the boy-optimal matching it calls
+    exposed_rotations from scratch and eliminate on a new Matching per step,
+    always taking the exposed rotation with the smallest leading boy.
+
+    Returns (rotations, last matching, boy chains, girl chains), a chain being
+    agent -> (slot positions, boundary ids) read off the partners the path
+    gives the agent: a boy's in path order, a girl's reversed.
+    """
+    m = boy_optimal(inst)
+    partners = {("b", b): [g] for b, g in m.pairs} | {("g", g): [b] for b, g in m.pairs}
+    moves = {key: [None] for key in partners}
+    rotations = []
+    while exposed := exposed_rotations(inst, m):
+        rotations.append(exposed[0])
+        m = eliminate(inst, m, exposed[0])
+        for b, g in exposed[0].post_pairs:
+            for key, partner in ((("b", b), g), (("g", g), b)):
+                partners[key].append(partner)
+                moves[key].append(len(rotations) - 1)
+    chains = {"b": {}, "g": {}}
+    for (side, a), seen in partners.items():
+        rank = (inst.boy_rank if side == "b" else inst.girl_rank)[a]
+        bd = moves[(side, a)] + [None]
+        if side == "g":
+            seen, bd = seen[::-1], bd[::-1]
+        chains[side][a] = (tuple(rank[x] for x in seen), tuple(bd))
+    return rotations, m, chains["b"], chains["g"]
+
+
+def reference_pred_closure(inst, rotations) -> list[int]:
+    """Test-only reference: each rotation's strict predecessors as a bitmask,
+    found without the precedence rules.  The rotations that do not follow u
+    form the largest closed set avoiding u, which eliminating every exposed
+    rotation but u reaches from the boy-optimal matching; u precedes v
+    exactly when v stays out of it."""
+    ids = {rot: v for v, rot in enumerate(rotations)}
+    follows = []  # follows[u]: u and every rotation after it
+    for avoided in rotations:
+        m, reached = boy_optimal(inst), 0
+        while exposed := [rot for rot in exposed_rotations(inst, m) if rot != avoided]:
+            m = eliminate(inst, m, exposed[0])
+            reached |= 1 << ids[exposed[0]]
+        follows.append(((1 << len(rotations)) - 1) & ~reached)
+    return [sum(1 << u for u in range(len(rotations)) if u != v and (follows[u] >> v) & 1)
+            for v in range(len(rotations))]
+
+
+def reference_succ_closure(pred_closure) -> list[int]:
+    """Test-only reference: each id's strict successors, the formula of the
+    successor closure the poset used to keep."""
+    succ_closure = [0] * len(pred_closure)
+    for v, mask in enumerate(pred_closure):
+        for u in mask_to_ids(mask):
+            succ_closure[u] |= 1 << v
+    return succ_closure
 
 
 def chain_pair_rotations(poset, girl: bool, agent: int, q: int):
@@ -358,6 +420,48 @@ class TestPartnerChainsMatchMovementDicts:
 
     def test_cyclic_blocks(self):
         rng = random.Random(6)
+        for seed in range(30):
+            self.check(cyclic_blocks([rng.randint(1, 6) for _ in range(rng.randint(1, 3))], seed))
+
+
+class TestDiscoveryMatchesEliminateLoop:
+    """build_rotation_poset, walked on one pair of partner maps, finds the
+    rotations of the exposed_rotations + eliminate loop in the same order,
+    the same chains on both sides, and the order found without its rules;
+    a destabilized sublattice's out_mask is the old successor closure's."""
+
+    @staticmethod
+    def check(inst):
+        poset = build_rotation_poset(inst)
+        rotations, last, boy_chains, girl_chains = reference_discovery(inst)
+        assert poset.rotations == tuple(rotations)
+        assert last == poset.girl_opt == girl_optimal(inst) and poset.boy_opt == boy_optimal(inst)
+        assert boy_chains == {b: (pos, poset.boy_slot_rotations[b]) for b, pos in poset.boy_slot_positions.items()}
+        assert girl_chains == {g: (pos, poset.girl_slot_rotations[g]) for g, pos in poset.girl_slot_positions.items()}
+        pred_closure = reference_pred_closure(inst, rotations)
+        assert poset.pred_closure == tuple(pred_closure)
+        assert poset.hasse_preds == tuple(
+            tuple(u for u in mask_to_ids(mask) if not any((pred_closure[w] >> u) & 1 for w in mask_to_ids(mask)))
+            for mask in pred_closure
+        )
+        succ_closure = reference_succ_closure(pred_closure)
+        for shift in enumerate_shift_domain(inst):
+            analysis = analyze_shift(poset, inst, shift)
+            if analysis.status == PROPER and analysis.rho_out is not None:
+                fragment, _, _ = sublattice_poset(poset, analysis)
+                assert fragment.out_mask == succ_closure[analysis.rho_out] | 1 << analysis.rho_out
+
+    @given(random_instances(max_n=8, completeness=st.floats(0.3, 1.0)))
+    @settings(max_examples=80, deadline=None)
+    def test_random_instances(self, inst):
+        self.check(inst)
+
+    @pytest.mark.parametrize("text", UNEQUAL_SIDES, ids=["3x4", "5x6", "6x5"])
+    def test_unequal_sides(self, text):
+        self.check(parse_instance(text))
+
+    def test_cyclic_blocks(self):
+        rng = random.Random(8)
         for seed in range(30):
             self.check(cyclic_blocks([rng.randint(1, 6) for _ in range(rng.randint(1, 3))], seed))
 

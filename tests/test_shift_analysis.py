@@ -34,8 +34,7 @@ from robustmatch.shift_analysis import (
     STATUSES,
     ShiftAnalysis,
     SublatticePoset,
-    _mover_context,
-    _run_outcome,
+    _mover_crossing,
     _surviving_runs,
     find_component_rotations,
     uniform_weights,
@@ -70,9 +69,27 @@ UNMATCHED_CHANGE_BOYS = parse_instance(
 )
 
 
+def run_windows(poset, inst, side, owner, i):
+    """(windows, shift) per run of windows of the mover at position i on the
+    owner's list, the shift holding the run's longest window: k = i - p_j
+    for run j < right, then k = 1 for the run holding no partner, when it has
+    a window (i - 1 > p_{right-1}).  The window counts add up to i."""
+    positions = (poset.girl_slot_positions if side == GIRL_LIST else poset.boy_slot_positions).get(owner, ())
+    mover = inst.prefs_of(side, owner)[i]
+    previous = -1
+    for position in positions:
+        if position >= i:
+            break
+        yield position - previous, Shift(side, owner, mover, i - position)
+        previous = position
+    if i - 1 > previous:
+        yield i - 1 - previous, Shift(side, owner, mover, 1)
+
+
 def shift_runs(poset, inst):
     """Reference for ``uniform_weights``: the whole shift domain walked run
-    by run, one (windows, status, rho_in, rho_out) per run of windows.
+    by run, one (windows, status, rho_in, rho_out) per run of windows, each
+    run's outcome read by ``analyze_shift`` on one window of it.
 
     One run per stable partner of the list owner above the mover plus one
     for the windows that hold none; every shift of a run has that analysis,
@@ -81,14 +98,9 @@ def shift_runs(poset, inst):
     for side, lists in ((GIRL_LIST, inst.girl_prefs), (BOY_LIST, inst.boy_prefs)):
         for owner, prefs in enumerate(lists):
             for i in range(1, len(prefs)):
-                ctx = _mover_context(poset, inst, side, owner, prefs[i], i)
-                previous = -1
-                for run in range(ctx.right):
-                    position = ctx.slot_positions[run]
-                    yield (position - previous, *_run_outcome(poset, ctx, run))
-                    previous = position
-                if i - 1 > previous:
-                    yield (i - 1 - previous, *_run_outcome(poset, ctx, ctx.right))
+                for windows, shift in run_windows(poset, inst, side, owner, i):
+                    a = analyze_shift(poset, inst, shift)
+                    yield windows, a.status, a.rho_in, a.rho_out
 
 
 def mirrored_boy_analyses(poset):
@@ -272,16 +284,20 @@ class TestSurvivingRunsArePrefix:
         for side, lists in ((GIRL_LIST, inst.girl_prefs), (BOY_LIST, inst.boy_prefs)):
             girl = side == GIRL_LIST
             for owner, prefs in enumerate(lists):
+                positions = (poset.girl_slot_positions if girl else poset.boy_slot_positions).get(owner, ())
+                boundaries = (poset.girl_slot_rotations if girl else poset.boy_slot_rotations).get(owner, ())
                 for i in range(1, len(prefs)):
-                    ctx = _mover_context(poset, inst, side, owner, prefs[i], i)
-                    if not ctx.right or ctx.never:
+                    never, crossing = _mover_crossing(poset, inst, side, owner, prefs[i])
+                    right = sum(1 for p in positions if p < i)
+                    if not right or never:
                         continue
-                    outcomes = [_run_outcome(poset, ctx, run) for run in range(ctx.right)]
-                    fixed, t = _surviving_runs(poset, girl, ctx.slot_rotations, ctx.right, ctx.crossing)
-                    assert [o[0] != EMPTY_MAB for o in outcomes] == [run < t for run in range(ctx.right)]
-                    for run, (_, rho_in, rho_out) in enumerate(outcomes[:t]):
-                        bd = ctx.slot_rotations[run]
-                        assert (rho_in, rho_out) == ((fixed, bd) if girl else (bd, fixed))
+                    runs = list(run_windows(poset, inst, side, owner, i))[:right]
+                    outcomes = [analyze_shift(poset, inst, shift) for _, shift in runs]
+                    fixed, t = _surviving_runs(poset, girl, boundaries, right, crossing)
+                    assert [a.status != EMPTY_MAB for a in outcomes] == [run < t for run in range(right)]
+                    for run, a in enumerate(outcomes[:t]):
+                        bd = boundaries[run]
+                        assert (a.rho_in, a.rho_out) == ((fixed, bd) if girl else (bd, fixed))
 
     @given(st.one_of(lattice_instances(), random_instances(max_n=8, completeness=st.sampled_from([0.9, 0.7, 0.5, 0.3]))))
     @settings(max_examples=120, deadline=None)
