@@ -83,24 +83,24 @@ class PreferenceInstance:
     girl_prefs: tuple[tuple[Agent, ...], ...]
 
     def __post_init__(self):
-        _validate_side(self.boy_prefs, self.n_girls, "boy")
-        _validate_side(self.girl_prefs, self.n_boys, "girl")
-        girl_accepts = [set(prefs) for prefs in self.girl_prefs]
-        boy_accepts = [set(prefs) for prefs in self.boy_prefs]
+        """Checked through the rank tables, which check ranges and duplicates
+        as they are built.  Once every boy's entry is on the girl's list,
+        equal entry totals make the two sides list the same pairs."""
+        boy_rank, girl_rank = self.boy_rank, self.girl_rank
         for b, prefs in enumerate(self.boy_prefs):
             for g in prefs:
-                if b not in girl_accepts[g]:
+                if b not in girl_rank[g]:
                     raise ValueError(
                         f"acceptability is not mutual: {boy_name(b)} lists "
                         f"{girl_name(g)} but not vice versa"
                     )
-        for g, prefs in enumerate(self.girl_prefs):
-            for b in prefs:
-                if g not in boy_accepts[b]:
-                    raise ValueError(
-                        f"acceptability is not mutual: {girl_name(g)} lists "
-                        f"{boy_name(b)} but not vice versa"
-                    )
+        if sum(map(len, self.boy_prefs)) != sum(map(len, self.girl_prefs)):
+            g, b = next((g, b) for g, prefs in enumerate(self.girl_prefs)
+                        for b in prefs if g not in boy_rank[b])
+            raise ValueError(
+                f"acceptability is not mutual: {girl_name(g)} lists "
+                f"{boy_name(b)} but not vice versa"
+            )
 
     @classmethod
     def from_lists(cls, boy_prefs, girl_prefs) -> "PreferenceInstance":
@@ -120,11 +120,11 @@ class PreferenceInstance:
     @cached_property
     def boy_rank(self) -> tuple[dict[Agent, int], ...]:
         """Per boy: girl id -> position in his list (0 is most preferred)."""
-        return tuple({g: i for i, g in enumerate(p)} for p in self.boy_prefs)
+        return _rank_tables(self.boy_prefs, self.n_girls, "boy")
 
     @cached_property
     def girl_rank(self) -> tuple[dict[Agent, int], ...]:
-        return tuple({b: i for i, b in enumerate(p)} for p in self.girl_prefs)
+        return _rank_tables(self.girl_prefs, self.n_boys, "girl")
 
     @cached_property
     def boy_ids(self) -> dict[str, Agent]:
@@ -148,8 +148,14 @@ class PreferenceInstance:
         return (self.girl_prefs if side == GIRL_LIST else self.boy_prefs)[agent]
 
 
-def _validate_side(prefs, other_count: int, who: str):
-    for a, lst in enumerate(prefs):
+def _rank_tables(prefs, other_count: int, who: str) -> tuple[dict[Agent, int], ...]:
+    """Per list: listed agent -> position.  A list must name each agent of
+    the other side at most once and only ids in range; the first entry that
+    does not is searched for only when a table is short or a bound fails."""
+    ranks = tuple({x: i for i, x in enumerate(lst)} for lst in prefs)
+    for a, (lst, rank) in enumerate(zip(prefs, ranks)):
+        if len(rank) == len(lst) and (not lst or (min(lst) >= 0 and max(lst) < other_count)):
+            continue
         seen = set()
         for x in lst:
             if not 0 <= x < other_count:
@@ -157,6 +163,7 @@ def _validate_side(prefs, other_count: int, who: str):
             if x in seen:
                 raise ValueError(f"{who} {a + 1}: duplicate entry in preference list")
             seen.add(x)
+    return ranks
 
 
 def reversed_instance(inst: PreferenceInstance) -> PreferenceInstance:

@@ -22,6 +22,7 @@ from test_matching import M0_I2, MZ_I2
 
 I3_POINT_DIST = "GIRL_LIST g1 b1 1 1/1\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def readme_examples():
@@ -169,6 +170,87 @@ class TestSolve:
             "  y_S = 0, y_T = 1\n"
             "  all x, y in {0, 1}\n"
         )
+
+    # Distributions with a zero-probability PROPER shift (its edge prints cap
+    # 0) and two shifts merging into one edge; the second also lists an
+    # EMPTY_MAB shift (GIRL_LIST g1 b1 1), which I3 has none of.  The
+    # expected text is the output of the per-shift network construction; a
+    # reader that does not analyse explicit shifts one by one must match it.
+    EXPLICIT_GOLDEN = {
+        "I3": (
+            "GIRL_LIST g1 b1 1 1/2\n"
+            "BOY_LIST b1 g3 1 1/6\n"
+            "GIRL_LIST g1 b3 1 0/1\n"
+            "GIRL_LIST g2 b2 2 1/3\n",
+            "b1 g1\nb2 g2\nb3 g3\n"
+            "objective 0/1\nflow 0/1\nconstant 0/1\nclosed set (empty)\n"
+            "\n"
+            "NODES R0 R1 S T\n"
+            "HASSE R0 -> R1\n"
+            "HASSE S -> R0\n"
+            "HASSE R1 -> T\n"
+            "SHIFT R1 -> R0 cap 2/3\n"
+            "SHIFT T -> R0 cap 1/3\n"
+            "SHIFT T -> R1 cap 0\n"
+            "CONSTANT 0\n"
+            "\n"
+            "min 2/3 x0 + 1/3 x1 + 0 x2 + 0\n"
+            "s.t.\n"
+            "  x0 >= y_R1 - y_R0    (shift edge R1->R0)\n"
+            "  x1 >= y_T - y_R0    (shift edge T->R0)\n"
+            "  x2 >= y_T - y_R1    (shift edge T->R1)\n"
+            "  y_R0 <= y_R1    (precedence)\n"
+            "  y_S <= y_R0    (precedence)\n"
+            "  y_R1 <= y_T    (precedence)\n"
+            "  y_S = 0, y_T = 1\n"
+            "  all x, y in {0, 1}\n",
+        ),
+        "two-blocks": (
+            "GIRL_LIST g1 b1 1 1/4\n"
+            "GIRL_LIST g3 b5 1 1/4\n"
+            "BOY_LIST b1 g4 1 1/4\n"
+            "BOY_LIST b3 g2 1 0/1\n"
+            "GIRL_LIST g1 b3 1 1/4\n",
+            "b1 g5\nb2 g4\nb3 g1\nb4 g2\nb5 g3\n"
+            "objective 0/1\nflow 0/1\nconstant 0/1\nclosed set (empty)\n"
+            "\n"
+            "NODES R0 R1 R2 S T\n"
+            "HASSE R0 -> R1\n"
+            "HASSE S -> R0\n"
+            "HASSE S -> R2\n"
+            "HASSE R1 -> T\n"
+            "HASSE R2 -> T\n"
+            "SHIFT R1 -> R0 cap 1/2\n"
+            "SHIFT R2 -> S cap 0\n"
+            "SHIFT T -> R2 cap 1/4\n"
+            "CONSTANT 0\n"
+            "\n"
+            "min 1/2 x0 + 0 x1 + 1/4 x2 + 0\n"
+            "s.t.\n"
+            "  x0 >= y_R1 - y_R0    (shift edge R1->R0)\n"
+            "  x1 >= y_R2 - y_S    (shift edge R2->S)\n"
+            "  x2 >= y_T - y_R2    (shift edge T->R2)\n"
+            "  y_R0 <= y_R1    (precedence)\n"
+            "  y_S <= y_R0    (precedence)\n"
+            "  y_S <= y_R2    (precedence)\n"
+            "  y_R1 <= y_T    (precedence)\n"
+            "  y_R2 <= y_T    (precedence)\n"
+            "  y_S = 0, y_T = 1\n"
+            "  all x, y in {0, 1}\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", EXPLICIT_GOLDEN)
+    def test_dumps_explicit_golden(self, capsys, tmp_path, name):
+        dist_text, expected = self.EXPLICIT_GOLDEN[name]
+        dist = tmp_path / f"{name}.dist"
+        dist.write_text(dist_text, encoding="utf-8")
+        code, out, _ = cli(
+            capsys, "solve", "--instance", str(FIXTURES / f"{name}.txt"), "--dist", str(dist),
+            "--dump-network", "--dump-ip",
+        )
+        assert code == 0
+        assert out == expected
 
 
 class TestLattice:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from robustmatch import (
     DISJOINT,
+    GIRL_LIST,
     PROPER,
     Matching,
     Shift,
@@ -17,6 +19,7 @@ from robustmatch import (
     build_rotation_poset,
     closed_set_to_matching,
     enumerate_shift_domain,
+    parse_distribution,
     parse_instance,
     robust_matching,
     solve_pipeline,
@@ -108,6 +111,13 @@ class TestBuildNetwork:
         poset = build_rotation_poset(i3)
         with pytest.raises(ValueError, match="another instance"):
             build_network(poset, ShiftDistribution.uniform(i2))
+        # every shift of I2 fits I3, so the parsed one goes from I3 to I2
+        parsed = parse_distribution("GIRL_LIST g1 b1 2 1/1", i3)
+        with pytest.raises(ValueError, match="does not fit"):
+            build_network(build_rotation_poset(i2), parsed)
+        constructed = ShiftDistribution(((Shift(GIRL_LIST, 0, 0, 3), Fraction(1)),))
+        with pytest.raises(ValueError, match="does not fit"):
+            build_network(poset, constructed)
 
     def test_node_names(self, i3):
         poset = build_rotation_poset(i3)
@@ -156,6 +166,14 @@ def sub_distribution(inst, rng) -> ShiftDistribution:
     )
 
 
+def decay_sample(inst, count, seed) -> ShiftDistribution:
+    """``count`` distinct shifts drawn with the seed, each with probability
+    proportional to 1/window, the shape of the chain-decay benchmark input."""
+    chosen = random.Random(seed).sample(enumerate_shift_domain(inst), count)
+    total = sum(Fraction(1, s.window) for s in chosen)
+    return ShiftDistribution(tuple((s, Fraction(1, s.window) / total) for s in chosen))
+
+
 class TestNetworkMatchesPerShiftReference:
     """build_network (runs of windows, integer weights) equals the per-shift network."""
 
@@ -202,6 +220,27 @@ class TestNetworkMatchesPerShiftReference:
     @settings(max_examples=60, deadline=None)
     def test_explicit_sub_distributions(self, inst, rng):
         self.check(inst, sub_distribution(inst, rng))
+
+    @pytest.mark.parametrize("size", range(5, 13))
+    def test_explicit_single_cyclic_block(self, size):
+        inst = cyclic_blocks([size], size)
+        self.check(inst, sub_distribution(inst, random.Random(size)))
+
+    @given(st.lists(st.integers(1, 5), min_size=2, max_size=3), st.integers(0, 10**6),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_explicit_mixed_cyclic_blocks(self, sizes, seed, rng):
+        inst = cyclic_blocks(sizes, seed)
+        self.check(inst, sub_distribution(inst, rng))
+
+    @pytest.mark.parametrize("text", UNEQUAL_SIDES, ids=["3x4", "5x6", "6x5"])
+    def test_explicit_unequal_sides(self, text):
+        inst = parse_instance(text)
+        self.check(inst, sub_distribution(inst, random.Random(len(text))))
+
+    def test_explicit_decay_sample_on_cyclic_60(self):
+        inst = cyclic_blocks([60], 60)
+        self.check(inst, decay_sample(inst, 2000, 60))
 
     def test_empty_distribution(self, i3):
         self.check(i3, ShiftDistribution(()))

@@ -66,6 +66,27 @@ class TestPreferenceInstance:
         with pytest.raises(ValueError, match="duplicate"):
             PreferenceInstance(((0, 0),), ((0,), (0,)))
 
+    @pytest.mark.parametrize("boy_prefs, girl_prefs, message", [
+        (((0,),), ((),), "acceptability is not mutual: b1 lists g1 but not vice versa"),
+        (((0,), ()), ((0, 1), ()), "acceptability is not mutual: g1 lists b2 but not vice versa"),
+        (((0, 3),), ((0,),), "boy 1: listed agent id 3 out of range"),
+        (((0,),), ((0, -1),), "girl 1: listed agent id -1 out of range"),
+        (((0, 0, 5),), ((0,),), "boy 1: duplicate entry in preference list"),
+        (((5, 0, 0),), ((0,),), "boy 1: listed agent id 5 out of range"),
+        (((0,), (0, 0)), ((0, 1),), "boy 2: duplicate entry in preference list"),
+    ], ids=["boy-unmatched", "girl-unmatched", "too-large", "negative", "duplicate-first",
+            "range-first", "second-list"])
+    def test_constructor_messages(self, boy_prefs, girl_prefs, message):
+        """The first offending entry is named, boys' lists before girls'."""
+        with pytest.raises(ValueError) as info:
+            PreferenceInstance(boy_prefs, girl_prefs)
+        assert str(info.value) == message
+
+    def test_parse_wraps_constructor_message(self):
+        with pytest.raises(InstanceFormatError) as info:
+            parse_instance("2\nb1: g1\nb2:\ng1: b1 b2\ng2:\n")
+        assert str(info.value) == "acceptability is not mutual: g1 lists b2 but not vice versa"
+
     def test_unequal_sides_supported(self):
         inst = parse_instance("2 1\nb1: g1\nb2: g1\ng1: b2 b1\n")
         assert inst.n_boys == 2 and inst.n_girls == 1
