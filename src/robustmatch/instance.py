@@ -206,17 +206,16 @@ def mover_position(inst: PreferenceInstance, shift: Shift) -> int:
     ranks = inst.girl_rank if shift.side == GIRL_LIST else inst.boy_rank
     if not 0 <= shift.agent < len(ranks):
         raise ValueError(f"{shift.side} shift agent {shift.agent} out of range (0..{len(ranks) - 1})")
-    rank = ranks[shift.agent]
+    pos = ranks[shift.agent].get(shift.mover)
+    if pos is not None and pos >= shift.window:
+        return pos
     agent = girl_name(shift.agent) if shift.side == GIRL_LIST else boy_name(shift.agent)
-    pos = rank.get(shift.mover)
     if pos is None:
         raise ValueError(f"shift mover is not on the list of {agent}")
-    if pos < shift.window:
-        raise ValueError(
-            f"shift window {shift.window} does not fit above position {pos} "
-            f"in the list of {agent}"
-        )
-    return pos
+    raise ValueError(
+        f"shift window {shift.window} does not fit above position {pos} "
+        f"in the list of {agent}"
+    )
 
 
 def apply_shift(inst: PreferenceInstance, shift: Shift) -> PreferenceInstance:

@@ -5,13 +5,15 @@ matched pairs in which every boy passes to the next boy's girl, each boy getting
 slightly worse and each girl strictly better.  Eliminating rotations starting
 from the boy-optimal matching reaches every stable matching; which rotations
 have been applied is all that distinguishes them.  This module discovers the
-full set of rotations, derives the precedence order between them, and converts
-between stable matchings and downward-closed rotation sets.
+full set of rotations in O(n^2) with Gusfield's walk, numbers them in one
+canonical linear extension of the precedence order, and converts between
+stable matchings and downward-closed rotation sets.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -43,7 +45,7 @@ class Rotation:
     @classmethod
     def from_cycle(cls, pairs) -> Rotation:
         pairs = tuple(pairs)
-        k = min(range(len(pairs)), key=lambda i: pairs[i][0])
+        k = pairs.index(min(pairs))
         return cls(pairs[k:] + pairs[:k])
 
     @property
@@ -67,21 +69,23 @@ class Rotation:
         return len(self.pairs)
 
 
-def _successor_girl(inst: PreferenceInstance, girl_of: dict, boy_of: dict, b: int) -> int | None:
-    """First girl below b's partner who strictly prefers b to her current boy.
+def _successor_position(prefs, girl_rank, boy_of: dict, b: int, start: int) -> int | None:
+    """Position on b's list prefs of the first girl, at or after start, who
+    strictly prefers b to her current boy (read off a girl->boy map of one
+    matching and the girls' rank tables).  From just below b's partner, that
+    girl is b's successor girl.
 
-    Partners are read from a boy->girl and a girl->boy map of one matching.
     Scanning stops without an answer when it hits a girl who is unmatched:
     she would rather take b than stay alone, so b can never be pushed past
     her and takes part in no rotation at this matching.
     """
-    start = inst.boy_rank[b][girl_of[b]] + 1
-    for g2 in inst.boy_prefs[b][start:]:
-        holder = boy_of.get(g2)
+    for p in range(start, len(prefs)):
+        g = prefs[p]
+        holder = boy_of.get(g)
         if holder is None:
             return None
-        if inst.girl_rank[g2][b] < inst.girl_rank[g2][holder]:
-            return g2
+        if girl_rank[g][b] < girl_rank[g][holder]:
+            return p
     return None
 
 
@@ -92,16 +96,12 @@ def exposed_rotations(inst: PreferenceInstance, matching: Matching) -> list[Rota
     graph over the matched boys, and are therefore vertex-disjoint.  Sorted
     by their canonical pair tuples.
     """
-    return _exposed(inst, *matching.partner_maps())
-
-
-def _exposed(inst: PreferenceInstance, girl_of: dict, boy_of: dict) -> list[Rotation]:
-    """exposed_rotations of the stable matching held in a boy->girl / girl->boy pair of maps."""
+    girl_of, boy_of = matching.partner_maps()
     succ: dict[int, int] = {}
-    for b in girl_of:
-        s = _successor_girl(inst, girl_of, boy_of, b)
-        if s is not None:
-            succ[b] = boy_of[s]
+    for b, g in girl_of.items():
+        p = _successor_position(inst.boy_prefs[b], inst.girl_rank, boy_of, b, inst.boy_rank[b][g] + 1)
+        if p is not None:
+            succ[b] = boy_of[inst.boy_prefs[b][p]]
     state: dict[int, int] = {}
     out = []
     for b0 in succ:
@@ -132,10 +132,13 @@ def _eliminate_in_place(inst: PreferenceInstance, girl_of: dict, boy_of: dict, r
     """
     pairs = rotation.pairs
     after = pairs[1:] + pairs[:1]  # after[i][1] is b_i's next girl
+    boy_prefs, boy_rank, girl_rank = inst.boy_prefs, inst.boy_rank, inst.girl_rank
     for (b, g), (_, g_next) in zip(pairs, after):
         if girl_of.get(b) != g:
             raise ValueError(f"rotation pair ({boy_name(b)},{girl_name(g)}) is not in the matching")
-        if _successor_girl(inst, girl_of, boy_of, b) != g_next:
+        prefs = boy_prefs[b]
+        p = _successor_position(prefs, girl_rank, boy_of, b, boy_rank[b][g] + 1)
+        if p is None or prefs[p] != g_next:
             raise ValueError(f"rotation is not exposed: {girl_name(g_next)} is not the successor girl of {boy_name(b)}")
     for (b, _), (_, g_next) in zip(pairs, after):
         girl_of[b] = g_next
@@ -165,10 +168,12 @@ def _bits(mask: int):
 class RotationPoset:
     """Every rotation of an instance plus the precedence order between them.
 
-    Rotation ids are discovery order along the elimination path that always
-    picks the exposed rotation with the smallest leading boy; that order is a
-    linear extension of the precedence order.  Stable matchings correspond
-    one-to-one with downward-closed id sets (kept as bitmasks here).
+    Rotation ids are one canonical linear extension of the precedence order:
+    the elimination path from the boy-optimal matching that always takes the
+    exposed rotation with the smallest ``pairs`` tuple (equivalently, the
+    smallest leading boy) gives rotation k id k.  They do not depend on the
+    order in which discovery found the rotations.  Stable matchings
+    correspond one-to-one with downward-closed id sets (kept as bitmasks here).
 
     Every agent matched in the stable matchings has a partner chain.
     ``*_slot_positions[a]`` holds the ascending positions, on a's own list,
@@ -229,66 +234,118 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
     than a boy whom v sweeps past her (strictly between v's endpoints on
     his list); plus transitivity.  Equality of the resulting lattice with
     the brute-force stable set is exercised heavily by the test suite.
+
+    Discovery is Gusfield's walk, O(n^2) over the lengths of the lists.
+    The rotations it finds are renumbered into the canonical linear
+    extension described on RotationPoset, so ids do not depend on the walk.
     """
     m0 = boy_optimal(inst)
     mz = girl_optimal(inst)
+    last_girl = dict(mz.pairs)
+    boy_prefs, boy_rank, girl_rank = inst.boy_prefs, inst.boy_rank, inst.girl_rank
 
-    # One elimination path from the boy-optimal matching visits every
-    # rotation exactly once; it is walked on one pair of partner maps, each
-    # step eliminating the exposed rotation with the smallest leading boy.
-    # Along it, each agent's stable partners come in lattice order with the
-    # rotations that move the agent along them; boys only get worse and girls
-    # only better.  A rotation that moves a boy off a partner removes the pair
-    # his previous move created: pair-creation precedence.
+    # Gusfield's walk on one pair of partner maps.  A boy short of his
+    # girl-optimal partner has a successor girl, and her boy is short of his
+    # too; so following b -> partner of b's successor girl from such a boy
+    # closes a cycle, an exposed rotation, which is eliminated at once.  The
+    # rest of the path stays valid, since none of its girls moved; only its
+    # last boy's successor girl is read again.  Each boy keeps one scan
+    # position that only moves forward: a girl he skipped holds someone she
+    # prefers to him, and girls only get better.  While a boy is on the
+    # path, scan holds his successor girl's position: eliminating moves him
+    # there.
+    # Along the walk each agent's partners, kept as positions on the agent's
+    # list, come in lattice order with the rotations that move the agent
+    # along them; boys only get worse and girls only better.  A rotation that
+    # moves a boy off a partner removes the pair his previous move created:
+    # pair-creation precedence.
     girl_of, boy_of = m0.partner_maps()
+    scan = {b: boy_rank[b][g] + 1 for b, g in girl_of.items()}
+    boy_positions = {b: [boy_rank[b][g]] for b, g in girl_of.items()}
+    girl_positions = {g: [girl_rank[g][b]] for g, b in boy_of.items()}
+    boy_moves: dict[int, list] = {b: [None] for b in girl_of}
+    girl_moves: dict[int, list] = {g: [None] for g in boy_of}
     rotations: list[Rotation] = []
-    edges: set[tuple[int, int]] = set()
-    boy_chains = {b: [g] for b, g in m0.pairs}
-    girl_chains = {g: [b] for b, g in m0.pairs}
-    boy_moves: dict[int, list] = {b: [None] for b in boy_chains}
-    girl_moves: dict[int, list] = {g: [None] for g in girl_chains}
-    while exposed := _exposed(inst, girl_of, boy_of):
-        v = len(rotations)
-        rotations.append(exposed[0])
-        for b, g in exposed[0].post_pairs:
-            girl_of[b] = g
-            boy_of[g] = b
-            if boy_moves[b][-1] is not None:
-                edges.add((boy_moves[b][-1], v))
-            boy_chains[b].append(g)
-            boy_moves[b].append(v)
-            girl_chains[g].append(b)
-            girl_moves[g].append(v)
+    preds: list[set[int]] = []  # the generating predecessors of each rotation
+    sweeps = []  # (v, b, first, stop): v moves b past the girls at first..stop-1 on his list
+    path: list[int] = []
+    on_path: dict[int, int] = {}  # boy -> his index on path
+    for b0 in girl_of:
+        while path or girl_of[b0] != last_girl[b0]:
+            if not path:
+                path.append(b0)
+                on_path[b0] = 0
+            b = path[-1]
+            p = _successor_position(boy_prefs[b], girl_rank, boy_of, b, scan[b])
+            if p is None:
+                raise AssertionError("a boy short of his girl-optimal partner has no successor girl")
+            scan[b] = p
+            nxt = boy_of[boy_prefs[b][p]]
+            at = on_path.get(nxt)
+            if at is None:
+                on_path[nxt] = len(path)
+                path.append(nxt)
+                continue
+            cycle = path[at:]
+            del path[at:]
+            v = len(rotations)
+            rotations.append(Rotation.from_cycle((x, girl_of[x]) for x in cycle))
+            preds.append(set())
+            for x in cycle:
+                del on_path[x]
+                p = scan[x]
+                g = boy_prefs[x][p]
+                girl_of[x] = g
+                boy_of[g] = x
+                scan[x] = p + 1
+                positions, moves = boy_positions[x], boy_moves[x]
+                if p > positions[-1] + 1:
+                    sweeps.append((v, x, positions[-1] + 1, p))
+                if moves[-1] is not None:
+                    preds[v].add(moves[-1])
+                positions.append(p)
+                moves.append(v)
+                girl_positions[g].append(girl_rank[g][x])
+                girl_moves[g].append(v)
     if Matching(girl_of.items()) != mz:
         raise AssertionError("elimination path did not terminate at the girl-optimal matching")
-    boy_slot_positions, boy_slot_rotations = _slots(boy_chains, boy_moves, inst.boy_rank, 1)
-    girl_slot_positions, girl_slot_rotations = _slots(girl_chains, girl_moves, inst.girl_rank, -1)
+    boy_slot_positions, boy_slot_rotations = _slots(boy_positions, boy_moves, 1)
+    girl_slot_positions, girl_slot_rotations = _slots(girl_positions, girl_moves, -1)
 
     # sweep precedence: v drops a boy past a girl strictly between his two
     # partners, so the rotation that lifts her above him must come first
-    for v, rot in enumerate(rotations):
-        for (b, g), (_, g_next) in zip(rot.pairs, rot.post_pairs):
-            rank = inst.boy_rank[b]
-            for mid in inst.boy_prefs[b][rank[g] + 1:rank[g_next]]:
-                k = bisect_right(girl_slot_positions.get(mid, ()), inst.girl_rank[mid][b])
-                if k == 0:
-                    raise AssertionError("swept girl never rises above the boy sweeping past her")
-                u = girl_slot_rotations[mid][k]
-                if u is None or u == v:  # None: she starts out holding someone better
-                    continue
-                if u > v:
-                    raise AssertionError("sweep precedence points forward")
-                edges.add((u, v))
+    for v, b, first, stop in sweeps:
+        for mid in boy_prefs[b][first:stop]:
+            k = bisect_right(girl_slot_positions.get(mid, ()), girl_rank[mid][b])
+            if k == 0:
+                raise AssertionError("swept girl never rises above the boy sweeping past her")
+            u = girl_slot_rotations[mid][k]
+            if u is None or u == v:  # None: she starts out holding someone better
+                continue
+            if u > v:
+                raise AssertionError("sweep precedence points forward")
+            preds[v].add(u)
+
+    # Renumber into the canonical linear extension: a Kahn pass over the
+    # predecessor sets that always takes the smallest available pairs tuple.
+    # Every agent meets the same partners along every maximal chain of the
+    # lattice, so only the ids change, never the chains.
+    order = _canonical_order(rotations, preds)
+    if order != list(range(len(order))):
+        new_id = [0] * len(order)
+        for k, u in enumerate(order):
+            new_id[u] = k
+        rotations = [rotations[u] for u in order]
+        preds = [{new_id[u] for u in preds[old]} for old in order]
+        for boundaries in (boy_slot_rotations, girl_slot_rotations):
+            for a, bd in boundaries.items():
+                boundaries[a] = tuple(None if u is None else new_id[u] for u in bd)
 
     n = len(rotations)
-    preds_of: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        preds_of[v].append(u)
-
     pred_closure = [0] * n
     for v in range(n):
         mask = 0
-        for u in preds_of[v]:
+        for u in preds[v]:
             mask |= pred_closure[u] | (1 << u)
         pred_closure[v] = mask
 
@@ -319,18 +376,40 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
     )
 
 
-def _slots(chains: dict, moves: dict, rank, step: int) -> tuple[dict, dict]:
+def _canonical_order(rotations: list[Rotation], preds: list[set[int]]) -> list[int]:
+    """The ids of a topological order of the predecessor sets that always
+    takes the available rotation with the smallest pairs tuple (pairs are
+    unique)."""
+    succs: list[list[int]] = [[] for _ in rotations]
+    for v, us in enumerate(preds):
+        for u in us:
+            succs[u].append(v)
+    missing = [len(us) for us in preds]
+    heap = [(rot.pairs, v) for v, rot in enumerate(rotations) if not missing[v]]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, u = heapq.heappop(heap)
+        order.append(u)
+        for v in succs[u]:
+            missing[v] -= 1
+            if not missing[v]:
+                heapq.heappush(heap, (rotations[v].pairs, v))
+    return order
+
+
+def _slots(positions: dict, moves: dict, step: int) -> tuple[dict, dict]:
     """(agent -> slot positions, agent -> boundary ids) from each agent's
-    partners and moves in elimination order, read forwards (step 1) or
-    backwards (step -1) so the positions ascend; they must strictly ascend."""
-    positions: dict[int, tuple[int, ...]] = {}
+    partner positions and moves in elimination order, read forwards (step 1)
+    or backwards (step -1) so the positions ascend; they must strictly ascend."""
+    slot_positions: dict[int, tuple[int, ...]] = {}
     boundaries: dict[int, tuple] = {}
-    for a, chain in chains.items():
-        pos = tuple(rank[a][p] for p in chain[::step])
-        if any(x >= y for x, y in itertools.pairwise(pos)):
+    for a, pos in positions.items():
+        pos = tuple(pos[::step])
+        if not all(map(operator.lt, pos, pos[1:])):
             raise AssertionError("a partner chain is not strictly monotone along the lattice")
-        positions[a], boundaries[a] = pos, tuple(moves[a] + [None])[::step]
-    return positions, boundaries
+        slot_positions[a], boundaries[a] = pos, tuple(moves[a] + [None])[::step]
+    return slot_positions, boundaries
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from robustmatch import (
     parse_instance,
     sublattice_poset,
 )
+from robustmatch.cli import gen_random_instance
 from robustmatch.instance import boy_name, girl_name, reversed_instance
 from robustmatch.oracle import enumerate_stable_bruteforce
 from robustmatch.rotations import closed_subsets, ids_to_mask, mask_to_ids
@@ -350,6 +351,32 @@ class TestRotationPoset:
         assert poset.size == 0
         assert poset.boy_opt == poset.girl_opt
 
+    def test_twenty_blocks_of_twenty(self):
+        """20 disjoint cyclic blocks of 20: 380 rotations in 20 separate
+        chains.  A discovery that rescans every boy after each elimination
+        takes seconds here instead of a fraction of one."""
+        inst = cyclic_blocks([20] * 20, 5)
+        poset = build_rotation_poset(inst)
+        assert poset.size == 380
+        # a boy's block is the set of girls he lists first
+        block = {b: frozenset(prefs[:20]) for b, prefs in enumerate(inst.boy_prefs)}
+        rotation_block = []
+        for rot in poset.rotations:
+            assert len({block[b] for b in rot.boys}) == 1
+            rotation_block.append(block[rot.boys[0]])
+        for v in range(poset.size):
+            assert len(poset.hasse_preds[v]) <= 1 and len(poset.hasse_succs[v]) <= 1
+            assert all(rotation_block[u] == rotation_block[v] for u in mask_to_ids(poset.pred_closure[v]))
+        paths = []
+        for v in poset.minimal_ids:
+            path = [v]
+            while poset.hasse_succs[path[-1]]:
+                path.append(poset.hasse_succs[path[-1]][0])
+            paths.append(path)
+        assert sorted(map(len, paths)) == [19] * 20
+        assert len({rotation_block[path[0]] for path in paths}) == 20
+        assert closed_set_to_matching(poset, poset.full_mask) == girl_optimal(inst)
+
     @given(random_instances(max_n=7))
     @settings(max_examples=60)
     def test_discovery_order_is_linear_extension(self, inst):
@@ -425,13 +452,13 @@ class TestPartnerChainsMatchMovementDicts:
 
 
 class TestDiscoveryMatchesEliminateLoop:
-    """build_rotation_poset, walked on one pair of partner maps, finds the
-    rotations of the exposed_rotations + eliminate loop in the same order,
+    """build_rotation_poset, found by Gusfield's walk and then renumbered,
+    gives the rotations of the exposed_rotations + eliminate loop the same ids,
     the same chains on both sides, and the order found without its rules;
     a destabilized sublattice's out_mask is the old successor closure's."""
 
     @staticmethod
-    def check(inst):
+    def check(inst, every_shift=True):
         poset = build_rotation_poset(inst)
         rotations, last, boy_chains, girl_chains = reference_discovery(inst)
         assert poset.rotations == tuple(rotations)
@@ -444,6 +471,8 @@ class TestDiscoveryMatchesEliminateLoop:
             tuple(u for u in mask_to_ids(mask) if not any((pred_closure[w] >> u) & 1 for w in mask_to_ids(mask)))
             for mask in pred_closure
         )
+        if not every_shift:
+            return
         succ_closure = reference_succ_closure(pred_closure)
         for shift in enumerate_shift_domain(inst):
             analysis = analyze_shift(poset, inst, shift)
@@ -464,6 +493,16 @@ class TestDiscoveryMatchesEliminateLoop:
         rng = random.Random(8)
         for seed in range(30):
             self.check(cyclic_blocks([rng.randint(1, 6) for _ in range(rng.randint(1, 3))], seed))
+
+    def test_rotation_rich_random_instances(self):
+        """At n = 20-30 many random complete instances expose two rotations
+        at once, which pins the order among them; at n <= 8 few do.  The
+        shift domain (about 26,000 shifts at n = 30) is left to the small
+        inputs above."""
+        rng = random.Random(12)
+        for seed in range(24):
+            inst = gen_random_instance(rng.randint(20, 30), seed, 0.7 if seed % 4 == 0 else 1.0)
+            self.check(inst, every_shift=False)
 
 
 class TestClosedSets:
