@@ -61,11 +61,12 @@ def _rho_name(rid: int | None, sentinel: str) -> str:
 
 
 def _matching_json(inst: PreferenceInstance, matching) -> dict:
+    boy_names, girl_names = inst.boy_names, inst.girl_names
     boys, girls = unmatched_agents(inst, matching)
     return {
-        "pairs": [[boy_name(b), girl_name(g)] for b, g in matching.pairs],
-        "unmatched_boys": [boy_name(b) for b in boys],
-        "unmatched_girls": [girl_name(g) for g in girls],
+        "pairs": [[boy_names[b], girl_names[g]] for b, g in matching.pairs],
+        "unmatched_boys": [boy_names[b] for b in boys],
+        "unmatched_girls": [girl_names[g] for g in girls],
     }
 
 

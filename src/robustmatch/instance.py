@@ -13,7 +13,8 @@ instances and shifts can be shared freely between threads.
 A distribution holds its probabilities as integer weights over one
 denominator; the ``Fraction`` form (``entries``) is built on its first read.
 The readers resolve agent names through per-instance tables (``boy_ids``,
-``girl_ids``) and read ``a/b`` probabilities as two integers.
+``girl_ids``) and read ``a/b`` probabilities as two integers; the matching
+writers read names off the inverse tables (``boy_names``, ``girl_names``).
 """
 
 from __future__ import annotations
@@ -125,6 +126,15 @@ class PreferenceInstance:
     @cached_property
     def girl_rank(self) -> tuple[dict[Agent, int], ...]:
         return _rank_tables(self.girl_prefs, self.n_boys, "girl")
+
+    @cached_property
+    def boy_names(self) -> tuple[str, ...]:
+        """Boy id -> name (6 -> ``b7``), the inverse of boy_ids."""
+        return tuple(map(boy_name, range(self.n_boys)))
+
+    @cached_property
+    def girl_names(self) -> tuple[str, ...]:
+        return tuple(map(girl_name, range(self.n_girls)))
 
     @cached_property
     def boy_ids(self) -> dict[str, Agent]:

@@ -80,9 +80,11 @@ def validate_matching(inst: PreferenceInstance, matching: Matching):
 
 
 def unmatched_agents(inst: PreferenceInstance, matching: Matching):
-    """(unmatched boys, unmatched girls), each as a sorted tuple."""
-    boys = tuple(b for b in range(inst.n_boys) if matching.girl_of(b) is None)
-    girls = tuple(g for g in range(inst.n_girls) if matching.boy_of(g) is None)
+    """(unmatched boys, unmatched girls), each as a sorted tuple; a side
+    with every agent matched is not scanned."""
+    full = len(matching)
+    boys = () if full == inst.n_boys else tuple(b for b in range(inst.n_boys) if matching.girl_of(b) is None)
+    girls = () if full == inst.n_girls else tuple(g for g in range(inst.n_girls) if matching.boy_of(g) is None)
     return boys, girls
 
 
@@ -196,10 +198,11 @@ def join(inst: PreferenceInstance, m1: Matching, m2: Matching, validate: bool = 
 
 def serialize_matching(inst: PreferenceInstance, matching: Matching) -> str:
     """One ``b<i> g<j>`` line per pair sorted by boy id, then unmatched agents."""
-    lines = [f"{boy_name(b)} {girl_name(g)}" for b, g in matching.pairs]
+    boy_names, girl_names = inst.boy_names, inst.girl_names
+    lines = [f"{boy_names[b]} {girl_names[g]}" for b, g in matching.pairs]
     boys, girls = unmatched_agents(inst, matching)
     if boys or girls:
         lines.append("# unmatched")
-        lines.extend(boy_name(b) for b in boys)
-        lines.extend(girl_name(g) for g in girls)
+        lines.extend(boy_names[b] for b in boys)
+        lines.extend(girl_names[g] for g in girls)
     return "\n".join(lines) + ("\n" if lines else "")

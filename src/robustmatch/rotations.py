@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .instance import PreferenceInstance, boy_name, girl_name
 from .matching import Matching, boy_optimal, girl_optimal
@@ -165,6 +165,17 @@ def _bits(mask: int):
 
 
 @dataclass
+class _Walk:
+    """Partner maps of the stable matching of the closed set ``mask``, and
+    the ids eliminated from the boy-optimal matching to reach it, in order."""
+
+    girl_of: dict
+    boy_of: dict
+    chain: list[int]
+    mask: int = 0
+
+
+@dataclass
 class RotationPoset:
     """Every rotation of an instance plus the precedence order between them.
 
@@ -185,6 +196,16 @@ class RotationPoset:
     rotation sets contain entry k but not entry k+1, and a girl in those
     that contain entry k+1 but not entry k (None: no condition).  Agents
     unmatched in every stable matching have no chain.
+
+    The poset also keeps one walk through the lattice, which every
+    closed_set_to_matching call resumes: a pair of partner maps and the
+    rotations eliminated from the boy-optimal matching to reach them, in
+    order, so that each prefix of that chain is a closed set.  A call pops
+    the chain down to the deepest prefix inside the requested set and
+    eliminates only the missing rotations, so consecutive sets that differ by
+    one rotation cost one checked elimination.  The walk takes no part in
+    equality or repr, and ``dataclasses.replace`` starts a fresh one.  It is
+    mutable state: one poset serves one thread at a time.
     """
 
     inst: PreferenceInstance
@@ -198,6 +219,7 @@ class RotationPoset:
     girl_slot_rotations: dict  # g -> boundary ids around girl_slot_positions[g]
     boy_slot_positions: dict   # b -> ascending positions on b's list of his stable partners
     boy_slot_rotations: dict   # b -> boundary ids around boy_slot_positions[b]
+    _walk: _Walk | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -420,22 +442,41 @@ def is_closed_mask(poset: RotationPoset, mask: int) -> bool:
 
 
 def closed_set_to_matching(poset: RotationPoset, mask: int) -> Matching:
-    """Eliminate the rotations of a downward-closed set from the boy-optimal matching.
+    """The stable matching of a downward-closed set: its rotations eliminated
+    from the boy-optimal matching.
 
     Raises ValueError for unknown ids and for a set that is not downward
-    closed.  The rotations are applied in ascending id order to one pair of
-    partner maps, and each one is checked as in eliminate: every pair is
-    present and every next girl is the boy's successor girl, so a rotation
-    that is not exposed raises ValueError instead of yielding an unstable
-    matching.  One Matching is built at the end.
+    closed.  The call resumes the poset's walk (see RotationPoset): it pops
+    the walk's chain down to the deepest prefix contained in the set,
+    writing each popped rotation's pairs back, then eliminates the missing
+    rotations in ascending id order, a linear extension.  Every rotation
+    eliminated is checked as in eliminate: every pair is present and every
+    next girl is the boy's successor girl, so a rotation that is not exposed
+    raises ValueError instead of yielding an unstable matching.  Each
+    rotation joins the chain as it is applied, so the maps and the chain
+    stay in step when a check fails.  One Matching is built at the end.
     """
     if mask >> poset.size:
         raise ValueError("rotation set contains unknown ids")
-    if not is_closed_mask(poset, mask):
+    walk = poset._walk
+    if walk is None:
+        walk = poset._walk = _Walk(*poset.boy_opt.partner_maps(), [])
+    girl_of, boy_of, chain, rotations = walk.girl_of, walk.boy_of, walk.chain, poset.rotations
+    while walk.mask & ~mask:
+        v = chain.pop()
+        walk.mask ^= 1 << v
+        for b, g in rotations[v].pairs:
+            girl_of[b] = g
+            boy_of[g] = b
+    # ids are a linear extension, so every prefix of the chain is closed and
+    # only the rotations being added can have a predecessor outside the set
+    missing = mask & ~walk.mask
+    if any(poset.pred_closure[v] & ~mask for v in _bits(missing)):
         raise ValueError("rotation set is not downward closed")
-    girl_of, boy_of = poset.boy_opt.partner_maps()
-    for v in _bits(mask):  # ascending id order is a linear extension
-        _eliminate_in_place(poset.inst, girl_of, boy_of, poset.rotations[v])
+    for v in _bits(missing):
+        _eliminate_in_place(poset.inst, girl_of, boy_of, rotations[v])
+        chain.append(v)
+        walk.mask |= 1 << v
     return Matching(girl_of.items())
 
 
@@ -449,7 +490,7 @@ def matching_to_closed_set(poset: RotationPoset, matching: Matching) -> int:
     mask = 0
     for v, rot in enumerate(poset.rotations):
         b0 = rot.pairs[0][0]
-        after = rot.post_pairs[0][1]
+        after = rot.pairs[1][1]  # b0's partner once rot is eliminated
         partner = matching.girl_of(b0)
         rank = inst.boy_rank[b0].get(partner, len(inst.boy_prefs[b0])) if partner is not None else len(inst.boy_prefs[b0])
         if rank >= inst.boy_rank[b0][after]:

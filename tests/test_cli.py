@@ -19,6 +19,7 @@ from robustmatch.cli import entrypoint, gen_random_instance, run
 from robustmatch.verification import VerificationReport
 
 from test_matching import M0_I2, MZ_I2
+from test_rotations import counting_eliminations
 
 I3_POINT_DIST = "GIRL_LIST g1 b1 1 1/1\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -419,6 +420,40 @@ class TestEnumerate:
         payload = json.loads(out)
         assert payload["count"] == 3
         assert len(payload["matchings"]) == 3
+
+
+class TestEnumerateGolden:
+    """Output bytes pinned on 3 cyclic blocks of 4 (64 stable matchings),
+    on an instance that leaves agents unmatched, and for represent's
+    enumeration on the blocks under a two-shift distribution (36 robust
+    matchings, one mandatory rotation)."""
+
+    CASES = {
+        "enumerate-three-blocks.txt": ("enumerate", "--instance", "three-blocks.txt"),
+        "enumerate-three-blocks.json": ("enumerate", "--instance", "three-blocks.txt", "--format", "json"),
+        "enumerate-unmatched.txt": ("enumerate", "--instance", "unmatched.txt"),
+        "enumerate-unmatched.json": ("enumerate", "--instance", "unmatched.txt", "--format", "json"),
+        "represent-three-blocks.json": (
+            "represent", "--instance", "three-blocks.txt", "--dist", "three-blocks.dist",
+            "--enumerate", "--format", "json",
+        ),
+    }
+
+    @pytest.mark.parametrize("golden", CASES)
+    def test_bytes(self, capsys, golden):
+        argv = [str(FIXTURES / a) if a.endswith((".txt", ".dist")) else a for a in self.CASES[golden]]
+        code, out, _ = cli(capsys, *argv)
+        assert code == 0
+        assert out == (FIXTURES / "golden" / golden).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_one_elimination_per_matching(self, capsys, monkeypatch, fmt):
+        """Every matching after the boy-optimal one is one rotation away
+        from a set already on the walk: 63 eliminations for 64 matchings."""
+        calls = counting_eliminations(monkeypatch)
+        code, _, _ = cli(capsys, "enumerate", "--instance", str(FIXTURES / "three-blocks.txt"), "--format", fmt)
+        assert code == 0
+        assert len(calls) == 63
 
 
 class TestVerify:

@@ -6,6 +6,7 @@ import dataclasses
 import random
 from bisect import insort
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from robustmatch import (
     enumerate_shift_domain,
     join,
     meet,
+    parse_distribution,
     robust_members,
     solve_pipeline,
 )
@@ -31,10 +33,14 @@ from test_matching import M0_I2, M0_I3, M1_I3, MZ_I2, MZ_I3
 from test_rotations import (
     DEEP_CHAIN,
     chain_prefixes,
+    counting_eliminations,
     cyclic_blocks,
     lattice_instances,
     recursive_closed_subsets,
 )
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def robust_of(inst, dist):
@@ -75,6 +81,23 @@ class TestBuildRobustPoset:
         assert robust.free_elements == ()
         assert enumerate_robust(robust) == [M0_I2]
         assert run.solution.matching == M0_I2
+
+
+class TestEnumerateRobustCost:
+    def test_one_walk_step_per_element(self, monkeypatch):
+        """The first robust matching costs at most the mandatory rotations;
+        each later one, at most the rotations of the element it adds."""
+        inst = cyclic_blocks([4, 4, 4], 1)
+        dist = parse_distribution((FIXTURES / "three-blocks.dist").read_text(encoding="utf-8"), inst)
+        robust, _ = robust_of(inst, dist)
+        assert robust.mandatory and any(len(e) > 1 for e in robust.free_elements)
+        calls = counting_eliminations(monkeypatch)
+        matchings = enumerate_robust(robust)
+        bound = len(robust.mandatory) + sum(
+            len(robust.free_elements[emask.bit_length() - 1]) for emask in robust.element_closed_sets() if emask
+        )
+        assert len(matchings) == 36
+        assert len(calls) <= bound
 
 
 class TestManualNetworks:

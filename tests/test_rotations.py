@@ -33,6 +33,7 @@ from robustmatch import (
 from robustmatch.cli import gen_random_instance
 from robustmatch.instance import boy_name, girl_name, reversed_instance
 from robustmatch.oracle import enumerate_stable_bruteforce
+import robustmatch.rotations as rotations_module
 from robustmatch.rotations import closed_subsets, ids_to_mask, mask_to_ids
 from robustmatch.shift_analysis import PROPER, _mover_crossing
 
@@ -132,6 +133,19 @@ def reference_closed_set_to_matching(poset, mask):
     for v in mask_to_ids(mask):
         m = reference_eliminate(poset.inst, m, poset.rotations[v])
     return m
+
+
+def counting_eliminations(monkeypatch) -> list:
+    """Count the checked eliminations every closed_set_to_matching call makes."""
+    calls = []
+    original = rotations_module._eliminate_in_place
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(rotations_module, "_eliminate_in_place", counted)
+    return calls
 
 
 def reference_discovery(inst):
@@ -626,6 +640,72 @@ class TestMatchesEliminateChain:
         rng = random.Random(7)
         for seed in range(30):
             self.check(cyclic_blocks([rng.randint(1, 6) for _ in range(rng.randint(1, 3))], seed))
+
+
+def walk_requests(poset, draw):
+    """A drawn sequence of closed masks of the poset: random access, repeats,
+    and runs in enumeration order."""
+    masks = enumerate_closed_masks(poset)
+    picks = draw(st.lists(st.sampled_from(masks), max_size=30))
+    start = draw(st.integers(0, len(masks) - 1))
+    return picks + masks[start:start + 10] + picks[::-1]
+
+
+class TestWalk:
+    """closed_set_to_matching resumes one walk per poset; no order of
+    requests changes what a request returns."""
+
+    @staticmethod
+    def check(poset, masks):
+        for mask in masks:
+            assert closed_set_to_matching(poset, mask) == reference_closed_set_to_matching(poset, mask)
+
+    @given(lattice_instances(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_lattice_instances(self, inst, data):
+        poset = build_rotation_poset(inst)
+        self.check(poset, walk_requests(poset, data.draw))
+
+    @given(st.lists(st.integers(2, 4), min_size=2, max_size=3), st.integers(0, 10**6), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_cyclic_blocks(self, sizes, seed, data):
+        poset = build_rotation_poset(cyclic_blocks(sizes, seed))
+        self.check(poset, walk_requests(poset, data.draw))
+
+    @given(lattice_instances(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rejected_mask_changes_no_later_result(self, inst, data):
+        poset = build_rotation_poset(inst)
+        before, after = walk_requests(poset, data.draw), walk_requests(poset, data.draw)
+        open_masks = [1 << v for v in range(poset.size) if poset.pred_closure[v]]
+        self.check(poset, before)
+        with pytest.raises(ValueError, match="unknown ids"):
+            closed_set_to_matching(poset, data.draw(st.sampled_from(before or [0])) | 1 << poset.size)
+        if open_masks:
+            with pytest.raises(ValueError, match="not downward closed"):
+                closed_set_to_matching(poset, data.draw(st.sampled_from(open_masks)))
+        self.check(poset, after)
+
+    def test_rotation_not_exposed_leaves_the_walk_in_step(self, i3):
+        """R1 of the wrong poset has both pairs at M1, but g1 is not b1's
+        successor girl: the walk stops at {R0} and later calls start there."""
+        poset = build_rotation_poset(i3)
+        wrong = dataclasses.replace(poset, rotations=(RHO_A, Rotation(((0, 1), (2, 0)))))
+        assert wrong._walk is None
+        with pytest.raises(ValueError, match="not exposed"):
+            closed_set_to_matching(wrong, 0b11)  # from the empty set
+        assert closed_set_to_matching(wrong, 0b01) == M1_I3
+        with pytest.raises(ValueError, match="not exposed"):
+            closed_set_to_matching(wrong, 0b11)  # from {R0}
+        assert closed_set_to_matching(wrong, 0) == M0_I3
+        assert closed_set_to_matching(poset, 0b11) == MZ_I3
+
+    def test_walked_posets_compare_equal(self):
+        inst = cyclic_blocks([3, 4], 2)
+        walked, fresh = build_rotation_poset(inst), build_rotation_poset(inst)
+        closed_set_to_matching(walked, walked.full_mask)
+        assert walked == fresh
+        assert repr(walked) == repr(fresh)
 
 
 class TestClosedSubsets:
