@@ -6,7 +6,6 @@ import dataclasses
 import random
 from bisect import insort
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +26,7 @@ from robustmatch.oracle import oracle_argmin
 from robustmatch.representation import RobustPoset, _tarjan_scc
 from robustmatch.rotations import build_rotation_poset, ids_to_mask, mask_to_ids
 
+from test_cli import FIXTURES
 from test_flow import point_dist, sub_distribution
 from test_instance import random_instances
 from test_matching import M0_I2, M0_I3, M1_I3, MZ_I2, MZ_I3
@@ -38,9 +38,6 @@ from test_rotations import (
     lattice_instances,
     recursive_closed_subsets,
 )
-
-
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def robust_of(inst, dist):
