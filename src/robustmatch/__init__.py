@@ -51,7 +51,13 @@ from .matching import (
     meet,
     serialize_matching,
 )
-from .representation import RobustPoset, build_robust_poset, enumerate_robust, robust_members
+from .representation import (
+    Sublattice,
+    build_robust_poset,
+    enumerate_robust,
+    robust_members,
+    sublattice_poset,
+)
 from .rotations import (
     Rotation,
     RotationPoset,
@@ -67,10 +73,8 @@ from .shift_analysis import (
     EMPTY_MAB,
     PROPER,
     ShiftAnalysis,
-    SublatticePoset,
     analyze_shift,
     characterize_MAB,
-    sublattice_poset,
 )
 from .verification import VerificationReport, cross_check
 
@@ -85,7 +89,6 @@ __all__ = [
     "InstanceFormatError",
     "Matching",
     "PreferenceInstance",
-    "RobustPoset",
     "RobustSolution",
     "Rotation",
     "RotationPoset",
@@ -93,7 +96,7 @@ __all__ = [
     "ShiftAnalysis",
     "ShiftDistribution",
     "SolveRun",
-    "SublatticePoset",
+    "Sublattice",
     "VerificationReport",
     "analyze_shift",
     "apply_shift",

@@ -34,9 +34,9 @@ from .instance import (
     serialize_instance,
 )
 from .matching import serialize_matching, unmatched_agents
-from .representation import build_robust_poset, enumerate_robust
+from .representation import build_robust_poset, enumerate_robust, sublattice_poset
 from .rotations import build_rotation_poset, closed_set_to_matching, enumerate_closed_masks
-from .shift_analysis import DISJOINT, PROPER, analyze_shift, sublattice_poset
+from .shift_analysis import DISJOINT, PROPER, analyze_shift
 from .verification import cross_check
 
 # beyond this many free bits, counting matchings by enumeration is refused
@@ -192,13 +192,18 @@ def _cmd_lattice(args) -> int:
     return 0
 
 
-def _mab_size(poset, analysis, fragment) -> int | None:
-    """|M_AB| when small enough to enumerate, else None; fragment is the
-    sublattice fragment of a PROPER analysis."""
+def _member_count(sublattice) -> int | None:
+    """How many matchings the sublattice holds, when small enough to enumerate."""
+    if len(sublattice.free_elements) > _COUNT_LIMIT:
+        return None
+    return len(sublattice.element_closed_sets())
+
+
+def _mab_size(poset, analysis, sublattice) -> int | None:
+    """|M_AB| when small enough to enumerate, else None; sublattice is the
+    destabilized set of a PROPER analysis."""
     if analysis.status == PROPER:
-        if len(fragment.fragment_ids) > _COUNT_LIMIT:
-            return None
-        return len(fragment.closed_masks())
+        return _member_count(sublattice)
     if analysis.status == DISJOINT:
         if poset.size > _COUNT_LIMIT:
             return None
@@ -211,10 +216,10 @@ def _cmd_analyze_shift(args) -> int:
     shift = parse_shift(args.shift, inst)
     poset = build_rotation_poset(inst)
     analysis = analyze_shift(poset, inst, shift)
-    fragment = boy_best = girl_best = None
+    sublattice = boy_best = girl_best = None
     if analysis.status == PROPER:
-        fragment, boy_best, girl_best = sublattice_poset(poset, analysis)
-    size = _mab_size(poset, analysis, fragment)
+        sublattice, boy_best, girl_best = sublattice_poset(poset, analysis)
+    size = _mab_size(poset, analysis, sublattice)
     if args.format == "json":
         payload = {
             "schema": 1,
@@ -224,7 +229,7 @@ def _cmd_analyze_shift(args) -> int:
             "rho_in": _rho_name(analysis.rho_in, "S") if analysis.status == PROPER else None,
             "rho_out": _rho_name(analysis.rho_out, "T") if analysis.status == PROPER else None,
             "m_ab_size": size,
-            "fragment": list(fragment.fragment_ids) if fragment is not None else None,
+            "fragment": [r for (r,) in sublattice.free_elements] if sublattice is not None else None,
             "m_boy": _matching_json(inst, boy_best) if boy_best is not None else None,
             "m_girl": _matching_json(inst, girl_best) if girl_best is not None else None,
         }
@@ -249,12 +254,7 @@ def _cmd_represent(args) -> int:
     run = solve_pipeline(inst, dist)
     robust = build_robust_poset(run.network, run.flow)
     matchings = enumerate_robust(robust) if args.enumerate else None
-    if matchings is not None:
-        count = len(matchings)
-    elif len(robust.free_elements) <= _COUNT_LIMIT:
-        count = len(robust.element_closed_sets())
-    else:
-        count = None
+    count = len(matchings) if matchings is not None else _member_count(robust)
     if args.format == "json":
         payload = {
             "schema": 1,

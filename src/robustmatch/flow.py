@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .instance import PreferenceInstance, ShiftDistribution
 from .matching import Matching
@@ -36,7 +35,7 @@ from .rotations import (
     closed_set_to_matching,
     mask_to_ids,
 )
-from .shift_analysis import DISJOINT, PROPER, ShiftAnalysis, analyze_shift, uniform_weights
+from .shift_analysis import DISJOINT, PROPER, analyze_shift, uniform_weights
 
 
 @dataclass(frozen=True)
@@ -324,16 +323,6 @@ class SolveRun:
     flow: FlowResult
     closed_mask: int
     solution: RobustSolution
-
-    @cached_property
-    def analyses(self) -> list[ShiftAnalysis]:
-        """One analysis per distribution entry, in order; computed on first read."""
-        return analyze_domain(self.poset, self.inst, self.dist)
-
-
-def analyze_domain(poset: RotationPoset, inst: PreferenceInstance, dist: ShiftDistribution) -> list[ShiftAnalysis]:
-    """The per-shift reference: ``analyze_shift`` on every entry of the distribution."""
-    return [analyze_shift(poset, inst, shift) for shift, _ in dist.weights]
 
 
 def solve_pipeline(inst: PreferenceInstance, dist: ShiftDistribution) -> SolveRun:

@@ -88,10 +88,10 @@ def unmatched_agents(inst: PreferenceInstance, matching: Matching):
     return boys, girls
 
 
-def blocking_pairs(inst: PreferenceInstance, matching: Matching) -> list[tuple[Agent, Agent]]:
-    """All mutually acceptable pairs that block the matching, sorted."""
+def _blocking_scan(inst: PreferenceInstance, matching: Matching):
+    """Yield the pairs that block the matching, boy by boy and each boy's in
+    his preference order, after validating the matching."""
     validate_matching(inst, matching)
-    found = []
     for b in range(inst.n_boys):
         partner = matching.girl_of(b)
         # b strictly prefers exactly the girls above his partner (all of his
@@ -100,21 +100,17 @@ def blocking_pairs(inst: PreferenceInstance, matching: Matching) -> list[tuple[A
         for g in inst.boy_prefs[b][:upto]:
             her = matching.boy_of(g)
             if her is None or inst.girl_rank[g][b] < inst.girl_rank[g][her]:
-                found.append((b, g))
-    return found
+                yield b, g
+
+
+def blocking_pairs(inst: PreferenceInstance, matching: Matching) -> list[tuple[Agent, Agent]]:
+    """All mutually acceptable pairs that block the matching, in scan order."""
+    return list(_blocking_scan(inst, matching))
 
 
 def is_stable(inst: PreferenceInstance, matching: Matching) -> bool:
     """True iff the matching is valid for the instance and has no blocking pair."""
-    validate_matching(inst, matching)
-    for b in range(inst.n_boys):
-        partner = matching.girl_of(b)
-        upto = len(inst.boy_prefs[b]) if partner is None else inst.boy_rank[b][partner]
-        for g in inst.boy_prefs[b][:upto]:
-            her = matching.boy_of(g)
-            if her is None or inst.girl_rank[g][b] < inst.girl_rank[g][her]:
-                return False
-    return True
+    return next(_blocking_scan(inst, matching), None) is None
 
 
 def _deferred_acceptance(proposer_prefs, receiver_rank) -> dict[Agent, Agent]:

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instance import PreferenceInstance, Shift, ShiftDistribution, apply_shift
-from .matching import (
-    Matching,
-    boy_optimal,
-    is_stable,
-    join,
-    meet,
-)
+from .matching import Matching, boy_optimal, is_stable
 
 MAX_BRUTEFORCE_N = 8
 MAX_POSET_N = 7
@@ -213,66 +207,3 @@ def oracle_poset(inst: PreferenceInstance) -> OraclePoset:
     rotations = tuple(p for p, _ in sorted(ids.items(), key=lambda kv: kv[1]))
     stable = tuple(sorted(sets, key=lambda m: m.pairs))
     return OraclePoset(rotations, sets, stable)
-
-
-# ---------------------------------------------------------------------------
-# summary report
-
-@dataclass
-class OracleReport:
-    stable_set: tuple
-    objectives: dict
-    argmin_set: tuple
-    lattice_check: str
-    poset_check: str
-
-    @property
-    def ok(self) -> bool:
-        return self.lattice_check == "ok" and self.poset_check == "ok"
-
-
-def _check_lattice_laws(inst, stable) -> str:
-    universe = set(stable)
-    for m1 in stable:
-        for m2 in stable:
-            lo = meet(inst, m1, m2, validate=False)
-            hi = join(inst, m1, m2, validate=False)
-            if lo not in universe or hi not in universe:
-                return f"meet/join left the stable set for {m1} and {m2}"
-    for m1 in stable:
-        for m2 in stable:
-            for m3 in stable:
-                inner = join(inst, m2, m3, validate=False)
-                left = meet(inst, m1, inner, validate=False)
-                right = join(
-                    inst,
-                    meet(inst, m1, m2, validate=False),
-                    meet(inst, m1, m3, validate=False),
-                    validate=False,
-                )
-                if left != right:
-                    return "distributivity violated"
-    return "ok"
-
-
-def oracle_report(inst: PreferenceInstance, dist: ShiftDistribution) -> OracleReport:
-    """Ground-truth stable set, per-matching objectives, and argmin set."""
-    stable = enumerate_stable_bruteforce(inst)
-    objectives = {m: oracle_objective(inst, dist, m) for m in stable}
-    best, winners = oracle_argmin(inst, dist, stable)
-    lattice_check = _check_lattice_laws(inst, stable)
-    poset = oracle_poset(inst)
-    if set(poset.stable) == set(stable):
-        poset_check = "ok"
-    else:
-        poset_check = (
-            f"lattice walk reached {len(poset.stable)} matchings, "
-            f"enumeration found {len(stable)}"
-        )
-    return OracleReport(
-        stable_set=tuple(stable),
-        objectives=objectives,
-        argmin_set=tuple(winners),
-        lattice_check=lattice_check,
-        poset_check=poset_check,
-    )

@@ -1,15 +1,25 @@
-"""Succinct poset of ALL optimal robust matchings.
+"""Every sublattice of stable matchings the program hands back, as one type.
 
-One max flow pins down one robust matching, but usually many closed sets
-achieve the same minimum.  They are exactly the residual-closed vertex sets:
-no residual edge may enter the set from outside (Picard and Queyranne, "On
-the structure of all minimum cuts in a network", 1980).  Rotations with a
-residual path to the bottom endpoint -- the solver's own cut, as
-``extract_closed_set`` reads it -- are forced into every optimum; rotations
-the top endpoint reaches can never be used; everything else is free.
-Contracting the strongly connected components of the residual graph on the
-free rotations gives a DAG whose downward-closed subsets are in bijection
-with the optimal closed sets.
+A ``Sublattice`` compresses the rotation poset: rotations forced into every
+member, rotations forced out of every member, and an order on the free
+rest, whose downward-closed subsets are in bijection with the members.  Two
+sublattices are built here.
+
+A shift's destabilized set (``sublattice_poset``) forces in everything at
+or below its entry rotation and out everything at or above its exit
+rotation; the free rotations form a convex set, so their covers give the
+induced order.
+
+The robust set (``build_robust_poset``): one max flow pins down one robust
+matching, but usually many closed sets achieve the same minimum.  They are
+exactly the residual-closed vertex sets: no residual edge may enter the set
+from outside (Picard and Queyranne, "On the structure of all minimum cuts
+in a network", 1980).  Rotations with a residual path to the bottom
+endpoint -- the solver's own cut, as ``extract_closed_set`` reads it -- are
+forced into every optimum; rotations the top endpoint reaches can never be
+used; everything else is free.  Contracting the strongly connected
+components of the residual graph on the free rotations gives a DAG whose
+downward-closed subsets are in bijection with the optimal closed sets.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from dataclasses import dataclass
 from .flow import ClosureNetwork, FlowResult, extract_closed_set
 from .matching import Matching
 from .rotations import RotationPoset, closed_set_to_matching, closed_subsets, ids_to_mask, mask_to_ids
+from .shift_analysis import PROPER, ShiftAnalysis
 
 
 def _tarjan_scc(adj: list[list[int]]) -> tuple[int, list[int]]:
@@ -71,17 +82,18 @@ def _tarjan_scc(adj: list[list[int]]) -> tuple[int, list[int]]:
 
 
 @dataclass(frozen=True)
-class RobustPoset:
-    """All robust matchings, folded to mandatory/excluded rotations plus a free DAG.
+class Sublattice:
+    """The compression of the rotation poset that represents one sublattice.
 
-    free_elements come in a topological order of the DAG; edges (i, j) mean
-    element i must be included whenever j is.  Each downward-closed subset of
-    free elements yields one distinct robust matching.
+    Folded to mandatory/excluded rotations plus a DAG of free elements, each
+    a set of rotations.  free_elements come in a topological order of the
+    DAG; edges (i, j) mean element i must be included whenever j is.  Each
+    downward-closed subset of free elements yields one distinct member.
     """
 
     poset: RotationPoset
-    mandatory: tuple[int, ...]                 # rotations in every robust matching
-    excluded: tuple[int, ...]                  # rotations in no robust matching
+    mandatory: tuple[int, ...]                 # rotations in every member
+    excluded: tuple[int, ...]                  # rotations in no member
     free_elements: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
 
@@ -98,7 +110,7 @@ class RobustPoset:
     def element_closed_sets(self) -> list[int]:
         """All downward-closed subsets of free elements, as element bitmasks.
 
-        The empty set (the boy-best robust matching) comes first and every
+        The empty set (the boy-best member) comes first and every
         set before its supersets; see closed_subsets.
         """
         return closed_subsets(self._pred_masks(), range(len(self.free_elements)))
@@ -114,7 +126,7 @@ class RobustPoset:
         return self.mandatory_mask | ids_to_mask(r for i in ids for r in self.free_elements[i])
 
 
-def build_robust_poset(network: ClosureNetwork, flow: FlowResult) -> RobustPoset:
+def build_robust_poset(network: ClosureNetwork, flow: FlowResult) -> Sublattice:
     """Condense the residual graph into the poset of optimal closed sets.
 
     The mandatory rotations are ``extract_closed_set``'s, which raises
@@ -169,7 +181,7 @@ def build_robust_poset(network: ClosureNetwork, flow: FlowResult) -> RobustPoset
     position = [0] * count
     for i, c in enumerate(order):
         position[c] = i
-    return RobustPoset(
+    return Sublattice(
         poset=network.poset,
         mandatory=mask_to_ids(mandatory),
         excluded=excluded,
@@ -178,8 +190,8 @@ def build_robust_poset(network: ClosureNetwork, flow: FlowResult) -> RobustPoset
     )
 
 
-def robust_members(robust: RobustPoset, element_ids) -> Matching:
-    """The robust matching selected by a closed set of free elements."""
+def robust_members(robust: Sublattice, element_ids) -> Matching:
+    """The member selected by a closed set of free elements."""
     chosen = sorted(set(element_ids))
     selected = robust.rotation_mask(chosen)  # rejects unknown ids first
     preds = robust._pred_masks()
@@ -190,9 +202,40 @@ def robust_members(robust: RobustPoset, element_ids) -> Matching:
     return closed_set_to_matching(robust.poset, selected)
 
 
-def enumerate_robust(robust: RobustPoset) -> list[Matching]:
-    """Every robust matching exactly once, in element_closed_sets order."""
+def enumerate_robust(robust: Sublattice) -> list[Matching]:
+    """Every member of any ``Sublattice`` exactly once, in element_closed_sets
+    order: the robust set, or a shift's destabilized set."""
     return [
         closed_set_to_matching(robust.poset, robust.rotation_mask(mask_to_ids(emask)))
         for emask in robust.element_closed_sets()
     ]
+
+
+def sublattice_poset(poset: RotationPoset, analysis: ShiftAnalysis):
+    """(destabilized sublattice, its boy-best matching, its girl-best matching).
+
+    Only proper analyses have a destabilized sublattice.  Everything at or
+    below the entry rotation is mandatory, everything at or above the exit
+    rotation is excluded, and each remaining rotation is a free element of
+    its own, in ascending id.  The free rotations form a convex set, so the
+    covers between them generate the order they inherit.
+    """
+    if analysis.status != PROPER:
+        raise ValueError(f"sublattice is only defined for PROPER analyses, not {analysis.status}")
+    mandatory = excluded = 0
+    if analysis.rho_in is not None:
+        mandatory = poset.pred_closure[analysis.rho_in] | (1 << analysis.rho_in)
+    if analysis.rho_out is not None:
+        excluded = ids_to_mask(v for v in range(poset.size) if poset.leq(analysis.rho_out, v))
+    free = [v for v in range(poset.size) if not ((mandatory | excluded) >> v) & 1]
+    index = {r: i for i, r in enumerate(free)}
+    sublattice = Sublattice(
+        poset=poset,
+        mandatory=mask_to_ids(mandatory),
+        excluded=mask_to_ids(excluded),
+        free_elements=tuple((r,) for r in free),
+        edges=tuple(sorted((index[u], index[v]) for u in free for v in poset.hasse_succs[u] if v in index)),
+    )
+    boy_best = closed_set_to_matching(poset, mandatory)
+    girl_best = closed_set_to_matching(poset, poset.full_mask & ~excluded)
+    return sublattice, boy_best, girl_best

@@ -7,8 +7,9 @@ lattice, pinned down by at most one entry rotation and one exit rotation.
 Both list sides are read off the partner chains of the instance's one
 rotation poset (see ``RotationPoset``) by one rule, mirrored between the
 sides because a girl rises across the boundaries of her chain and a boy
-falls.  This module computes those rotations for a shift, classifies the
-outcome, and exposes the destabilized set as a poset fragment of its own.
+falls.  This module computes those rotations for a shift and classifies
+the outcome; ``representation.sublattice_poset`` turns a PROPER outcome into
+the destabilized set's ``Sublattice``.
 
 A shift's outcome depends on its window only through which of the owner's
 stable partners the window holds.  The owner's partners sit at ascending
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 
 from .instance import BOY_LIST, GIRL_LIST, PreferenceInstance, Shift, mover_position
 from .matching import Matching
-from .rotations import RotationPoset, closed_set_to_matching, closed_subsets, ids_to_mask
+from .rotations import RotationPoset
 
 DISJOINT = "DISJOINT"        # no stable matching survives the shift
 EMPTY_MAB = "EMPTY_MAB"      # every stable matching survives the shift
@@ -260,60 +261,3 @@ def characterize_MAB(inst: PreferenceInstance, shift: Shift, matching: Matching)
     if pos < i - shift.window or pos >= i:
         return False
     return mate is None or mover_rank[mate] > mover_rank[shift.agent]
-
-
-# ---------------------------------------------------------------------------
-# the destabilized set as a lattice of its own
-
-@dataclass(frozen=True)
-class SublatticePoset:
-    """Rotation poset fragment generating the destabilized matchings.
-
-    Starting from the matching generated by in_mask, applying any closed
-    subset of fragment_ids (order induced from the full poset) stays inside
-    the destabilized set, and every destabilized matching arises that way.
-    """
-
-    poset: RotationPoset
-    in_mask: int
-    out_mask: int
-    fragment_ids: tuple[int, ...]
-
-    @property
-    def fragment_mask(self) -> int:
-        return ids_to_mask(self.fragment_ids)
-
-    def closed_masks(self) -> list[int]:
-        """Every closed subset of the fragment, as rotation-id bitmasks.
-
-        Order is induced from the full poset (each predecessor mask cut down
-        to the fragment) and sets come in closed_subsets order, the empty
-        set (the boy-best destabilized matching) first.
-        """
-        closure = self.poset.pred_closure
-        fmask = self.fragment_mask
-        return closed_subsets([closure[v] & fmask for v in self.fragment_ids], self.fragment_ids)
-
-    def matchings(self) -> list[Matching]:
-        return [closed_set_to_matching(self.poset, self.in_mask | m) for m in self.closed_masks()]
-
-
-def sublattice_poset(poset: RotationPoset, analysis: ShiftAnalysis):
-    """(fragment, boy-best destabilized matching, girl-best destabilized matching).
-
-    Only proper analyses have a destabilized sublattice; everything at or
-    below the entry rotation is forced in, everything at or above the exit
-    rotation is forced out, and the fragment is what remains free.
-    """
-    if analysis.status != PROPER:
-        raise ValueError(f"sublattice is only defined for PROPER analyses, not {analysis.status}")
-    in_mask = 0
-    if analysis.rho_in is not None:
-        in_mask = poset.pred_closure[analysis.rho_in] | (1 << analysis.rho_in)
-    out_mask = 0
-    if analysis.rho_out is not None:
-        out_mask = ids_to_mask(v for v in range(poset.size) if poset.leq(analysis.rho_out, v))
-    fragment_ids = tuple(v for v in range(poset.size) if not ((in_mask | out_mask) >> v) & 1)
-    boy_best = closed_set_to_matching(poset, in_mask)
-    girl_best = closed_set_to_matching(poset, poset.full_mask & ~out_mask)
-    return SublatticePoset(poset, in_mask, out_mask, fragment_ids), boy_best, girl_best

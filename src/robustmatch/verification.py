@@ -25,7 +25,7 @@ from .oracle import (
 )
 from .representation import build_robust_poset, enumerate_robust
 from .rotations import RotationPoset, closed_set_to_matching, enumerate_closed_masks
-from .shift_analysis import characterize_MAB
+from .shift_analysis import analyze_shift, characterize_MAB
 
 
 def posets_isomorphic(poset: RotationPoset, reference: OraclePoset) -> str | None:
@@ -94,7 +94,8 @@ def cross_check(inst: PreferenceInstance, dist: ShiftDistribution) -> Verificati
         failures.append(mismatch)
 
     # per-shift: analysis formulas vs. direct re-testing vs. positional lemma
-    for analysis, (shift, _) in zip(run.analyses, run.dist.entries):
+    for shift, _ in dist.weights:
+        analysis = analyze_shift(run.poset, inst, shift)
         shifted = apply_shift(inst, shift)
         for mask, matching in matchings.items():
             direct = not is_stable(shifted, matching)

@@ -30,7 +30,7 @@ from robustmatch.instance import (
 )
 from robustmatch.matching import unmatched_agents
 from robustmatch.oracle import destabilized_set, enumerate_stable_bruteforce, oracle_poset
-from robustmatch.representation import build_robust_poset, enumerate_robust
+from robustmatch.representation import build_robust_poset, enumerate_robust, sublattice_poset
 from robustmatch.rotations import (
     build_rotation_poset,
     closed_set_to_matching,
@@ -42,7 +42,6 @@ from robustmatch.shift_analysis import (
     analyze_shift,
     characterize_MAB,
     find_component_rotations,
-    sublattice_poset,
 )
 from robustmatch.verification import posets_isomorphic
 
@@ -184,7 +183,7 @@ def check_structure(study: InstanceStudy):
         # (c) the poset fragment generates exactly the destabilized matchings
         if analysis.status == PROPER:
             fragment, boy_best, girl_best = sublattice_poset(poset, analysis)
-            assert set(fragment.matchings()) == broken_set
+            assert set(enumerate_robust(fragment)) == broken_set
             assert boy_best in broken_set and girl_best in broken_set
 
         # (d) the destabilized matchings are closed under meet and join

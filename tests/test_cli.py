@@ -456,6 +456,28 @@ class TestEnumerateGolden:
         assert len(calls) == 63
 
 
+class TestAnalyzeShiftGolden:
+    """Output bytes pinned for three PROPER shifts on 3 cyclic blocks of 4,
+    each with a non-empty fragment: R3 -> T (48 destabilized matchings),
+    R4 -> R5 and R0 -> R1 (16 each, the second from a boy's list)."""
+
+    SHIFTS = {
+        "girl-b3-3": "GIRL_LIST g1 b3 3",
+        "girl-b5-1": "GIRL_LIST g1 b5 1",
+        "boy-g10-1": "BOY_LIST b1 g10 1",
+    }
+
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    @pytest.mark.parametrize("name", SHIFTS)
+    def test_bytes(self, capsys, name, fmt):
+        code, out, _ = cli(
+            capsys, "analyze-shift", "--instance", str(FIXTURES / "three-blocks.txt"),
+            "--shift", self.SHIFTS[name], "--format", "text" if fmt == "txt" else "json",
+        )
+        assert code == 0
+        assert out == (FIXTURES / "golden" / f"analyze-shift-{name}.{fmt}").read_text(encoding="utf-8")
+
+
 class TestVerify:
     def test_ok_text(self, capsys, i2_path):
         code, out, _ = cli(

@@ -15,6 +15,7 @@ from robustmatch import (
     Matching,
     Shift,
     ShiftDistribution,
+    analyze_shift,
     build_network,
     build_rotation_poset,
     closed_set_to_matching,
@@ -28,7 +29,6 @@ from robustmatch import flow
 from robustmatch.cli import gen_random_instance
 from robustmatch.flow import (
     ClosureNetwork,
-    analyze_domain,
     certificate_violations,
     dump_ip,
     dump_network,
@@ -181,7 +181,8 @@ class TestNetworkMatchesPerShiftReference:
     def check(inst, dist):
         poset = build_rotation_poset(inst)
         network = build_network(poset, dist)
-        reference = reference_network(poset, analyze_domain(poset, inst, dist), dist)
+        analyses = [analyze_shift(poset, inst, shift) for shift, _ in dist.weights]
+        reference = reference_network(poset, analyses, dist)
         assert network.n_rotations == reference.n_rotations
         assert network.hasse_edges == reference.hasse_edges
         assert network.shift_edges == reference.shift_edges
@@ -380,7 +381,8 @@ class TestPipeline:
     def test_objective_equals_mask_accounting(self, i3):
         dist = ShiftDistribution.uniform(i3)
         run = solve_pipeline(i3, dist)
-        assert run.solution.objective == objective_of_mask(run.analyses, dist, run.closed_mask)
+        analyses = [analyze_shift(run.poset, i3, shift) for shift, _ in dist.weights]
+        assert run.solution.objective == objective_of_mask(analyses, dist, run.closed_mask)
 
     @given(random_instances(max_n=5), st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)

@@ -15,7 +15,6 @@ from robustmatch.oracle import (
     oracle_argmin,
     oracle_objective,
     oracle_poset,
-    oracle_report,
 )
 
 from test_flow import point_dist
@@ -112,16 +111,3 @@ class TestOraclePoset:
     def test_lattice_walk_reaches_every_stable_matching(self, inst):
         poset = oracle_poset(inst)
         assert set(poset.stable) == set(enumerate_stable_bruteforce(inst))
-
-
-class TestOracleReport:
-    def test_ok_on_uniform_distributions(self, i2, i3):
-        for inst in (i2, i3):
-            report = oracle_report(inst, ShiftDistribution.uniform(inst))
-            assert report.ok
-            assert report.lattice_check == "ok"
-            assert report.poset_check == "ok"
-            assert set(report.objectives) == set(report.stable_set)
-            assert report.argmin_set
-            best = min(report.objectives.values())
-            assert all(report.objectives[m] == best for m in report.argmin_set)

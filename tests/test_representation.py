@@ -23,7 +23,7 @@ from robustmatch import (
 )
 from robustmatch.flow import ClosureNetwork, build_network, extract_closed_set, solve
 from robustmatch.oracle import oracle_argmin
-from robustmatch.representation import RobustPoset, _tarjan_scc
+from robustmatch.representation import Sublattice, _tarjan_scc
 from robustmatch.rotations import build_rotation_poset, ids_to_mask, mask_to_ids
 
 from test_cli import FIXTURES
@@ -206,7 +206,7 @@ class TestElementClosedSets:
 
     def test_deep_chain(self):
         """Needs no recursion: 2,000 singleton free elements in a chain give 2,001 prefixes."""
-        robust = RobustPoset(
+        robust = Sublattice(
             poset=None,
             mandatory=(),
             excluded=(),
@@ -216,7 +216,7 @@ class TestElementClosedSets:
         assert robust.element_closed_sets() == chain_prefixes(range(DEEP_CHAIN))
 
 
-def reference_robust_poset(network: ClosureNetwork, flow) -> RobustPoset:
+def reference_robust_poset(network: ClosureNetwork, flow) -> Sublattice:
     """Test-only reference: the condensation build_robust_poset replaced.
 
     Condenses the whole residual graph, endpoints included, and finds the
@@ -265,7 +265,7 @@ def reference_robust_poset(network: ClosureNetwork, flow) -> RobustPoset:
                     insort(ready, (min(members[d]), d))
     assert len(order) == len(free_set)
     position = {c: i for i, c in enumerate(order)}
-    return RobustPoset(
+    return Sublattice(
         poset=network.poset,
         mandatory=tuple(sorted(r for c in reaches_bottom for r in members[c])),
         excluded=tuple(sorted(r for c in from_top for r in members[c])),
@@ -274,7 +274,7 @@ def reference_robust_poset(network: ClosureNetwork, flow) -> RobustPoset:
     )
 
 
-def condensation_fields(robust: RobustPoset):
+def condensation_fields(robust: Sublattice):
     return robust.mandatory, robust.excluded, robust.free_elements, robust.edges
 
 
@@ -283,7 +283,7 @@ class TestCondensationMatchesReference:
     equals the whole-graph condensation."""
 
     @staticmethod
-    def check(inst, dist) -> RobustPoset:
+    def check(inst, dist) -> Sublattice:
         run = solve_pipeline(inst, dist)
         robust = build_robust_poset(run.network, run.flow)
         assert condensation_fields(robust) == condensation_fields(reference_robust_poset(run.network, run.flow))

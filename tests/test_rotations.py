@@ -469,7 +469,7 @@ class TestDiscoveryMatchesEliminateLoop:
     """build_rotation_poset, found by Gusfield's walk and then renumbered,
     gives the rotations of the exposed_rotations + eliminate loop the same ids,
     the same chains on both sides, and the order found without its rules;
-    a destabilized sublattice's out_mask is the old successor closure's."""
+    a destabilized sublattice's excluded set is the old successor closure."""
 
     @staticmethod
     def check(inst, every_shift=True):
@@ -492,7 +492,7 @@ class TestDiscoveryMatchesEliminateLoop:
             analysis = analyze_shift(poset, inst, shift)
             if analysis.status == PROPER and analysis.rho_out is not None:
                 fragment, _, _ = sublattice_poset(poset, analysis)
-                assert fragment.out_mask == succ_closure[analysis.rho_out] | 1 << analysis.rho_out
+                assert ids_to_mask(fragment.excluded) == succ_closure[analysis.rho_out] | 1 << analysis.rho_out
 
     @given(random_instances(max_n=8, completeness=st.floats(0.3, 1.0)))
     @settings(max_examples=80, deadline=None)

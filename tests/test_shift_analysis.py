@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +11,14 @@ from robustmatch import (
     BOY_LIST,
     GIRL_LIST,
     Shift,
+    Sublattice,
     analyze_shift,
     apply_shift,
     build_rotation_poset,
     characterize_MAB,
     closed_set_to_matching,
     enumerate_closed_masks,
+    enumerate_robust,
     enumerate_shift_domain,
     is_stable,
     join,
@@ -27,13 +28,13 @@ from robustmatch import (
 )
 from robustmatch.instance import reversed_instance
 from robustmatch.matching import boy_optimal, unmatched_agents
+from robustmatch.rotations import mask_to_ids
 from robustmatch.shift_analysis import (
     DISJOINT,
     EMPTY_MAB,
     PROPER,
     STATUSES,
     ShiftAnalysis,
-    SublatticePoset,
     _mover_crossing,
     _surviving_runs,
     find_component_rotations,
@@ -353,20 +354,29 @@ class TestCharacterize:
                 assert characterize_MAB(inst, shift, m) == (not is_stable(shifted, m))
 
 
+def free_rotation_sets(sublattice) -> list[int]:
+    """The sublattice's closed element sets, in order, as the free rotations
+    each one adds to the mandatory set."""
+    return [
+        sublattice.rotation_mask(mask_to_ids(emask)) & ~sublattice.mandatory_mask
+        for emask in sublattice.element_closed_sets()
+    ]
+
+
 class TestSublattice:
     def test_i3_singleton(self, i3):
         poset = build_rotation_poset(i3)
         analysis = analyze_shift(poset, i3, I3_SHIFT)
         fragment, boy_best, girl_best = sublattice_poset(poset, analysis)
-        assert fragment.fragment_ids == ()
+        assert fragment.free_elements == ()
         assert boy_best == girl_best == M1_I3
-        assert fragment.matchings() == [M1_I3]
+        assert enumerate_robust(fragment) == [M1_I3]
 
     def test_i2_singleton(self, i2):
         poset = build_rotation_poset(i2)
         analysis = analyze_shift(poset, i2, I2_SHIFT)
         fragment, boy_best, girl_best = sublattice_poset(poset, analysis)
-        assert fragment.fragment_ids == ()
+        assert fragment.free_elements == ()
         assert boy_best == girl_best == MZ_I2
 
     def test_requires_proper(self, i2):
@@ -387,7 +397,7 @@ class TestSublattice:
             shifted = apply_shift(inst, shift)
             expected = {m for m in generated.values() if not is_stable(shifted, m)}
             fragment, boy_best, girl_best = sublattice_poset(poset, analysis)
-            members = fragment.matchings()
+            members = enumerate_robust(fragment)
             assert len(set(members)) == len(members)
             assert set(members) == expected
             assert boy_best in expected and girl_best in expected
@@ -406,15 +416,21 @@ class TestSublattice:
             if analysis.status != PROPER:
                 continue
             fragment, _, _ = sublattice_poset(poset, analysis)
-            ids = fragment.fragment_ids
+            ids = [r for (r,) in fragment.free_elements]
             fmask = sum(1 << v for v in ids)
             expected = recursive_closed_subsets([poset.pred_closure[v] & fmask for v in ids], ids)
-            assert fragment.closed_masks() == expected
+            assert free_rotation_sets(fragment) == expected
 
     def test_deep_chain(self):
         """Needs no recursion: a 2,000-rotation fragment of a chain, cut off
         below and above, gives 2,001 prefixes."""
         n = DEEP_CHAIN + 2
-        stand_in = SimpleNamespace(pred_closure=tuple((1 << v) - 1 for v in range(n)))
-        fragment = SublatticePoset(stand_in, in_mask=0b1, out_mask=1 << (n - 1), fragment_ids=tuple(range(1, n - 1)))
-        assert fragment.closed_masks() == chain_prefixes(range(1, n - 1))
+        free = range(1, n - 1)
+        fragment = Sublattice(
+            poset=None,
+            mandatory=(0,),
+            excluded=(n - 1,),
+            free_elements=tuple((v,) for v in free),
+            edges=tuple((i, i + 1) for i in range(len(free) - 1)),
+        )
+        assert free_rotation_sets(fragment) == chain_prefixes(free)
