@@ -16,10 +16,10 @@ Exit codes: 0 success, 1 validation or usage error, 2 verification mismatch,
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .flow import dump_ip, dump_network, solve_pipeline
 from .instance import (
@@ -72,6 +72,70 @@ def _matching_json(inst: PreferenceInstance, matching) -> dict:
 
 def _matching_block(inst: PreferenceInstance, matching) -> str:
     return serialize_matching(inst, matching).rstrip("\n")
+
+
+def _json_block(open_: str, items: list[str], depth: int, close: str) -> str:
+    """A non-empty JSON array or object, one rendered item per line."""
+    inner = "\n" + "  " * (depth + 1)
+    return open_ + inner + ("," + inner).join(items) + "\n" + "  " * depth + close
+
+
+def _json_text(obj, depth: int, memo: dict) -> str:
+    """obj as the json module renders it with indent=2, at this nesting depth.
+
+    A list of strings is rendered once per depth: memo maps (depth, *items)
+    to its text, so the thousands of repeated ["bN", "gM"] pairs of an
+    enumeration are one lookup each.  Only all-str lists are stored, so a
+    hit is exact (no str equals 1 or True); an unhashable item makes the
+    lookup raise TypeError and marks a list that holds containers.
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        key = (depth, *obj)
+        try:
+            text = memo.get(key)
+        except TypeError:  # an item is a container
+            key = text = None
+        if text is None:
+            leaf = key is not None and all(type(item) is str for item in obj)
+            if leaf:
+                items = [encode_basestring_ascii(item) for item in obj]
+            else:
+                items = [_json_text(item, depth + 1, memo) for item in obj]
+            text = _json_block("[", items, depth, "]")
+            if leaf:
+                memo[key] = text
+        return text
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        fields = []
+        for name, value in obj.items():
+            if not isinstance(name, str):
+                raise TypeError(f"keys must be str, not {type(name).__name__}")
+            fields.append(encode_basestring_ascii(name) + ": " + _json_text(value, depth + 1, memo))
+        return _json_block("{", fields, depth, "}")
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _emit(payload) -> None:
+    """Print payload byte for byte as the json module prints it with indent=2.
+
+    Takes dicts with str keys, lists, tuples, str, int, bool and None; any
+    other type raises TypeError and prints nothing.
+    """
+    print(_json_text(payload, 0, {}))
 
 
 def _load_instance(args) -> PreferenceInstance:
@@ -148,7 +212,7 @@ def _cmd_solve(args) -> int:
             payload["network"] = dump_network(run.network).splitlines()
         if args.dump_ip:
             payload["ip"] = dump_ip(run.network).splitlines()
-        print(json.dumps(payload, indent=2))
+        _emit(payload)
         return 0
     lines = [_matching_block(inst, sol.matching)]
     lines.append(f"objective {_fmt_q(sol.objective)}")
@@ -183,7 +247,7 @@ def _cmd_lattice(args) -> int:
             "boy_optimal": _matching_json(inst, poset.boy_opt),
             "girl_optimal": _matching_json(inst, poset.girl_opt),
         }
-        print(json.dumps(payload, indent=2))
+        _emit(payload)
         return 0
     lines = [f"R{k}: {rot.describe()}" for k, rot in enumerate(poset.rotations)]
     lines += [f"HASSE: {u} -> {v}" for u, v in edges]
@@ -233,7 +297,7 @@ def _cmd_analyze_shift(args) -> int:
             "m_boy": _matching_json(inst, boy_best) if boy_best is not None else None,
             "m_girl": _matching_json(inst, girl_best) if girl_best is not None else None,
         }
-        print(json.dumps(payload, indent=2))
+        _emit(payload)
         return 0
     lines = [f"shift {shift.describe()}", f"status {analysis.status}"]
     if analysis.status == PROPER:
@@ -268,7 +332,7 @@ def _cmd_represent(args) -> int:
         }
         if matchings is not None:
             payload["matchings"] = [_matching_json(inst, m) for m in matchings]
-        print(json.dumps(payload, indent=2))
+        _emit(payload)
         return 0
 
     def ids(rotations) -> str:
@@ -301,7 +365,7 @@ def _cmd_enumerate(args) -> int:
                 _matching_json(inst, closed_set_to_matching(poset, m)) for m in masks
             ],
         }
-        print(json.dumps(payload, indent=2))
+        _emit(payload)
         return 0
     blocks = [_matching_block(inst, closed_set_to_matching(poset, m)) for m in masks]
     print("\n\n".join(blocks))
@@ -324,7 +388,7 @@ def _cmd_verify(args) -> int:
             "oracle_robust_count": len(report.oracle_argmin),
             "argmin": [_matching_json(inst, m) for m in report.main_argmin],
         }
-        print(json.dumps(payload, indent=2))
+        _emit(payload)
         return 0 if report.ok else 2
     lines = [
         f"objective {_fmt_q(report.main_objective)}",
@@ -352,7 +416,7 @@ def _cmd_gen(args) -> int:
             "boys": [[girl_name(g) for g in prefs] for prefs in inst.boy_prefs],
             "girls": [[boy_name(b) for b in prefs] for prefs in inst.girl_prefs],
         }
-        print(json.dumps(payload, indent=2))
+        _emit(payload)
         return 0
     sys.stdout.write(serialize_instance(inst))
     return 0

@@ -198,7 +198,7 @@ def robust_members(robust: Sublattice, element_ids) -> Matching:
     mask = ids_to_mask(chosen)
     for i in chosen:
         if preds[i] & ~mask:
-            raise ValueError("element set is not downward closed in the robust poset")
+            raise ValueError("element set is not downward closed in the sublattice")
     return closed_set_to_matching(robust.poset, selected)
 
 

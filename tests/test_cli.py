@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -12,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import robustmatch.cli
 from robustmatch import serialize_instance
@@ -476,6 +479,90 @@ class TestAnalyzeShiftGolden:
         )
         assert code == 0
         assert out == (FIXTURES / "golden" / f"analyze-shift-{name}.{fmt}").read_text(encoding="utf-8")
+
+
+def emitted(obj) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        robustmatch.cli._emit(obj)
+    return buf.getvalue()
+
+
+# strings that exercise every escape: quotes, backslashes, control
+# characters, non-ASCII text, astral code points and lone surrogates
+JSON_STRINGS = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f \xe9\u2028\ufeff\ud800\udfff\U0001f600'),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=6,
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**100, -(2**70), 0, -1])
+    | JSON_STRINGS | st.sampled_from(["b1", "g1", "1"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestEmit:
+    """The CLI's JSON emitter writes the bytes of json.dumps(obj, indent=2)."""
+
+    @given(JSON_VALUES)
+    @settings(max_examples=300)
+    def test_matches_json_dumps(self, obj):
+        assert emitted(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        # same-depth lists that are equal as tuples only if 1 == "1" or 1 == True
+        [["1"], [1], [True], ["1"], [1], [True]],
+        [[True], [1], ["1"], [True, "1"], ["1", True]],
+        {"a": [0, 1], "b": [False, True], "c": ["0", "1"], "d": [False, True]},
+        # one leaf list repeated at two depths, then again at the first
+        {"pair": ["b1", "g1"], "pairs": [["b1", "g1"], ["b1", "g1"]], "again": ["b1", "g1"]},
+        [["b1", "g1"], [["b1", "g1"]], [[["b1", "g1"]]], ["b1", "g1"]],
+        # tuples render as lists and share the memo with them
+        [("b1", "g1"), ["b1", "g1"], (), [], {}],
+    ])
+    def test_memo_is_exact(self, obj):
+        assert emitted(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [1.5, [1.5], {1, 2}, {"a": [{2}]}, {1: "a"}, [{None: 1}], object()])
+    def test_rejects_other_types_and_prints_nothing(self, obj):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), pytest.raises(TypeError):
+            robustmatch.cli._emit(obj)
+        assert buf.getvalue() == ""
+
+
+class TestJsonRoundTrip:
+    """Every subcommand's --format json output is what the standard library
+    writes when it re-renders the parsed payload."""
+
+    CASES = {
+        "solve": ("solve", "--instance", "three-blocks.txt", "--dist", "three-blocks.dist",
+                  "--dump-network", "--dump-ip"),
+        "lattice": ("lattice", "--instance", "three-blocks.txt"),
+        "analyze-shift-proper": ("analyze-shift", "--instance", "unmatched.txt", "--shift", "GIRL_LIST g3 b12 1"),
+        "analyze-shift-disjoint": ("analyze-shift", "--instance", "unmatched.txt", "--shift", "GIRL_LIST g4 b5 1"),
+        "analyze-shift-empty": ("analyze-shift", "--instance", "unmatched.txt", "--shift", "GIRL_LIST g1 b13 1"),
+        "represent": ("represent", "--instance", "three-blocks.txt", "--dist", "three-blocks.dist", "--enumerate"),
+        "enumerate": ("enumerate", "--instance", "unmatched.txt"),
+        "verify": ("verify", "--instance", "I3.txt", "--dist", "full-uniform"),
+        "gen": ("gen", "--n", "6", "--seed", "5", "--completeness", "0.5"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bytes_match_the_stdlib(self, capsys, case):
+        argv = [str(FIXTURES / a) if a.endswith((".txt", ".dist")) else a for a in self.CASES[case]]
+        code, out, _ = cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
+        if case.startswith("analyze-shift-") and case != "analyze-shift-proper":
+            assert payload["rho_in"] is payload["fragment"] is payload["m_boy"] is None
 
 
 class TestVerify:

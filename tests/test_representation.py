@@ -12,14 +12,18 @@ from hypothesis import given, settings, strategies as st
 
 from robustmatch import (
     ShiftDistribution,
+    analyze_shift,
     build_robust_poset,
     enumerate_robust,
     enumerate_shift_domain,
     join,
     meet,
     parse_distribution,
+    parse_instance,
+    parse_shift,
     robust_members,
     solve_pipeline,
+    sublattice_poset,
 )
 from robustmatch.flow import ClosureNetwork, build_network, extract_closed_set, solve
 from robustmatch.oracle import oracle_argmin
@@ -136,6 +140,18 @@ class TestRobustMembers:
         robust, _ = robust_of(i3, ShiftDistribution(()))
         with pytest.raises(ValueError, match="downward closed"):
             robust_members(robust, [1])
+
+    def test_destabilized_set_names_the_sublattice(self):
+        """R4 -> R5 on 3 cyclic blocks of 4 leaves 6 free rotations; the
+        first two, R0 and R1, are a chain."""
+        inst = parse_instance((FIXTURES / "three-blocks.txt").read_text(encoding="utf-8"))
+        poset = build_rotation_poset(inst)
+        analysis = analyze_shift(poset, inst, parse_shift("GIRL_LIST g1 b5 1", inst))
+        sublattice, boy_best, _ = sublattice_poset(poset, analysis)
+        assert sublattice.edges[0] == (0, 1)
+        assert robust_members(sublattice, []) == boy_best
+        with pytest.raises(ValueError, match="^element set is not downward closed in the sublattice$"):
+            robust_members(sublattice, [1])
 
     @pytest.mark.parametrize("ids", [[5], [-1], [0, 2]])
     def test_rejects_unknown_ids(self, i3, ids):
