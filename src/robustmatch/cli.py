@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 validation or usage error, 2 verification mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -36,7 +37,7 @@ from .instance import (
 from .matching import serialize_matching, unmatched_agents
 from .representation import build_robust_poset, enumerate_robust, sublattice_poset
 from .rotations import build_rotation_poset, closed_set_to_matching, enumerate_closed_masks
-from .shift_analysis import DISJOINT, PROPER, analyze_shift
+from .shift_analysis import EMPTY_MAB, PROPER, analyze_shift
 from .verification import cross_check
 
 # beyond this many free bits, counting matchings by enumeration is refused
@@ -263,49 +264,38 @@ def _member_count(sublattice) -> int | None:
     return len(sublattice.element_closed_sets())
 
 
-def _mab_size(poset, analysis, sublattice) -> int | None:
-    """|M_AB| when small enough to enumerate, else None; sublattice is the
-    destabilized set of a PROPER analysis."""
-    if analysis.status == PROPER:
-        return _member_count(sublattice)
-    if analysis.status == DISJOINT:
-        if poset.size > _COUNT_LIMIT:
-            return None
-        return len(enumerate_closed_masks(poset))
-    return 0
-
-
 def _cmd_analyze_shift(args) -> int:
     inst = _load_instance(args)
     shift = parse_shift(args.shift, inst)
     poset = build_rotation_poset(inst)
     analysis = analyze_shift(poset, inst, shift)
-    sublattice = boy_best = girl_best = None
-    if analysis.status == PROPER:
+    size = 0
+    if analysis.status != EMPTY_MAB:
         sublattice, boy_best, girl_best = sublattice_poset(poset, analysis)
-    size = _mab_size(poset, analysis, sublattice)
+        size = _member_count(sublattice)
+    proper = analysis.status == PROPER
     if args.format == "json":
         payload = {
             "schema": 1,
             "command": "analyze-shift",
             "shift": shift.describe(),
             "status": analysis.status,
-            "rho_in": _rho_name(analysis.rho_in, "S") if analysis.status == PROPER else None,
-            "rho_out": _rho_name(analysis.rho_out, "T") if analysis.status == PROPER else None,
+            "rho_in": _rho_name(analysis.rho_in, "S") if proper else None,
+            "rho_out": _rho_name(analysis.rho_out, "T") if proper else None,
             "m_ab_size": size,
-            "fragment": [r for (r,) in sublattice.free_elements] if sublattice is not None else None,
-            "m_boy": _matching_json(inst, boy_best) if boy_best is not None else None,
-            "m_girl": _matching_json(inst, girl_best) if girl_best is not None else None,
+            "fragment": [r for (r,) in sublattice.free_elements] if proper else None,
+            "m_boy": _matching_json(inst, boy_best) if proper else None,
+            "m_girl": _matching_json(inst, girl_best) if proper else None,
         }
         _emit(payload)
         return 0
     lines = [f"shift {shift.describe()}", f"status {analysis.status}"]
-    if analysis.status == PROPER:
+    if proper:
         lines.append(f"rho_in {_rho_name(analysis.rho_in, 'S')}")
         lines.append(f"rho_out {_rho_name(analysis.rho_out, 'T')}")
     if size is not None:
         lines.append(f"|M_AB| {size}")
-    if boy_best is not None:
+    if proper:
         lines += ["M_boy:", _matching_block(inst, boy_best)]
         lines += ["M_girl:", _matching_block(inst, girl_best)]
     print("\n".join(lines))
@@ -484,8 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves a parser unchanged, so every run call in a process shares one
+_shared_parser = functools.cache(build_parser)
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

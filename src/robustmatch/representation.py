@@ -2,35 +2,44 @@
 
 A ``Sublattice`` compresses the rotation poset: rotations forced into every
 member, rotations forced out of every member, and an order on the free
-rest, whose downward-closed subsets are in bijection with the members.  Two
-sublattices are built here.
+rest, whose downward-closed subsets are in bijection with the members.
+One builder, ``condense``, makes every one of them from a graph of forcing
+arcs on the rotations plus a bottom endpoint (in every set) and a top
+endpoint (in none): the caller's mandatory rotations reach the bottom,
+the rotations the top reaches are excluded, and the strongly connected
+components of the arcs among the free rest, contracted, give a DAG whose
+downward-closed subsets are the members.  Two callers pass different arcs.
 
-A shift's destabilized set (``sublattice_poset``) forces in everything at
-or below its entry rotation and out everything at or above its exit
-rotation; the free rotations form a convex set, so their covers give the
-induced order.
+A shift's destabilized set (``sublattice_poset``) passes the Hasse arcs
+plus one arc from the top to its exit rotation, and everything at or below
+its entry rotation as mandatory; the free rotations form a convex set, so
+each is a component of its own and their covers give the induced order.
+A DISJOINT shift has neither rotation: its set is the whole lattice.
 
 The robust set (``build_robust_poset``): one max flow pins down one robust
 matching, but usually many closed sets achieve the same minimum.  They are
 exactly the residual-closed vertex sets: no residual edge may enter the set
 from outside (Picard and Queyranne, "On the structure of all minimum cuts
-in a network", 1980).  Rotations with a residual path to the bottom
-endpoint -- the solver's own cut, as ``extract_closed_set`` reads it -- are
-forced into every optimum; rotations the top endpoint reaches can never be
-used; everything else is free.  Contracting the strongly connected
-components of the residual graph on the free rotations gives a DAG whose
-downward-closed subsets are in bijection with the optimal closed sets.
+in a network", 1980).  So the arcs are the residual edges, and the
+mandatory rotations are those with a residual path to the bottom endpoint
+-- the solver's own cut, as ``extract_closed_set`` reads it.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 
 from .flow import ClosureNetwork, FlowResult, extract_closed_set
 from .matching import Matching
-from .rotations import RotationPoset, closed_set_to_matching, closed_subsets, ids_to_mask, mask_to_ids
-from .shift_analysis import PROPER, ShiftAnalysis
+from .rotations import (
+    RotationPoset,
+    closed_set_to_matching,
+    closed_subsets,
+    ids_to_mask,
+    mask_to_ids,
+    topological_order,
+)
+from .shift_analysis import DISJOINT, PROPER, ShiftAnalysis
 
 
 def _tarjan_scc(adj: list[list[int]]) -> tuple[int, list[int]]:
@@ -126,68 +135,66 @@ class Sublattice:
         return self.mandatory_mask | ids_to_mask(r for i in ids for r in self.free_elements[i])
 
 
-def build_robust_poset(network: ClosureNetwork, flow: FlowResult) -> Sublattice:
-    """Condense the residual graph into the poset of optimal closed sets.
+def condense(poset: RotationPoset, succ, mandatory: int) -> Sublattice:
+    """The sublattice of the closed sets that respect a graph of forcing arcs.
 
-    The mandatory rotations are ``extract_closed_set``'s, which raises
-    ValueError when the flow is not maximum; the excluded ones are those
-    one forward walk from the top endpoint reaches.  A residual cycle
-    through a free rotation meets neither kind (it would make the rotation
-    reach the bottom or be reached from the top), so components, DAG edges
-    and the order of the free elements -- Kahn's, smallest least member
-    first -- are computed over the free rotations alone.
+    Nodes are the rotations, then the bottom endpoint ``poset.size`` (in
+    every set) and the top endpoint ``poset.size + 1`` (in none); succ[u]
+    lists the heads of the arcs out of u, and an arc u -> v means that v in
+    a set forces u in.  ``mandatory`` is the caller's mask of the rotations
+    forced in, those that reach the bottom; the arcs out of them are never
+    read.  The rotations one forward walk from the top reaches are excluded.  A cycle through a free rotation meets neither kind (it
+    would make the rotation reach the bottom or be reached from the top), so
+    components, DAG edges and the order of the free elements -- smallest
+    least member first -- are computed over the free rotations alone.
     """
-    mandatory = extract_closed_set(network, flow)
-    to, cap = flow.to, flow.cap
-    reached = [False] * network.n_nodes
-    reached[network.top] = True
-    stack = [network.top]
+    top = poset.size + 1
+    reached = [False] * (top + 1)
+    reached[top] = True
+    stack = [top]
     while stack:
-        for e in flow.adj[stack.pop()]:
-            v = to[e]
-            if cap[e] > 0 and not reached[v]:
+        for v in succ[stack.pop()]:
+            if not reached[v]:
                 reached[v] = True
                 stack.append(v)
-    rotations = range(network.n_rotations)
+    rotations = range(poset.size)
     excluded = tuple(r for r in rotations if reached[r])
     free = [r for r in rotations if not reached[r] and not (mandatory >> r) & 1]
     index = {r: i for i, r in enumerate(free)}
-    free_adj = [[index[to[e]] for e in flow.adj[r] if cap[e] > 0 and to[e] in index] for r in free]
+    free_adj = [[index[v] for v in succ[r] if v in index] for r in free]
 
     count, comp = _tarjan_scc(free_adj)
     members: list[list[int]] = [[] for _ in range(count)]
     for r, c in zip(free, comp):
         members[c].append(r)
-    dag_succ: list[set[int]] = [set() for _ in range(count)]
-    for i, succ in enumerate(free_adj):
-        dag_succ[comp[i]].update(comp[j] for j in succ if comp[j] != comp[i])
-
-    pending = [0] * count
-    for succ in dag_succ:
-        for d in succ:
-            pending[d] += 1
-    ready = sorted((members[c][0], c) for c in range(count) if pending[c] == 0)
-    order: list[int] = []
-    while ready:
-        _, c = ready.pop(0)
-        order.append(c)
-        for d in dag_succ[c]:
-            pending[d] -= 1
-            if pending[d] == 0:
-                insort(ready, (members[d][0], d))
-    if len(order) != count:
-        raise AssertionError("free components of the residual condensation do not form a DAG")
-
+    dag_pred: list[set[int]] = [set() for _ in range(count)]
+    for i, heads in enumerate(free_adj):
+        for j in heads:
+            if comp[j] != comp[i]:
+                dag_pred[comp[j]].add(comp[i])
+    order = topological_order(dag_pred, [m[0] for m in members])
     position = [0] * count
     for i, c in enumerate(order):
         position[c] = i
     return Sublattice(
-        poset=network.poset,
+        poset=poset,
         mandatory=mask_to_ids(mandatory),
         excluded=excluded,
         free_elements=tuple(tuple(members[c]) for c in order),
-        edges=tuple(sorted((position[c], position[d]) for c in range(count) for d in dag_succ[c])),
+        edges=tuple(sorted((position[c], position[d]) for d in range(count) for c in dag_pred[d])),
     )
+
+
+def build_robust_poset(network: ClosureNetwork, flow: FlowResult) -> Sublattice:
+    """Condense the residual graph into the poset of optimal closed sets.
+
+    The arcs are the edges with positive residual capacity; the mandatory
+    rotations are ``extract_closed_set``'s, which raises ValueError when
+    the flow is not maximum.
+    """
+    mandatory, to, cap = extract_closed_set(network, flow), flow.to, flow.cap
+    succ = [() if mandatory >> u & 1 else [to[e] for e in edges if cap[e] > 0] for u, edges in enumerate(flow.adj)]
+    return condense(network.poset, succ, mandatory)
 
 
 def robust_members(robust: Sublattice, element_ids) -> Matching:
@@ -214,28 +221,18 @@ def enumerate_robust(robust: Sublattice) -> list[Matching]:
 def sublattice_poset(poset: RotationPoset, analysis: ShiftAnalysis):
     """(destabilized sublattice, its boy-best matching, its girl-best matching).
 
-    Only proper analyses have a destabilized sublattice.  Everything at or
-    below the entry rotation is mandatory, everything at or above the exit
-    rotation is excluded, and each remaining rotation is a free element of
-    its own, in ascending id.  The free rotations form a convex set, so the
-    covers between them generate the order they inherit.
+    The condensation of the Hasse arcs plus one arc from the top to the exit
+    rotation: everything at or below the entry rotation is mandatory,
+    everything at or above the exit rotation is excluded, and each remaining
+    rotation is a free element of its own, in ascending id.  A DISJOINT
+    analysis has neither, so its sublattice is the whole lattice.  An
+    EMPTY_MAB analysis destabilizes nothing and raises ValueError.
     """
-    if analysis.status != PROPER:
-        raise ValueError(f"sublattice is only defined for PROPER analyses, not {analysis.status}")
-    mandatory = excluded = 0
-    if analysis.rho_in is not None:
-        mandatory = poset.pred_closure[analysis.rho_in] | (1 << analysis.rho_in)
-    if analysis.rho_out is not None:
-        excluded = ids_to_mask(v for v in range(poset.size) if poset.leq(analysis.rho_out, v))
-    free = [v for v in range(poset.size) if not ((mandatory | excluded) >> v) & 1]
-    index = {r: i for i, r in enumerate(free)}
-    sublattice = Sublattice(
-        poset=poset,
-        mandatory=mask_to_ids(mandatory),
-        excluded=mask_to_ids(excluded),
-        free_elements=tuple((r,) for r in free),
-        edges=tuple(sorted((index[u], index[v]) for u in free for v in poset.hasse_succs[u] if v in index)),
-    )
+    if analysis.status not in (PROPER, DISJOINT):
+        raise ValueError(f"sublattice is only defined for PROPER and DISJOINT analyses, not {analysis.status}")
+    rho_in, rho_out = analysis.rho_in, analysis.rho_out
+    mandatory = 0 if rho_in is None else poset.pred_closure[rho_in] | 1 << rho_in
+    sublattice = condense(poset, [*poset.hasse_succs, (), () if rho_out is None else (rho_out,)], mandatory)
     boy_best = closed_set_to_matching(poset, mandatory)
-    girl_best = closed_set_to_matching(poset, poset.full_mask & ~excluded)
+    girl_best = closed_set_to_matching(poset, sublattice.rotation_mask(range(len(sublattice.free_elements))))
     return sublattice, boy_best, girl_best

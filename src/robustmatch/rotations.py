@@ -348,11 +348,11 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
                 raise AssertionError("sweep precedence points forward")
             preds[v].add(u)
 
-    # Renumber into the canonical linear extension: a Kahn pass over the
-    # predecessor sets that always takes the smallest available pairs tuple.
-    # Every agent meets the same partners along every maximal chain of the
-    # lattice, so only the ids change, never the chains.
-    order = _canonical_order(rotations, preds)
+    # Renumber into the canonical linear extension: the topological order
+    # that always takes the smallest available pairs tuple.  Every agent
+    # meets the same partners along every maximal chain of the lattice, so
+    # only the ids change, never the chains.
+    order = topological_order(preds, [rot.pairs for rot in rotations])
     if order != list(range(len(order))):
         new_id = [0] * len(order)
         for k, u in enumerate(order):
@@ -398,16 +398,16 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
     )
 
 
-def _canonical_order(rotations: list[Rotation], preds: list[set[int]]) -> list[int]:
-    """The ids of a topological order of the predecessor sets that always
-    takes the available rotation with the smallest pairs tuple (pairs are
-    unique)."""
-    succs: list[list[int]] = [[] for _ in rotations]
+def topological_order(preds, keys) -> list[int]:
+    """Kahn's order of the nodes 0..n-1 that always takes the available node
+    with the smallest key; preds[v] holds the distinct predecessors of v,
+    which must form no cycle, and the keys are distinct."""
+    succs: list[list[int]] = [[] for _ in preds]
     for v, us in enumerate(preds):
         for u in us:
             succs[u].append(v)
     missing = [len(us) for us in preds]
-    heap = [(rot.pairs, v) for v, rot in enumerate(rotations) if not missing[v]]
+    heap = [(keys[v], v) for v in range(len(preds)) if not missing[v]]
     heapq.heapify(heap)
     order = []
     while heap:
@@ -416,7 +416,7 @@ def _canonical_order(rotations: list[Rotation], preds: list[set[int]]) -> list[i
         for v in succs[u]:
             missing[v] -= 1
             if not missing[v]:
-                heapq.heappush(heap, (rotations[v].pairs, v))
+                heapq.heappush(heap, (keys[v], v))
     return order
 
 

@@ -8,8 +8,9 @@ Both list sides are read off the partner chains of the instance's one
 rotation poset (see ``RotationPoset``) by one rule, mirrored between the
 sides because a girl rises across the boundaries of her chain and a boy
 falls.  This module computes those rotations for a shift and classifies
-the outcome; ``representation.sublattice_poset`` turns a PROPER outcome into
-the destabilized set's ``Sublattice``.
+the outcome; ``representation.sublattice_poset`` turns a PROPER or DISJOINT
+outcome into the destabilized set's ``Sublattice``, the same condensation
+that builds the robust set.
 
 A shift's outcome depends on its window only through which of the owner's
 stable partners the window holds.  The owner's partners sit at ascending

@@ -23,9 +23,9 @@ from .oracle import (
     oracle_objective,
     oracle_poset,
 )
-from .representation import build_robust_poset, enumerate_robust
-from .rotations import RotationPoset, closed_set_to_matching, enumerate_closed_masks
-from .shift_analysis import analyze_shift, characterize_MAB
+from .representation import build_robust_poset, enumerate_robust, sublattice_poset
+from .rotations import RotationPoset, closed_set_to_matching, enumerate_closed_masks, mask_to_ids
+from .shift_analysis import EMPTY_MAB, analyze_shift, characterize_MAB
 
 
 def posets_isomorphic(poset: RotationPoset, reference: OraclePoset) -> str | None:
@@ -93,9 +93,15 @@ def cross_check(inst: PreferenceInstance, dist: ShiftDistribution) -> Verificati
     if mismatch:
         failures.append(mismatch)
 
-    # per-shift: analysis formulas vs. direct re-testing vs. positional lemma
+    # per-shift: analysis formulas vs. direct re-testing vs. positional
+    # lemma, and the destabilized sublattice's members vs. the formulas
     for shift, _ in dist.weights:
         analysis = analyze_shift(run.poset, inst, shift)
+        if analysis.status != EMPTY_MAB:
+            sublattice, _, _ = sublattice_poset(run.poset, analysis)
+            members = [sublattice.rotation_mask(mask_to_ids(e)) for e in sublattice.element_closed_sets()]
+            if sorted(members) != sorted(m for m in masks if analysis.destabilizes_mask(m)):
+                failures.append(f"destabilized sublattice disagrees with the analysis: {shift.describe()}")
         shifted = apply_shift(inst, shift)
         for mask, matching in matchings.items():
             direct = not is_stable(shifted, matching)

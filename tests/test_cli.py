@@ -462,20 +462,33 @@ class TestEnumerateGolden:
 class TestAnalyzeShiftGolden:
     """Output bytes pinned for three PROPER shifts on 3 cyclic blocks of 4,
     each with a non-empty fragment: R3 -> T (48 destabilized matchings),
-    R4 -> R5 and R0 -> R1 (16 each, the second from a boy's list)."""
+    R4 -> R5 and R0 -> R1 (16 each, the second from a boy's list).  Then
+    the other two statuses on an instance that leaves agents unmatched: a
+    DISJOINT shift (all 4 stable matchings break) and an EMPTY_MAB one.
+    Last, a DISJOINT shift on ``gen --n 100 --seed 0`` (25 rotations), too
+    many to count: no |M_AB| line, and a null m_ab_size."""
 
     SHIFTS = {
-        "girl-b3-3": "GIRL_LIST g1 b3 3",
-        "girl-b5-1": "GIRL_LIST g1 b5 1",
-        "boy-g10-1": "BOY_LIST b1 g10 1",
+        "girl-b3-3": ("three-blocks.txt", "GIRL_LIST g1 b3 3"),
+        "girl-b5-1": ("three-blocks.txt", "GIRL_LIST g1 b5 1"),
+        "boy-g10-1": ("three-blocks.txt", "BOY_LIST b1 g10 1"),
+        "unmatched-g4-b5-1": ("unmatched.txt", "GIRL_LIST g4 b5 1"),
+        "unmatched-g1-b13-1": ("unmatched.txt", "GIRL_LIST g1 b13 1"),
+        "gen100-g2-b72-34": (None, "GIRL_LIST g2 b72 34"),
     }
 
     @pytest.mark.parametrize("fmt", ["txt", "json"])
     @pytest.mark.parametrize("name", SHIFTS)
-    def test_bytes(self, capsys, name, fmt):
+    def test_bytes(self, capsys, tmp_path, name, fmt):
+        instance, shift = self.SHIFTS[name]
+        if instance is None:
+            path = tmp_path / "gen100.txt"
+            path.write_text(serialize_instance(gen_random_instance(100, 0)), encoding="utf-8")
+        else:
+            path = FIXTURES / instance
         code, out, _ = cli(
-            capsys, "analyze-shift", "--instance", str(FIXTURES / "three-blocks.txt"),
-            "--shift", self.SHIFTS[name], "--format", "text" if fmt == "txt" else "json",
+            capsys, "analyze-shift", "--instance", str(path),
+            "--shift", shift, "--format", "text" if fmt == "txt" else "json",
         )
         assert code == 0
         assert out == (FIXTURES / "golden" / f"analyze-shift-{name}.{fmt}").read_text(encoding="utf-8")
@@ -751,6 +764,17 @@ class TestErrorHandling:
         capsys.readouterr()
 
 
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of ``python -m robustmatch.cli`` in a new process."""
+    src = Path(robustmatch.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "robustmatch.cli", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
 class TestRunAsModule:
     """``python -m robustmatch.cli`` runs the command line as ``run`` does."""
 
@@ -764,14 +788,26 @@ class TestRunAsModule:
     )
     def test_same_as_run(self, capsys, i3_path, argv):
         argv = [str(i3_path) if a == "I3" else a for a in argv]
-        expected = cli(capsys, *argv)
-        src = Path(robustmatch.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run(
-            [sys.executable, "-m", "robustmatch.cli", *argv],
-            capture_output=True, text=True, env=env, check=False,
-        )
-        assert (done.returncode, done.stdout, done.stderr) == expected
+        assert cli(capsys, *argv) == fresh_process(argv)
+
+
+class TestParserReuse:
+    """run builds its parser once per process, and a call leaves nothing
+    behind for the next one."""
+
+    def test_consecutive_calls_print_what_fresh_processes_print(self, capsys, i3_path):
+        calls = [
+            ["solve", "--instance", str(i3_path), "--dist", "full-uniform", "--dump-network"],
+            ["solve", "--instance", str(i3_path), "--dist", "full-uniform"],
+        ]
+        assert [cli(capsys, *argv) for argv in calls] == [fresh_process(argv) for argv in calls]
+
+    def test_usage_error_after_a_successful_call(self, capsys, i3_path):
+        code, _, _ = cli(capsys, "solve", "--instance", str(i3_path), "--dist", "full-uniform")
+        assert code == 0
+        code, out, err = cli(capsys, "solve", "--instance", str(i3_path))
+        assert (code, out) == (1, "")
+        assert "--dist" in err
 
 
 class TestReadmeExamples:

@@ -28,7 +28,8 @@ from robustmatch import (
 from robustmatch.flow import ClosureNetwork, build_network, extract_closed_set, solve
 from robustmatch.oracle import oracle_argmin
 from robustmatch.representation import Sublattice, _tarjan_scc
-from robustmatch.rotations import build_rotation_poset, ids_to_mask, mask_to_ids
+from robustmatch.rotations import build_rotation_poset, enumerate_closed_masks, ids_to_mask, mask_to_ids
+from robustmatch.shift_analysis import DISJOINT, PROPER
 
 from test_cli import FIXTURES
 from test_flow import point_dist, sub_distribution
@@ -41,6 +42,7 @@ from test_rotations import (
     cyclic_blocks,
     lattice_instances,
     recursive_closed_subsets,
+    rotation_rich_instances,
 )
 
 
@@ -318,6 +320,69 @@ class TestCondensationMatchesReference:
     @settings(max_examples=80, deadline=None)
     def test_random_instances(self, inst, rng):
         self.check(inst, sparse_distribution(inst, rng))
+
+
+def reference_sublattice(poset, analysis) -> Sublattice:
+    """Test-only reference: the mask-and-cover construction sublattice_poset
+    replaced.  Mandatory is everything at or below the entry rotation,
+    excluded everything at or above the exit rotation, each other rotation
+    is a singleton element in ascending id, and the covers between them are
+    the edges."""
+    mandatory = excluded = 0
+    if analysis.rho_in is not None:
+        mandatory = poset.pred_closure[analysis.rho_in] | (1 << analysis.rho_in)
+    if analysis.rho_out is not None:
+        excluded = ids_to_mask(v for v in range(poset.size) if poset.leq(analysis.rho_out, v))
+    free = [v for v in range(poset.size) if not ((mandatory | excluded) >> v) & 1]
+    index = {r: i for i, r in enumerate(free)}
+    return Sublattice(
+        poset=poset,
+        mandatory=mask_to_ids(mandatory),
+        excluded=mask_to_ids(excluded),
+        free_elements=tuple((r,) for r in free),
+        edges=tuple(sorted((index[u], index[v]) for u in free for v in poset.hasse_succs[u] if v in index)),
+    )
+
+
+class TestDestabilizedSetMatchesReference:
+    """sublattice_poset (the condensation of the Hasse arcs) equals the
+    mask-and-cover construction on every PROPER shift, and a DISJOINT
+    shift's set is the whole lattice."""
+
+    @staticmethod
+    def check(inst) -> int:
+        """The number of PROPER shifts checked; a sublattice depends only on
+        its two rotations, so each distinct pair is built once."""
+        poset = build_rotation_poset(inst)
+        proper, seen = 0, set()
+        for shift in enumerate_shift_domain(inst):
+            analysis = analyze_shift(poset, inst, shift)
+            ends = (analysis.status, analysis.rho_in, analysis.rho_out)
+            if analysis.status == PROPER:
+                proper += 1
+            if ends in seen or analysis.status not in (PROPER, DISJOINT):
+                continue
+            seen.add(ends)
+            sublattice, _, _ = sublattice_poset(poset, analysis)
+            if analysis.status == PROPER:
+                assert condensation_fields(sublattice) == condensation_fields(reference_sublattice(poset, analysis))
+            else:
+                members = [sublattice.rotation_mask(mask_to_ids(e)) for e in sublattice.element_closed_sets()]
+                assert members == enumerate_closed_masks(poset)
+        return proper
+
+    @given(lattice_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_instances(self, inst):
+        self.check(inst)
+
+    def test_cyclic_blocks(self):
+        rng = random.Random(9)
+        instances = [cyclic_blocks([rng.randint(2, 5) for _ in range(rng.randint(1, 3))], seed) for seed in range(30)]
+        assert sum(map(self.check, instances)) > 0
+
+    def test_rotation_rich_random_instances(self):
+        assert sum(self.check(inst) for inst in rotation_rich_instances()) > 0
 
 
 class TestScaledWeights:

@@ -261,6 +261,13 @@ def lattice_instances():
     return st.one_of(random_instances(max_n=7), blocks)
 
 
+def rotation_rich_instances():
+    """24 random instances at n = 20-30, every fourth with lists cut to 70%."""
+    rng = random.Random(12)
+    for seed in range(24):
+        yield gen_random_instance(rng.randint(20, 30), seed, 0.7 if seed % 4 == 0 else 1.0)
+
+
 def chain_prefixes(ids) -> list[int]:
     """The closed sets of a chain through ids, shortest first."""
     return [ids_to_mask(ids[:k]) for k in range(len(ids) + 1)]
@@ -513,9 +520,7 @@ class TestDiscoveryMatchesEliminateLoop:
         at once, which pins the order among them; at n <= 8 few do.  The
         shift domain (about 26,000 shifts at n = 30) is left to the small
         inputs above."""
-        rng = random.Random(12)
-        for seed in range(24):
-            inst = gen_random_instance(rng.randint(20, 30), seed, 0.7 if seed % 4 == 0 else 1.0)
+        for inst in rotation_rich_instances():
             self.check(inst, every_shift=False)
 
 

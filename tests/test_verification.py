@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from robustmatch import (
     ShiftDistribution,
     build_rotation_poset,
     enumerate_shift_domain,
+    sublattice_poset,
 )
 from robustmatch.oracle import OraclePoset, oracle_poset
 from robustmatch.verification import VerificationReport, cross_check, posets_isomorphic
@@ -111,3 +113,14 @@ class TestCrossCheck:
     def test_random_partial_distributions(self, inst, seed):
         report = cross_check(inst, random_rational_dist(inst, seed))
         assert report.ok, report.failures
+
+    def test_reports_a_wrong_destabilized_sublattice(self, monkeypatch, i3):
+        """A destabilized set built without its exit rotation holds matchings
+        the shift leaves stable."""
+        def no_exit(poset, analysis):
+            return sublattice_poset(poset, dataclasses.replace(analysis, rho_out=None))
+
+        monkeypatch.setattr("robustmatch.verification.sublattice_poset", no_exit)
+        report = cross_check(i3, ShiftDistribution.uniform(i3))
+        assert not report.ok
+        assert any(f.startswith("destabilized sublattice disagrees with the analysis: ") for f in report.failures)
