@@ -35,7 +35,7 @@ from .instance import (
     serialize_instance,
 )
 from .matching import serialize_matching, unmatched_agents
-from .representation import build_robust_poset, enumerate_robust, sublattice_poset
+from .representation import build_robust_poset, enumerate_robust, robust_members, sublattice_poset
 from .rotations import build_rotation_poset, closed_set_to_matching, enumerate_closed_masks
 from .shift_analysis import EMPTY_MAB, PROPER, analyze_shift
 from .verification import cross_check
@@ -261,7 +261,7 @@ def _member_count(sublattice) -> int | None:
     """How many matchings the sublattice holds, when small enough to enumerate."""
     if len(sublattice.free_elements) > _COUNT_LIMIT:
         return None
-    return len(sublattice.element_closed_sets())
+    return len(sublattice.member_masks())
 
 
 def _cmd_analyze_shift(args) -> int:
@@ -271,9 +271,12 @@ def _cmd_analyze_shift(args) -> int:
     analysis = analyze_shift(poset, inst, shift)
     size = 0
     if analysis.status != EMPTY_MAB:
-        sublattice, boy_best, girl_best = sublattice_poset(poset, analysis)
+        sublattice = sublattice_poset(poset, analysis)
         size = _member_count(sublattice)
     proper = analysis.status == PROPER
+    if proper:
+        boy_best = robust_members(sublattice, ())
+        girl_best = robust_members(sublattice, range(len(sublattice.free_elements)))
     if args.format == "json":
         payload = {
             "schema": 1,

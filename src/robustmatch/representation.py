@@ -9,12 +9,16 @@ endpoint (in none): the caller's mandatory rotations reach the bottom,
 the rotations the top reaches are excluded, and the strongly connected
 components of the arcs among the free rest, contracted, give a DAG whose
 downward-closed subsets are the members.  Two callers pass different arcs.
+Every reader of the members goes through ``Sublattice.member_masks``, one
+pass of ``closed_subsets`` over the free elements' rotation masks, or,
+for a single member, through ``robust_members``.
 
-A shift's destabilized set (``sublattice_poset``) passes the Hasse arcs
-plus one arc from the top to its exit rotation, and everything at or below
-its entry rotation as mandatory; the free rotations form a convex set, so
-each is a component of its own and their covers give the induced order.
-A DISJOINT shift has neither rotation: its set is the whole lattice.
+A shift's destabilized set (``sublattice_poset``, which returns the
+``Sublattice`` alone) passes the Hasse arcs plus one arc from the top to
+its exit rotation, and everything at or below its entry rotation as
+mandatory; the free rotations form a convex set, so each is a component of
+its own and their covers give the induced order.  A DISJOINT shift has
+neither rotation: its set is the whole lattice.
 
 The robust set (``build_robust_poset``): one max flow pins down one robust
 matching, but usually many closed sets achieve the same minimum.  They are
@@ -97,7 +101,9 @@ class Sublattice:
     Folded to mandatory/excluded rotations plus a DAG of free elements, each
     a set of rotations.  free_elements come in a topological order of the
     DAG; edges (i, j) mean element i must be included whenever j is.  Each
-    downward-closed subset of free elements yields one distinct member.
+    downward-closed subset of free elements yields one distinct member, the
+    mandatory rotations plus its elements' rotations; member_masks lists
+    them all, and robust_members looks one up.
     """
 
     poset: RotationPoset
@@ -106,33 +112,22 @@ class Sublattice:
     free_elements: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
 
-    @property
-    def mandatory_mask(self) -> int:
-        return ids_to_mask(self.mandatory)
-
-    def _pred_masks(self) -> list[int]:
-        preds = [0] * len(self.free_elements)
+    def _element_masks(self) -> tuple[list[int], list[int]]:
+        """(preds, items): per free element, the OR of its predecessor
+        elements' rotation masks, and the mask of its own rotations."""
+        items = [ids_to_mask(element) for element in self.free_elements]
+        preds = [0] * len(items)
         for i, j in self.edges:
-            preds[j] |= 1 << i
-        return preds
+            preds[j] |= items[i]
+        return preds, items
 
-    def element_closed_sets(self) -> list[int]:
-        """All downward-closed subsets of free elements, as element bitmasks.
+    def member_masks(self) -> list[int]:
+        """The rotation mask of every member, each exactly once.
 
-        The empty set (the boy-best member) comes first and every
-        set before its supersets; see closed_subsets.
+        The boy-best member (the mandatory rotations alone) comes first and
+        every set before its supersets; see closed_subsets.
         """
-        return closed_subsets(self._pred_masks(), range(len(self.free_elements)))
-
-    def rotation_mask(self, element_ids) -> int:
-        """The mandatory rotations plus those of the given free elements.
-
-        Raises ValueError when an id names no free element.
-        """
-        ids = list(element_ids)
-        if any(i not in range(len(self.free_elements)) for i in ids):
-            raise ValueError("element set contains unknown ids")
-        return self.mandatory_mask | ids_to_mask(r for i in ids for r in self.free_elements[i])
+        return closed_subsets(*self._element_masks(), ids_to_mask(self.mandatory))
 
 
 def condense(poset: RotationPoset, succ, mandatory: int) -> Sublattice:
@@ -198,28 +193,31 @@ def build_robust_poset(network: ClosureNetwork, flow: FlowResult) -> Sublattice:
 
 
 def robust_members(robust: Sublattice, element_ids) -> Matching:
-    """The member selected by a closed set of free elements."""
-    chosen = sorted(set(element_ids))
-    selected = robust.rotation_mask(chosen)  # rejects unknown ids first
-    preds = robust._pred_masks()
-    mask = ids_to_mask(chosen)
+    """The member selected by a closed set of free elements.
+
+    Raises ValueError when an id names no free element or when the set is
+    not downward closed.
+    """
+    chosen = set(element_ids)
+    preds, items = robust._element_masks()
+    if not chosen.issubset(range(len(items))):
+        raise ValueError("element set contains unknown ids")
+    selected = ids_to_mask(robust.mandatory)
     for i in chosen:
-        if preds[i] & ~mask:
-            raise ValueError("element set is not downward closed in the sublattice")
+        selected |= items[i]
+    if any(preds[i] & ~selected for i in chosen):
+        raise ValueError("element set is not downward closed in the sublattice")
     return closed_set_to_matching(robust.poset, selected)
 
 
 def enumerate_robust(robust: Sublattice) -> list[Matching]:
-    """Every member of any ``Sublattice`` exactly once, in element_closed_sets
+    """Every member of any ``Sublattice`` exactly once, in member_masks
     order: the robust set, or a shift's destabilized set."""
-    return [
-        closed_set_to_matching(robust.poset, robust.rotation_mask(mask_to_ids(emask)))
-        for emask in robust.element_closed_sets()
-    ]
+    return [closed_set_to_matching(robust.poset, mask) for mask in robust.member_masks()]
 
 
-def sublattice_poset(poset: RotationPoset, analysis: ShiftAnalysis):
-    """(destabilized sublattice, its boy-best matching, its girl-best matching).
+def sublattice_poset(poset: RotationPoset, analysis: ShiftAnalysis) -> Sublattice:
+    """The sublattice of the matchings a shift destabilizes.
 
     The condensation of the Hasse arcs plus one arc from the top to the exit
     rotation: everything at or below the entry rotation is mandatory,
@@ -232,7 +230,4 @@ def sublattice_poset(poset: RotationPoset, analysis: ShiftAnalysis):
         raise ValueError(f"sublattice is only defined for PROPER and DISJOINT analyses, not {analysis.status}")
     rho_in, rho_out = analysis.rho_in, analysis.rho_out
     mandatory = 0 if rho_in is None else poset.pred_closure[rho_in] | 1 << rho_in
-    sublattice = condense(poset, [*poset.hasse_succs, (), () if rho_out is None else (rho_out,)], mandatory)
-    boy_best = closed_set_to_matching(poset, mandatory)
-    girl_best = closed_set_to_matching(poset, sublattice.rotation_mask(range(len(sublattice.free_elements))))
-    return sublattice, boy_best, girl_best
+    return condense(poset, [*poset.hasse_succs, (), () if rho_out is None else (rho_out,)], mandatory)

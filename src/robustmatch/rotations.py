@@ -500,25 +500,27 @@ def matching_to_closed_set(poset: RotationPoset, matching: Matching) -> int:
     return mask
 
 
-def closed_subsets(preds, ids) -> list[int]:
-    """Every subset of ids closed under the given predecessors, as bitmasks.
+def closed_subsets(preds, items, start: int) -> list[int]:
+    """Every union of start with items, closed under the given predecessors,
+    as bitmasks.
 
-    ids[k] may join a set once the set holds every bit of preds[k].  The ids
-    must be distinct and in a linear extension of the order (each id after
-    its predecessors).  Sets are grown by adding ids in the given order,
-    which visits each closed set exactly once: the empty set first, each set
-    before its extensions, and the extensions of a set in the order of the
-    id added.  An explicit stack replaces recursion, so the height of the
-    order is unbounded.  Exponential in general; callers guard size.
+    items[k] is a bit mask, disjoint from start and from the other items,
+    and may join a set once the set holds every bit of preds[k].  The items
+    must be in a linear extension of the order (each after its
+    predecessors).  Sets are grown by adding items in the given order, which
+    visits each closed set exactly once: start first, each set before its
+    extensions, and the extensions of a set in the order of the item added.
+    An explicit stack replaces recursion, so the height of the order is
+    unbounded.  Exponential in general; callers guard size.
     """
     out: list[int] = []
-    stack = [(0, 0)]  # (set, position of the first id it may still gain)
+    stack = [(start, 0)]  # (set, position of the first item it may still gain)
     while stack:
-        mask, start = stack.pop()
+        mask, at = stack.pop()
         out.append(mask)
-        for k in reversed(range(start, len(ids))):  # pushed last, popped first
+        for k in reversed(range(at, len(items))):  # pushed last, popped first
             if not preds[k] & ~mask:
-                stack.append((mask | 1 << ids[k], k + 1))
+                stack.append((mask | items[k], k + 1))
     return out
 
 
@@ -529,7 +531,7 @@ def enumerate_closed_masks(poset: RotationPoset) -> list[int]:
     before its supersets; see closed_subsets.  Exponential in general;
     callers guard size.
     """
-    return closed_subsets(poset.pred_closure, range(poset.size))
+    return closed_subsets(poset.pred_closure, [1 << v for v in range(poset.size)], 0)
 
 
 def mask_to_ids(mask: int) -> tuple[int, ...]:

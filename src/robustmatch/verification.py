@@ -24,7 +24,7 @@ from .oracle import (
     oracle_poset,
 )
 from .representation import build_robust_poset, enumerate_robust, sublattice_poset
-from .rotations import RotationPoset, closed_set_to_matching, enumerate_closed_masks, mask_to_ids
+from .rotations import RotationPoset, closed_set_to_matching, enumerate_closed_masks
 from .shift_analysis import EMPTY_MAB, analyze_shift, characterize_MAB
 
 
@@ -98,8 +98,7 @@ def cross_check(inst: PreferenceInstance, dist: ShiftDistribution) -> Verificati
     for shift, _ in dist.weights:
         analysis = analyze_shift(run.poset, inst, shift)
         if analysis.status != EMPTY_MAB:
-            sublattice, _, _ = sublattice_poset(run.poset, analysis)
-            members = [sublattice.rotation_mask(mask_to_ids(e)) for e in sublattice.element_closed_sets()]
+            members = sublattice_poset(run.poset, analysis).member_masks()
             if sorted(members) != sorted(m for m in masks if analysis.destabilizes_mask(m)):
                 failures.append(f"destabilized sublattice disagrees with the analysis: {shift.describe()}")
         shifted = apply_shift(inst, shift)

@@ -46,6 +46,7 @@ from robustmatch.shift_analysis import (
 from robustmatch.verification import posets_isomorphic
 
 from test_instance import reversed_shift
+from test_shift_analysis import best_members
 
 COMPLETE = [(2 + (i % 6), i) for i in range(200)]
 INCOMPLETE = [(2 + (i % 6), 1000 + i) for i in range(200)]
@@ -182,7 +183,8 @@ def check_structure(study: InstanceStudy):
 
         # (c) the poset fragment generates exactly the destabilized matchings
         if analysis.status == PROPER:
-            fragment, boy_best, girl_best = sublattice_poset(poset, analysis)
+            fragment = sublattice_poset(poset, analysis)
+            boy_best, girl_best = best_members(fragment)
             assert set(enumerate_robust(fragment)) == broken_set
             assert boy_best in broken_set and girl_best in broken_set
 

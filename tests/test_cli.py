@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import robustmatch.cli
+import robustmatch.representation
 from robustmatch import serialize_instance
 from robustmatch.cli import entrypoint, gen_random_instance, run
 from robustmatch.verification import VerificationReport
@@ -346,6 +347,30 @@ class TestAnalyzeShift:
         code, _, _ = cli(capsys, "analyze-shift", "--instance", str(i3_path), "--shift", "GIRL_LIST g1 b1 1")
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("shift, status, expected", [
+        ("GIRL_LIST g4 b5 1", "DISJOINT", 0),
+        ("GIRL_LIST g3 b12 1", "PROPER", 2),
+    ])
+    def test_builds_m_boy_and_m_girl_only_for_proper(self, capsys, monkeypatch, shift, status, expected):
+        """A PROPER shift materializes its two extreme members, and nothing
+        else; a DISJOINT shift prints neither and materializes none."""
+        calls = []
+        for module in (robustmatch.cli, robustmatch.representation):
+            original = module.closed_set_to_matching
+
+            def counting(*args, original=original):
+                calls.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(module, "closed_set_to_matching", counting)
+        code, out, _ = cli(
+            capsys, "analyze-shift", "--instance", str(FIXTURES / "unmatched.txt"), "--shift", shift,
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["status"] == status
+        assert len(calls) == expected
 
 
 class TestRepresent:

@@ -28,7 +28,13 @@ from robustmatch import (
 from robustmatch.flow import ClosureNetwork, build_network, extract_closed_set, solve
 from robustmatch.oracle import oracle_argmin
 from robustmatch.representation import Sublattice, _tarjan_scc
-from robustmatch.rotations import build_rotation_poset, enumerate_closed_masks, ids_to_mask, mask_to_ids
+from robustmatch.rotations import (
+    build_rotation_poset,
+    closed_set_to_matching,
+    enumerate_closed_masks,
+    ids_to_mask,
+    mask_to_ids,
+)
 from robustmatch.shift_analysis import DISJOINT, PROPER
 
 from test_cli import FIXTURES
@@ -96,8 +102,11 @@ class TestEnumerateRobustCost:
         assert robust.mandatory and any(len(e) > 1 for e in robust.free_elements)
         calls = counting_eliminations(monkeypatch)
         matchings = enumerate_robust(robust)
+        # each member after the first adds its highest element to an earlier one
+        items = [ids_to_mask(e) for e in robust.free_elements]
         bound = len(robust.mandatory) + sum(
-            len(robust.free_elements[emask.bit_length() - 1]) for emask in robust.element_closed_sets() if emask
+            len(robust.free_elements[max(k for k, item in enumerate(items) if mask & item)])
+            for mask in robust.member_masks()[1:]
         )
         assert len(matchings) == 36
         assert len(calls) <= bound
@@ -149,9 +158,9 @@ class TestRobustMembers:
         inst = parse_instance((FIXTURES / "three-blocks.txt").read_text(encoding="utf-8"))
         poset = build_rotation_poset(inst)
         analysis = analyze_shift(poset, inst, parse_shift("GIRL_LIST g1 b5 1", inst))
-        sublattice, boy_best, _ = sublattice_poset(poset, analysis)
+        sublattice = sublattice_poset(poset, analysis)
         assert sublattice.edges[0] == (0, 1)
-        assert robust_members(sublattice, []) == boy_best
+        assert robust_members(sublattice, []) == closed_set_to_matching(poset, ids_to_mask(sublattice.mandatory))
         with pytest.raises(ValueError, match="^element set is not downward closed in the sublattice$"):
             robust_members(sublattice, [1])
 
@@ -162,17 +171,17 @@ class TestRobustMembers:
         with pytest.raises(ValueError, match="unknown ids"):
             robust_members(robust, ids)
 
-    @pytest.mark.parametrize("ids", [[5], [-1], [0, 2]])
-    def test_rotation_mask_rejects_unknown_ids(self, i3, ids):
+    @pytest.mark.parametrize("ids", [[1, 5], [-1, 1], [1, 2]])
+    def test_unknown_ids_are_reported_before_closure(self, i3, ids):
         robust, _ = robust_of(i3, ShiftDistribution(()))
         assert len(robust.free_elements) == 2
         with pytest.raises(ValueError, match="unknown ids"):
-            robust.rotation_mask(ids)
+            robust_members(robust, ids)
 
-    def test_rotation_mask_includes_mandatory(self, i2):
+    def test_members_include_mandatory(self, i2):
         robust, _ = robust_of(i2, point_dist(i2, "BOY_LIST b1 g2 1"))
-        assert robust.mandatory_mask == 0b1
-        assert robust.rotation_mask([]) == 0b1
+        assert robust.member_masks() == [0b1]
+        assert robust_members(robust, []) == MZ_I2
 
 
 class TestAgainstOracle:
@@ -211,7 +220,14 @@ def sparse_distribution(inst, rng) -> ShiftDistribution:
     )
 
 
-class TestElementClosedSets:
+def element_set_rotations(sublattice: Sublattice, element_mask: int) -> int:
+    """The rotation mask of the member a closed set of free elements selects."""
+    return ids_to_mask(sublattice.mandatory) | ids_to_mask(
+        r for i in mask_to_ids(element_mask) for r in sublattice.free_elements[i]
+    )
+
+
+class TestMemberMasks:
     @given(lattice_instances(), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
     def test_order_matches_recursive_reference(self, inst, rng):
@@ -219,19 +235,20 @@ class TestElementClosedSets:
         n = len(robust.free_elements)
         preds = [ids_to_mask(i for i, j in robust.edges if j == v) for v in range(n)]
         expected = recursive_closed_subsets(preds, range(n))
-        assert robust.element_closed_sets() == expected
+        assert robust.member_masks() == [element_set_rotations(robust, m) for m in expected]
         assert enumerate_robust(robust) == [robust_members(robust, mask_to_ids(m)) for m in expected]
 
     def test_deep_chain(self):
-        """Needs no recursion: 2,000 singleton free elements in a chain give 2,001 prefixes."""
+        """Needs no recursion: 2,000 two-rotation free elements in a chain,
+        above one mandatory rotation, give 2,001 prefixes."""
         robust = Sublattice(
             poset=None,
-            mandatory=(),
+            mandatory=(0,),
             excluded=(),
-            free_elements=tuple((i,) for i in range(DEEP_CHAIN)),
+            free_elements=tuple((2 * i + 1, 2 * i + 2) for i in range(DEEP_CHAIN)),
             edges=tuple((i, i + 1) for i in range(DEEP_CHAIN - 1)),
         )
-        assert robust.element_closed_sets() == chain_prefixes(range(DEEP_CHAIN))
+        assert robust.member_masks() == chain_prefixes(range(2 * DEEP_CHAIN + 1))[1::2]
 
 
 def reference_robust_poset(network: ClosureNetwork, flow) -> Sublattice:
@@ -363,12 +380,11 @@ class TestDestabilizedSetMatchesReference:
             if ends in seen or analysis.status not in (PROPER, DISJOINT):
                 continue
             seen.add(ends)
-            sublattice, _, _ = sublattice_poset(poset, analysis)
+            sublattice = sublattice_poset(poset, analysis)
             if analysis.status == PROPER:
                 assert condensation_fields(sublattice) == condensation_fields(reference_sublattice(poset, analysis))
             else:
-                members = [sublattice.rotation_mask(mask_to_ids(e)) for e in sublattice.element_closed_sets()]
-                assert members == enumerate_closed_masks(poset)
+                assert sublattice.member_masks() == enumerate_closed_masks(poset)
         return proper
 
     @given(lattice_instances())

@@ -498,7 +498,7 @@ class TestDiscoveryMatchesEliminateLoop:
         for shift in enumerate_shift_domain(inst):
             analysis = analyze_shift(poset, inst, shift)
             if analysis.status == PROPER and analysis.rho_out is not None:
-                fragment, _, _ = sublattice_poset(poset, analysis)
+                fragment = sublattice_poset(poset, analysis)
                 assert ids_to_mask(fragment.excluded) == succ_closure[analysis.rho_out] | 1 << analysis.rho_out
 
     @given(random_instances(max_n=8, completeness=st.floats(0.3, 1.0)))
@@ -727,11 +727,32 @@ class TestClosedSubsets:
         ids = rng.sample(range(3 * n), n)  # distinct bits in any order
         density = rng.random()
         preds = [ids_to_mask(u for u in ids[:k] if rng.random() < density) for k in range(n)]
-        got = closed_subsets(preds, ids)
+        got = closed_subsets(preds, [1 << v for v in ids], 0)
         assert got == recursive_closed_subsets(preds, ids)
         subsets = (ids_to_mask(v for k, v in enumerate(ids) if (sub >> k) & 1) for sub in range(1 << n))
         closed = [m for m in subsets if all(not preds[k] & ~m for k, v in enumerate(ids) if (m >> v) & 1)]
         assert sorted(got) == sorted(closed)
+
+    @given(st.integers(0, 8), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_multi_bit_items_from_a_start_mask_match_recursive_reference(self, n, rng):
+        """A sublattice's case: each item is the rotation mask of one free
+        element, its preds the OR of its predecessor items, and every set
+        starts from the mandatory mask."""
+        pool = iter(rng.sample(range(5 * n + 3), 5 * n + 3))  # distinct bits in any order
+        start = ids_to_mask(next(pool) for _ in range(rng.randint(1, 3)))
+        items = [ids_to_mask(next(pool) for _ in range(rng.randint(1, 4))) for _ in range(n)]
+        density = rng.random()
+        element_preds = [ids_to_mask(j for j in range(k) if rng.random() < density) for k in range(n)]
+
+        def union(element_mask: int) -> int:
+            mask = 0
+            for j in mask_to_ids(element_mask):
+                mask |= items[j]
+            return mask
+
+        got = closed_subsets([union(e) for e in element_preds], items, start)
+        assert got == [start | union(e) for e in recursive_closed_subsets(element_preds, range(n))]
 
     def test_deep_chain(self):
         """Needs no recursion: 2,000 rotations in a chain give 2,001 prefixes."""

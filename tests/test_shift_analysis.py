@@ -24,11 +24,12 @@ from robustmatch import (
     join,
     meet,
     parse_instance,
+    robust_members,
     sublattice_poset,
 )
 from robustmatch.instance import reversed_instance
 from robustmatch.matching import boy_optimal, unmatched_agents
-from robustmatch.rotations import mask_to_ids
+from robustmatch.rotations import ids_to_mask
 from robustmatch.shift_analysis import (
     DISJOINT,
     EMPTY_MAB,
@@ -355,19 +356,24 @@ class TestCharacterize:
 
 
 def free_rotation_sets(sublattice) -> list[int]:
-    """The sublattice's closed element sets, in order, as the free rotations
-    each one adds to the mandatory set."""
-    return [
-        sublattice.rotation_mask(mask_to_ids(emask)) & ~sublattice.mandatory_mask
-        for emask in sublattice.element_closed_sets()
-    ]
+    """The sublattice's members, in order, as the free rotations each one
+    adds to the mandatory set."""
+    mandatory = ids_to_mask(sublattice.mandatory)
+    return [mask & ~mandatory for mask in sublattice.member_masks()]
+
+
+def best_members(sublattice) -> tuple:
+    """(boy-best, girl-best) member: the one with no free element, and the
+    one with every free element."""
+    return robust_members(sublattice, ()), robust_members(sublattice, range(len(sublattice.free_elements)))
 
 
 class TestSublattice:
     def test_i3_singleton(self, i3):
         poset = build_rotation_poset(i3)
         analysis = analyze_shift(poset, i3, I3_SHIFT)
-        fragment, boy_best, girl_best = sublattice_poset(poset, analysis)
+        fragment = sublattice_poset(poset, analysis)
+        boy_best, girl_best = best_members(fragment)
         assert fragment.free_elements == ()
         assert boy_best == girl_best == M1_I3
         assert enumerate_robust(fragment) == [M1_I3]
@@ -375,7 +381,8 @@ class TestSublattice:
     def test_i2_singleton(self, i2):
         poset = build_rotation_poset(i2)
         analysis = analyze_shift(poset, i2, I2_SHIFT)
-        fragment, boy_best, girl_best = sublattice_poset(poset, analysis)
+        fragment = sublattice_poset(poset, analysis)
+        boy_best, girl_best = best_members(fragment)
         assert fragment.free_elements == ()
         assert boy_best == girl_best == MZ_I2
 
@@ -396,7 +403,8 @@ class TestSublattice:
                 continue
             shifted = apply_shift(inst, shift)
             expected = {m for m in generated.values() if not is_stable(shifted, m)}
-            fragment, boy_best, girl_best = sublattice_poset(poset, analysis)
+            fragment = sublattice_poset(poset, analysis)
+            boy_best, girl_best = best_members(fragment)
             members = enumerate_robust(fragment)
             assert len(set(members)) == len(members)
             assert set(members) == expected
@@ -415,7 +423,7 @@ class TestSublattice:
             analysis = analyze_shift(poset, inst, shift)
             if analysis.status != PROPER:
                 continue
-            fragment, _, _ = sublattice_poset(poset, analysis)
+            fragment = sublattice_poset(poset, analysis)
             ids = [r for (r,) in fragment.free_elements]
             fmask = sum(1 << v for v in ids)
             expected = recursive_closed_subsets([poset.pred_closure[v] & fmask for v in ids], ids)
