@@ -12,13 +12,15 @@ to its probability.  Max flow from T to S equals the minimum breaking
 probability, and the residual graph pins down every optimal closed set.
 
 Everything is computed in exact arithmetic.  Inside, a weight is an integer
-count over the distribution's one denominator: the network's merged shift
-edges and constant carry those integers, the max flow uses them as its
-capacities, and the optimality certificate is checked in them.  The
-full-uniform distribution is never read shift by shift: each mover of each
-list adds one count, and the counts of one list owner become its edges.
-Fractions are made only at the boundary: the flow value, the solution, the
-text dumps and the certificate messages.
+count over the distribution's one denominator: both distribution readers
+hand the network one table {(rho_in, rho_out): weight}, whose (None, None)
+entry, the DISJOINT shifts, becomes the constant and every other entry one
+shift edge; the max flow uses those integers as its capacities, and the
+optimality certificate is checked in them.  The full-uniform distribution is
+never read shift by shift: each mover of each list adds one count, and the
+counts of one list owner are added into the table.  Fractions are made only
+at the boundary: the flow value, the solution, the text dumps and the
+certificate messages.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .rotations import (
     closed_set_to_matching,
     mask_to_ids,
 )
-from .shift_analysis import DISJOINT, PROPER, analyze_shift, uniform_weights
+from .shift_analysis import EMPTY_MAB, analyze_shift, uniform_weights
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class ClosureNetwork:
 
     poset: RotationPoset
     hasse_edges: tuple[tuple[int, int], ...]      # ascending cover edges, unbounded
-    shift_edges: tuple[tuple[int, int, int], ...]  # (exit, entry, weight), merged
+    shift_edges: tuple[tuple[int, int, int], ...]  # (exit, entry, weight), one per outcome
     constant_weight: int
     denominator: int
 
@@ -77,39 +79,42 @@ class ClosureNetwork:
         return f"R{u}"
 
 
-def _explicit_weights(poset: RotationPoset, dist: ShiftDistribution):
-    """(weight, status, rho_in, rho_out) per listed shift, weight = p * dist.denominator."""
+def _explicit_weights(poset: RotationPoset, dist: ShiftDistribution) -> dict:
+    """{(rho_in, rho_out): weight} over the listed shifts, weight = p *
+    dist.denominator, in the form of ``uniform_weights``: EMPTY_MAB shifts
+    are left out and DISJOINT ones add to (None, None).  A listed shift of
+    weight 0 still makes its entry."""
+    weights: dict[tuple[int | None, int | None], int] = {}
     for shift, weight in dist.weights:
         analysis = analyze_shift(poset, poset.inst, shift)
-        yield weight, analysis.status, analysis.rho_in, analysis.rho_out
+        if analysis.status != EMPTY_MAB:
+            outcome = analysis.rho_in, analysis.rho_out
+            weights[outcome] = weights.get(outcome, 0) + weight
+    return weights
 
 
 def build_network(poset: RotationPoset, dist: ShiftDistribution) -> ClosureNetwork:
     """Translate a shift distribution over the poset's instance into the closure network.
 
-    EMPTY_MAB shifts are dropped; DISJOINT shifts break every matching and
-    accumulate into constant_weight; PROPER shifts become edges from their
-    exit rotation (T when absent) to their entry rotation (S when absent).
-    Parallel edges merge.  Weights are integer numerators over the one
-    denominator ``dist.denominator`` and stay integers: the full-uniform
-    distribution is read from one count per mover (``uniform_weights``), an
-    edge weighing its window count, without building any per-shift object;
-    an explicit distribution's shifts are analysed one by one.
+    Both readers give one integer weight per outcome over the one
+    denominator ``dist.denominator``: the full-uniform distribution from one
+    count per mover (``uniform_weights``), without building any per-shift
+    object, an explicit one shift by shift.  The DISJOINT entry (None, None)
+    becomes constant_weight, and every other (rho_in, rho_out) one edge from
+    its exit rotation (T when absent) to its entry rotation (S when absent);
+    the map is one-to-one, so no edge merges.
     """
     if dist.uniform_over is not None:
         dist.validate_for(poset.inst)
-        weighted = uniform_weights(poset, poset.inst)
+        weights = uniform_weights(poset, poset.inst)
     else:
-        weighted = _explicit_weights(poset, dist)
+        weights = _explicit_weights(poset, dist)
     bottom, top = poset.size, poset.size + 1
-    constant = 0
-    merged: dict[tuple[int, int], int] = {}
-    for weight, status, rho_in, rho_out in weighted:
-        if status == DISJOINT:
-            constant += weight
-        elif status == PROPER:
-            edge = (top if rho_out is None else rho_out, bottom if rho_in is None else rho_in)
-            merged[edge] = merged.get(edge, 0) + weight
+    constant = weights.pop((None, None), 0)
+    shift_edges = tuple(sorted(
+        (top if rho_out is None else rho_out, bottom if rho_in is None else rho_in, w)
+        for (rho_in, rho_out), w in weights.items()
+    ))
     hasse: list[tuple[int, int]] = []
     for v in range(poset.size):
         for u in poset.hasse_preds[v]:
@@ -118,7 +123,6 @@ def build_network(poset: RotationPoset, dist: ShiftDistribution) -> ClosureNetwo
         hasse.append((bottom, v))
     for v in poset.maximal_ids:
         hasse.append((v, top))
-    shift_edges = tuple((u, v, w) for (u, v), w in sorted(merged.items()))
     return ClosureNetwork(poset, tuple(hasse), shift_edges, constant, dist.denominator)
 
 

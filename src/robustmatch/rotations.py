@@ -186,15 +186,16 @@ class RotationPoset:
     order in which discovery found the rotations.  Stable matchings
     correspond one-to-one with downward-closed id sets (kept as bitmasks here).
 
-    Every agent matched in the stable matchings has a partner chain.
-    ``*_slot_positions[a]`` holds the ascending positions, on a's own list,
-    of a's stable partners: slot k is a's (k+1)-th best.  The boundary ids
-    ``*_slot_rotations[a]`` have one entry more: entry k is the id of the
-    rotation that moves a across the boundary between slot k-1 and slot k,
-    with None at both ends.  A boy crosses his boundaries downwards and a
-    girl upwards, so a boy holds slot k in the stable matchings whose
-    rotation sets contain entry k but not entry k+1, and a girl in those
-    that contain entry k+1 but not entry k (None: no condition).  Agents
+    Every agent matched in the stable matchings has a partner chain,
+    ``girl_chains[g]`` or ``boy_chains[b]``: a pair (slot positions,
+    boundary ids).  The slot positions are the ascending positions, on a's
+    own list, of a's stable partners: slot k is a's (k+1)-th best.  The
+    boundary ids have one entry more: entry k is the id of the rotation that
+    moves a across the boundary between slot k-1 and slot k, with None at
+    both ends.  A boy crosses his boundaries downwards and a girl upwards,
+    so a boy holds slot k in the stable matchings whose rotation sets
+    contain entry k but not entry k+1, and a girl in those that contain
+    entry k+1 but not entry k (None: no condition).  Agents
     unmatched in every stable matching have no chain.
 
     The poset also keeps one walk through the lattice, which every
@@ -215,10 +216,8 @@ class RotationPoset:
     pred_closure: tuple[int, ...]   # strict predecessors of each id, as a bitmask
     hasse_preds: tuple[tuple[int, ...], ...]
     hasse_succs: tuple[tuple[int, ...], ...]
-    girl_slot_positions: dict  # g -> ascending positions on g's list of her stable partners
-    girl_slot_rotations: dict  # g -> boundary ids around girl_slot_positions[g]
-    boy_slot_positions: dict   # b -> ascending positions on b's list of his stable partners
-    boy_slot_rotations: dict   # b -> boundary ids around boy_slot_positions[b]
+    girl_chains: dict  # g -> (ascending positions on g's list of her stable partners, boundary ids)
+    boy_chains: dict   # b -> (ascending positions on b's list of his stable partners, boundary ids)
     _walk: _Walk | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -331,17 +330,18 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
                 girl_moves[g].append(v)
     if Matching(girl_of.items()) != mz:
         raise AssertionError("elimination path did not terminate at the girl-optimal matching")
-    boy_slot_positions, boy_slot_rotations = _slots(boy_positions, boy_moves, 1)
-    girl_slot_positions, girl_slot_rotations = _slots(girl_positions, girl_moves, -1)
+    boy_chains = _slots(boy_positions, boy_moves, 1)
+    girl_chains = _slots(girl_positions, girl_moves, -1)
 
     # sweep precedence: v drops a boy past a girl strictly between his two
     # partners, so the rotation that lifts her above him must come first
     for v, b, first, stop in sweeps:
         for mid in boy_prefs[b][first:stop]:
-            k = bisect_right(girl_slot_positions.get(mid, ()), girl_rank[mid][b])
+            positions, boundaries = girl_chains.get(mid, ((), ()))
+            k = bisect_right(positions, girl_rank[mid][b])
             if k == 0:
                 raise AssertionError("swept girl never rises above the boy sweeping past her")
-            u = girl_slot_rotations[mid][k]
+            u = boundaries[k]
             if u is None or u == v:  # None: she starts out holding someone better
                 continue
             if u > v:
@@ -359,9 +359,9 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
             new_id[u] = k
         rotations = [rotations[u] for u in order]
         preds = [{new_id[u] for u in preds[old]} for old in order]
-        for boundaries in (boy_slot_rotations, girl_slot_rotations):
-            for a, bd in boundaries.items():
-                boundaries[a] = tuple(None if u is None else new_id[u] for u in bd)
+        for chains in (boy_chains, girl_chains):
+            for a, (pos, bd) in chains.items():
+                chains[a] = pos, tuple(None if u is None else new_id[u] for u in bd)
 
     n = len(rotations)
     pred_closure = [0] * n
@@ -391,10 +391,8 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
         pred_closure=tuple(pred_closure),
         hasse_preds=tuple(hasse_preds),
         hasse_succs=tuple(tuple(s) for s in hasse_succs_sets),
-        girl_slot_positions=girl_slot_positions,
-        girl_slot_rotations=girl_slot_rotations,
-        boy_slot_positions=boy_slot_positions,
-        boy_slot_rotations=boy_slot_rotations,
+        girl_chains=girl_chains,
+        boy_chains=boy_chains,
     )
 
 
@@ -420,18 +418,17 @@ def topological_order(preds, keys) -> list[int]:
     return order
 
 
-def _slots(positions: dict, moves: dict, step: int) -> tuple[dict, dict]:
-    """(agent -> slot positions, agent -> boundary ids) from each agent's
-    partner positions and moves in elimination order, read forwards (step 1)
-    or backwards (step -1) so the positions ascend; they must strictly ascend."""
-    slot_positions: dict[int, tuple[int, ...]] = {}
-    boundaries: dict[int, tuple] = {}
+def _slots(positions: dict, moves: dict, step: int) -> dict:
+    """agent -> (slot positions, boundary ids) from each agent's partner
+    positions and moves in elimination order, read forwards (step 1) or
+    backwards (step -1) so the positions ascend; they must strictly ascend."""
+    chains: dict[int, tuple[tuple[int, ...], tuple]] = {}
     for a, pos in positions.items():
         pos = tuple(pos[::step])
         if not all(map(operator.lt, pos, pos[1:])):
             raise AssertionError("a partner chain is not strictly monotone along the lattice")
-        slot_positions[a], boundaries[a] = pos, tuple(moves[a] + [None])[::step]
-    return slot_positions, boundaries
+        chains[a] = pos, tuple(moves[a] + [None])[::step]
+    return chains
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ candidate: the moved agent together with the list owner.  Which stable
 matchings that pair actually breaks is an interval-like slice of the
 lattice, pinned down by at most one entry rotation and one exit rotation.
 Both list sides are read off the partner chains of the instance's one
-rotation poset (see ``RotationPoset``) by one rule, mirrored between the
-sides because a girl rises across the boundaries of her chain and a boy
-falls.  This module computes those rotations for a shift and classifies
-the outcome; ``representation.sublattice_poset`` turns a PROPER or DISJOINT
-outcome into the destabilized set's ``Sublattice``, the same condensation
-that builds the robust set.
+rotation poset, one (slot positions, boundary ids) value per agent (see
+``RotationPoset``), by one rule, mirrored between the sides because a girl
+rises across the boundaries of her chain and a boy falls.  This module
+computes those rotations for a shift and classifies the outcome;
+``representation.sublattice_poset`` turns a PROPER or DISJOINT outcome into
+the destabilized set's ``Sublattice``, the same condensation that builds the
+robust set.
 
 A shift's outcome depends on its window only through which of the owner's
 stable partners the window holds.  The owner's partners sit at ascending
@@ -47,7 +48,8 @@ prefers the owner.
 ``analyze_shift`` applies the rule to the run of one shift.
 ``uniform_weights`` reads the whole domain without visiting runs: per mover
 it finds the fixed endpoint and how many of its runs survive, counts that,
-and turns the counts of one list owner into its edges.
+and adds the counts of one list owner into one table {(rho_in, rho_out):
+windows}, the form in which the closure network reads either distribution.
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ STATUSES = (DISJOINT, EMPTY_MAB, PROPER)
 @dataclass(frozen=True)
 class ShiftAnalysis:
     """Outcome of one shift.  rho_in/rho_out are rotation ids; None stands for
-    the virtual bottom (always applied) and top (never applied) endpoints and
-    the two fields are only meaningful when the status is PROPER."""
+    the virtual bottom (always applied) and top (never applied) endpoints.
+    Both are None exactly when the status is not PROPER, which lets a table
+    keyed by (rho_in, rho_out) hold the DISJOINT mass at (None, None)."""
 
     shift: Shift
     status: str
@@ -88,14 +91,6 @@ class ShiftAnalysis:
         return self.rho_out is None or not (mask >> self.rho_out) & 1
 
 
-def _chain(poset: RotationPoset, girl: bool, agent: int):
-    """(slot positions, boundary ids) of one agent's partner chain; empty for
-    an agent unmatched in every stable matching."""
-    if girl:
-        return poset.girl_slot_positions.get(agent, ()), poset.girl_slot_rotations.get(agent, ())
-    return poset.boy_slot_positions.get(agent, ()), poset.boy_slot_rotations.get(agent, ())
-
-
 def _mover_crossing(poset: RotationPoset, inst: PreferenceInstance, side: str, owner: int, mover: int):
     """(never, crossing): where the mover's preference for the list owner flips.
 
@@ -109,7 +104,7 @@ def _mover_crossing(poset: RotationPoset, inst: PreferenceInstance, side: str, o
     when that never changes.
     """
     girl_mover = side == BOY_LIST
-    positions, boundaries = _chain(poset, girl_mover, mover)
+    positions, boundaries = (poset.girl_chains if girl_mover else poset.boy_chains).get(mover, ((), ()))
     if not positions:
         return False, None
     k = bisect_right(positions, (inst.girl_rank if girl_mover else inst.boy_rank)[mover][owner])
@@ -120,7 +115,7 @@ def _window_runs(poset: RotationPoset, inst: PreferenceInstance, shift: Shift):
     """(owner's boundary ids, right, run j) of one shift, by two bisects on
     the owner's chain (see the module docstring)."""
     i = mover_position(inst, shift)
-    positions, boundaries = _chain(poset, shift.side == GIRL_LIST, shift.agent)
+    positions, boundaries = (poset.girl_chains if shift.side == GIRL_LIST else poset.boy_chains).get(shift.agent, ((), ()))
     right = bisect_left(positions, i)
     return boundaries, right, bisect_left(positions, i - shift.window, 0, right)
 
@@ -198,27 +193,27 @@ def _surviving_runs(poset: RotationPoset, girl: bool, boundaries, right: int, cr
     return fixed, 1 + bisect_left(range(1, right), True, key=empty)
 
 
-def uniform_weights(poset: RotationPoset, inst: PreferenceInstance):
-    """The whole shift domain of the instance, as (windows, status, rho_in, rho_out).
+def uniform_weights(poset: RotationPoset, inst: PreferenceInstance) -> dict:
+    """The whole shift domain of the instance, as {(rho_in, rho_out): windows}.
 
-    Every shift of the domain falls into exactly one yielded tuple, whose
-    window count is its weight; EMPTY_MAB shifts are left out.  For one mover
-    at position i on an owner's list, run j < right holds p_j - p_{j-1}
-    windows (p_{-1} = -1), which does not depend on the mover, and the runs
-    that are not EMPTY_MAB are 0..t-1 (see ``_surviving_runs``).  So each
-    mover adds one to a count at (fixed endpoint, t), and one suffix sum per
-    owner and endpoint gives run j the weight w_j times the number of movers
-    with t > j.  Each emitted run pairs the fixed endpoint with boundary j
-    as the module docstring's rule says, inline: no per-shift or per-run
-    object or call, one bisection per mover plus one tuple per edge before
-    merging.
+    Every shift of the domain that is not EMPTY_MAB adds one window to the
+    entry of its outcome; (None, None) is DISJOINT and every other key is
+    PROPER.  For one mover at position i on an owner's list, run j < right
+    holds p_j - p_{j-1} windows (p_{-1} = -1), which does not depend on the
+    mover, and the runs that are not EMPTY_MAB are 0..t-1 (see
+    ``_surviving_runs``).  So each mover adds one to a count at (fixed
+    endpoint, t), and one suffix sum per owner and endpoint gives run j the
+    weight w_j times the number of movers with t > j, added straight into
+    the entry that pairs the fixed endpoint with boundary j as the module
+    docstring's rule says: no per-shift or per-run object or call, one
+    bisection per mover.
     """
-    for side, lists in ((GIRL_LIST, inst.girl_prefs), (BOY_LIST, inst.boy_prefs)):
+    weights: dict[tuple[int | None, int | None], int] = {}
+    sides = ((GIRL_LIST, inst.girl_prefs, poset.girl_chains), (BOY_LIST, inst.boy_prefs, poset.boy_chains))
+    for side, lists, chains in sides:
         girl = side == GIRL_LIST
-        for owner, prefs in enumerate(lists):
-            positions, boundaries = _chain(poset, girl, owner)
-            if not positions:
-                continue
+        for owner, (positions, boundaries) in chains.items():
+            prefs = lists[owner]
             counts: dict[int | None, dict[int, int]] = {}  # fixed endpoint -> t -> movers
             for i in range(positions[0] + 1, len(prefs)):
                 never, crossing = _mover_crossing(poset, inst, side, owner, prefs[i])
@@ -233,9 +228,9 @@ def uniform_weights(poset: RotationPoset, inst: PreferenceInstance):
                 movers = 0
                 for j in range(max(per_t) - 1, -1, -1):
                     movers += per_t.get(j + 1, 0)
-                    rho_in, rho_out = (fixed, boundaries[j]) if girl else (boundaries[j], fixed)
-                    status = DISJOINT if rho_in is None and rho_out is None else PROPER
-                    yield movers * widths[j], status, rho_in, rho_out
+                    outcome = (fixed, boundaries[j]) if girl else (boundaries[j], fixed)
+                    weights[outcome] = weights.get(outcome, 0) + movers * widths[j]
+    return weights
 
 
 def characterize_MAB(inst: PreferenceInstance, shift: Shift, matching: Matching) -> bool:

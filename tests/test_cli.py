@@ -134,15 +134,13 @@ class TestSolve:
         payload = json.loads(out)
         assert "NODES R0 R1 S T" in payload["network"]
 
-    def test_dumps_full_uniform_golden(self, capsys, i3_path):
-        """|D| = 18 is three times the lcm of the merged probabilities' denominators,
-        so every integer capacity triples; the printed probabilities do not change."""
-        code, out, _ = cli(
-            capsys, "solve", "--instance", str(i3_path), "--dist", "full-uniform",
-            "--dump-network", "--dump-ip",
-        )
-        assert code == 0
-        assert out == (
+    # Full-uniform dumps.  On I3, |D| = 18 is three times the lcm of the
+    # edge probabilities' denominators, so every integer capacity triples;
+    # the printed probabilities do not change.  unmatched.txt has incomplete
+    # lists, unmatched agents and DISJOINT shifts, whose mass is the constant
+    # 7/40; I3 has none of these.
+    FULL_UNIFORM_GOLDEN = {
+        "I3": (
             "b1 g1\n"
             "b2 g2\n"
             "b3 g3\n"
@@ -174,7 +172,64 @@ class TestSolve:
             "  y_R1 <= y_T    (precedence)\n"
             "  y_S = 0, y_T = 1\n"
             "  all x, y in {0, 1}\n"
+        ),
+        "unmatched": (
+            "b1 g7\n"
+            "b2 g9\n"
+            "b4 g1\n"
+            "b5 g14\n"
+            "b6 g10\n"
+            "b7 g13\n"
+            "b8 g5\n"
+            "b9 g4\n"
+            "b11 g11\n"
+            "b12 g3\n"
+            "b13 g12\n"
+            "b14 g6\n"
+            "# unmatched\n"
+            "b3\n"
+            "b10\n"
+            "g2\n"
+            "g8\n"
+            "objective 17/80\n"
+            "flow 3/80\n"
+            "constant 7/40\n"
+            "closed set (empty)\n"
+            "\n"
+            "NODES R0 R1 S T\n"
+            "HASSE S -> R0\n"
+            "HASSE S -> R1\n"
+            "HASSE R0 -> T\n"
+            "HASSE R1 -> T\n"
+            "SHIFT R0 -> S cap 1/40\n"
+            "SHIFT R1 -> S cap 1/80\n"
+            "SHIFT T -> R0 cap 1/32\n"
+            "SHIFT T -> R1 cap 11/160\n"
+            "CONSTANT 7/40\n"
+            "\n"
+            "min 1/40 x0 + 1/80 x1 + 1/32 x2 + 11/160 x3 + 7/40\n"
+            "s.t.\n"
+            "  x0 >= y_R0 - y_S    (shift edge R0->S)\n"
+            "  x1 >= y_R1 - y_S    (shift edge R1->S)\n"
+            "  x2 >= y_T - y_R0    (shift edge T->R0)\n"
+            "  x3 >= y_T - y_R1    (shift edge T->R1)\n"
+            "  y_S <= y_R0    (precedence)\n"
+            "  y_S <= y_R1    (precedence)\n"
+            "  y_R0 <= y_T    (precedence)\n"
+            "  y_R1 <= y_T    (precedence)\n"
+            "  y_S = 0, y_T = 1\n"
+            "  all x, y in {0, 1}\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", FULL_UNIFORM_GOLDEN)
+    def test_dumps_full_uniform_golden(self, capsys, name):
+        code, out, _ = cli(
+            capsys, "solve", "--instance", str(FIXTURES / f"{name}.txt"), "--dist", "full-uniform",
+            "--dump-network", "--dump-ip",
         )
+        assert code == 0
+        assert out == self.FULL_UNIFORM_GOLDEN[name]
 
     # Distributions with a zero-probability PROPER shift (its edge prints cap
     # 0) and two shifts merging into one edge; the second also lists an

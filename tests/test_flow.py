@@ -40,7 +40,7 @@ from robustmatch.oracle import oracle_argmin, oracle_objective
 from test_instance import random_instances
 from test_matching import M0_I2, M0_I3, MZ_I3
 from test_rotations import UNEQUAL_SIDES, cyclic_blocks
-from test_shift_analysis import shift_runs
+from test_shift_analysis import run_weights
 
 I3_POINT = "GIRL_LIST g1 b1 1"
 
@@ -261,7 +261,7 @@ class TestNetworkMatchesRunWalk:
         poset = build_rotation_poset(inst)
         dist = ShiftDistribution.uniform(inst)
         network = build_network(poset, dist)
-        monkeypatch.setattr(flow, "uniform_weights", shift_runs)
+        monkeypatch.setattr(flow, "uniform_weights", run_weights)
         assert build_network(poset, dist) == network
 
 

@@ -211,11 +211,10 @@ def chain_pair_rotations(poset, girl: bool, agent: int, q: int):
     """(creating, removing) rotation of the pair of the agent with the partner
     at position q on the agent's list, read off the agent's chain: a boy holds
     slot k from boundary k to k+1, a girl from boundary k+1 to k."""
-    positions = (poset.girl_slot_positions if girl else poset.boy_slot_positions).get(agent, ())
+    positions, bd = (poset.girl_chains if girl else poset.boy_chains).get(agent, ((), ()))
     if q not in positions:
         return None, None
     k = positions.index(q)
-    bd = (poset.girl_slot_rotations if girl else poset.boy_slot_rotations)[agent]
     return (bd[k + 1], bd[k]) if girl else (bd[k], bd[k + 1])
 
 
@@ -427,10 +426,10 @@ class TestRotationPoset:
                 boy_partners.setdefault(b, set()).add(g)
                 girl_partners.setdefault(g, set()).add(b)
         # every list best first; the slot positions are the ranks of those partners
-        assert {b: tuple(inst.boy_prefs[b][p] for p in pos) for b, pos in poset.boy_slot_positions.items()} == {
+        assert {b: tuple(inst.boy_prefs[b][p] for p in pos) for b, (pos, _) in poset.boy_chains.items()} == {
             b: tuple(sorted(gs, key=inst.boy_rank[b].get)) for b, gs in boy_partners.items()
         }
-        assert {g: tuple(inst.girl_prefs[g][p] for p in pos) for g, pos in poset.girl_slot_positions.items()} == {
+        assert {g: tuple(inst.girl_prefs[g][p] for p in pos) for g, (pos, _) in poset.girl_chains.items()} == {
             g: tuple(sorted(bs, key=inst.girl_rank[g].get)) for g, bs in girl_partners.items()
         }
 
@@ -444,9 +443,8 @@ class TestPartnerChainsMatchMovementDicts:
         poset = build_rotation_poset(inst)
         post_pair, pre_pair, below_girl, above_boy = reference_movement_index(poset)
         for girl, lists in ((False, inst.boy_prefs), (True, inst.girl_prefs)):
-            positions = poset.girl_slot_positions if girl else poset.boy_slot_positions
-            for a, bd in (poset.girl_slot_rotations if girl else poset.boy_slot_rotations).items():
-                assert len(bd) == len(positions[a]) + 1
+            for positions, bd in (poset.girl_chains if girl else poset.boy_chains).values():
+                assert len(bd) == len(positions) + 1
                 assert bd[0] is None and bd[-1] is None and None not in bd[1:-1]
             for a, prefs in enumerate(lists):
                 for q, x in enumerate(prefs):
@@ -484,8 +482,8 @@ class TestDiscoveryMatchesEliminateLoop:
         rotations, last, boy_chains, girl_chains = reference_discovery(inst)
         assert poset.rotations == tuple(rotations)
         assert last == poset.girl_opt == girl_optimal(inst) and poset.boy_opt == boy_optimal(inst)
-        assert boy_chains == {b: (pos, poset.boy_slot_rotations[b]) for b, pos in poset.boy_slot_positions.items()}
-        assert girl_chains == {g: (pos, poset.girl_slot_rotations[g]) for g, pos in poset.girl_slot_positions.items()}
+        assert boy_chains == poset.boy_chains
+        assert girl_chains == poset.girl_chains
         pred_closure = reference_pred_closure(inst, rotations)
         assert poset.pred_closure == tuple(pred_closure)
         assert poset.hasse_preds == tuple(

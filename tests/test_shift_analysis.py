@@ -76,7 +76,7 @@ def run_windows(poset, inst, side, owner, i):
     owner's list, the shift holding the run's longest window: k = i - p_j
     for run j < right, then k = 1 for the run holding no partner, when it has
     a window (i - 1 > p_{right-1}).  The window counts add up to i."""
-    positions = (poset.girl_slot_positions if side == GIRL_LIST else poset.boy_slot_positions).get(owner, ())
+    positions, _ = (poset.girl_chains if side == GIRL_LIST else poset.boy_chains).get(owner, ((), ()))
     mover = inst.prefs_of(side, owner)[i]
     previous = -1
     for position in positions:
@@ -103,6 +103,16 @@ def shift_runs(poset, inst):
                 for windows, shift in run_windows(poset, inst, side, owner, i):
                     a = analyze_shift(poset, inst, shift)
                     yield windows, a.status, a.rho_in, a.rho_out
+
+
+def run_weights(poset, inst) -> dict:
+    """``shift_runs`` added up in the form of ``uniform_weights``:
+    {(rho_in, rho_out): windows}, EMPTY_MAB runs left out."""
+    weights = Counter()
+    for windows, status, rho_in, rho_out in shift_runs(poset, inst):
+        if status != EMPTY_MAB:
+            weights[rho_in, rho_out] += windows
+    return dict(weights)
 
 
 def mirrored_boy_analyses(poset):
@@ -242,25 +252,29 @@ class TestBoyListMirror:
 class TestShiftRuns:
     """Runs of windows carry exactly the per-shift analyses, counted, and the
     per-mover counts of ``uniform_weights`` carry the same weight per
-    outcome, EMPTY_MAB left out."""
+    (rho_in, rho_out), EMPTY_MAB left out.  An analysis has no endpoint on
+    either side exactly when it is not PROPER, so the table's (None, None)
+    entry is the DISJOINT mass and nothing else."""
 
     @staticmethod
     def check(inst):
         poset = build_rotation_poset(inst)
         expected = Counter()
+        breaking = Counter()
         for shift in enumerate_shift_domain(inst):
             a = analyze_shift(poset, inst, shift)
+            assert ((a.rho_in, a.rho_out) == (None, None)) == (a.status != PROPER)
             expected[(a.status, a.rho_in, a.rho_out)] += 1
+            if a.status != EMPTY_MAB:
+                breaking[a.rho_in, a.rho_out] += 1
         runs = Counter()
         for windows, *outcome in shift_runs(poset, inst):
             assert windows > 0
             runs[tuple(outcome)] += windows
         assert runs == expected
-        counted = Counter()
-        for windows, *outcome in uniform_weights(poset, inst):
-            assert windows > 0 and outcome[0] != EMPTY_MAB
-            counted[tuple(outcome)] += windows
-        assert counted == Counter({o: w for o, w in expected.items() if o[0] != EMPTY_MAB})
+        weights = uniform_weights(poset, inst)
+        assert all(w > 0 for w in weights.values())
+        assert weights == breaking
 
     def test_i2_i3(self, i2, i3):
         self.check(i2)
@@ -286,8 +300,7 @@ class TestSurvivingRunsArePrefix:
         for side, lists in ((GIRL_LIST, inst.girl_prefs), (BOY_LIST, inst.boy_prefs)):
             girl = side == GIRL_LIST
             for owner, prefs in enumerate(lists):
-                positions = (poset.girl_slot_positions if girl else poset.boy_slot_positions).get(owner, ())
-                boundaries = (poset.girl_slot_rotations if girl else poset.boy_slot_rotations).get(owner, ())
+                positions, boundaries = (poset.girl_chains if girl else poset.boy_chains).get(owner, ((), ()))
                 for i in range(1, len(prefs)):
                     never, crossing = _mover_crossing(poset, inst, side, owner, prefs[i])
                     right = sum(1 for p in positions if p < i)
