@@ -35,7 +35,7 @@ from .instance import (
     serialize_instance,
 )
 from .matching import serialize_matching, unmatched_agents
-from .representation import build_robust_poset, enumerate_robust, robust_members, sublattice_poset
+from .representation import build_robust_poset, robust_members, sublattice_poset
 from .rotations import build_rotation_poset, closed_set_to_matching, enumerate_closed_masks
 from .shift_analysis import EMPTY_MAB, PROPER, analyze_shift
 from .verification import cross_check
@@ -81,33 +81,12 @@ def _json_block(open_: str, items: list[str], depth: int, close: str) -> str:
     return open_ + inner + ("," + inner).join(items) + "\n" + "  " * depth + close
 
 
-def _json_text(obj, depth: int, memo: dict) -> str:
-    """obj as the json module renders it with indent=2, at this nesting depth.
-
-    A list of strings is rendered once per depth: memo maps (depth, *items)
-    to its text, so the thousands of repeated ["bN", "gM"] pairs of an
-    enumeration are one lookup each.  Only all-str lists are stored, so a
-    hit is exact (no str equals 1 or True); an unhashable item makes the
-    lookup raise TypeError and marks a list that holds containers.
-    """
+def _json_text(obj, depth: int) -> str:
+    """obj as the json module renders it with indent=2, at this nesting depth."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        key = (depth, *obj)
-        try:
-            text = memo.get(key)
-        except TypeError:  # an item is a container
-            key = text = None
-        if text is None:
-            leaf = key is not None and all(type(item) is str for item in obj)
-            if leaf:
-                items = [encode_basestring_ascii(item) for item in obj]
-            else:
-                items = [_json_text(item, depth + 1, memo) for item in obj]
-            text = _json_block("[", items, depth, "]")
-            if leaf:
-                memo[key] = text
-        return text
+        return _json_block("[", [_json_text(item, depth + 1) for item in obj], depth, "]")
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -115,7 +94,7 @@ def _json_text(obj, depth: int, memo: dict) -> str:
         for name, value in obj.items():
             if not isinstance(name, str):
                 raise TypeError(f"keys must be str, not {type(name).__name__}")
-            fields.append(encode_basestring_ascii(name) + ": " + _json_text(value, depth + 1, memo))
+            fields.append(encode_basestring_ascii(name) + ": " + _json_text(value, depth + 1))
         return _json_block("{", fields, depth, "}")
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -136,18 +115,65 @@ def _emit(payload) -> None:
     Takes dicts with str keys, lists, tuples, str, int, bool and None; any
     other type raises TypeError and prints nothing.
     """
-    print(_json_text(payload, 0, {}))
+    print(_json_text(payload, 0))
+
+
+def _write_matchings(inst: PreferenceInstance, head, matchings) -> None:
+    """Print head, then each matching as soon as the iterable yields it.
+
+    A dict head is a JSON payload whose last value is an empty list, the
+    slot of the matchings: the output is what _emit prints once the slot
+    holds every matching's _matching_json.  A list head holds text lines:
+    the output is what print prints for those lines, each matching's block
+    after an empty line, and the blocks alone (one empty line apart) when
+    there are no head lines.  Only one matching is held at a time.  In JSON,
+    a matching's pairs sit at one fixed depth, so each (b, g) pair is
+    rendered once per call.
+    """
+    write = sys.stdout.write
+    if isinstance(head, list):
+        sep = ""
+        if head:
+            write("\n".join(head))
+            sep = "\n\n"
+        for matching in matchings:
+            write(sep + _matching_block(inst, matching))
+            sep = "\n\n"
+        write("\n")
+        return
+    before, _, after = _json_text(head, 0).rpartition("[]")
+    write(before)
+    boy_names, girl_names = inst.boy_names, inst.girl_names
+
+    @functools.cache
+    def pair_text(pair) -> str:
+        b, g = pair
+        return _json_text([boy_names[b], girl_names[g]], 4)
+
+    opened = False
+    for matching in matchings:
+        boys, girls = unmatched_agents(inst, matching)
+        pairs = ",\n        ".join(map(pair_text, matching.pairs))
+        write(
+            (",\n    {" if opened else "[\n    {")
+            + '\n      "pairs": ' + ("[\n        " + pairs + "\n      ]" if pairs else "[]")
+            + ',\n      "unmatched_boys": ' + _json_text([boy_names[b] for b in boys], 3)
+            + ',\n      "unmatched_girls": ' + _json_text([girl_names[g] for g in girls], 3)
+            + "\n    }"
+        )
+        opened = True
+    write(("\n  ]" if opened else "[]") + after + "\n")
 
 
 def _load_instance(args) -> PreferenceInstance:
-    with open(args.instance, encoding="utf-8") as fh:
+    with open(args.instance, encoding="utf-8-sig") as fh:
         return parse_instance(fh.read())
 
 
 def _load_distribution(args, inst: PreferenceInstance) -> ShiftDistribution:
     if args.dist == "full-uniform":
         return ShiftDistribution.uniform(inst)
-    with open(args.dist, encoding="utf-8") as fh:
+    with open(args.dist, encoding="utf-8-sig") as fh:
         return parse_distribution(fh.read(), inst)
 
 
@@ -310,8 +336,9 @@ def _cmd_represent(args) -> int:
     dist = _load_distribution(args, inst)
     run = solve_pipeline(inst, dist)
     robust = build_robust_poset(run.network, run.flow)
-    matchings = enumerate_robust(robust) if args.enumerate else None
-    count = len(matchings) if matchings is not None else _member_count(robust)
+    masks = robust.member_masks() if args.enumerate else None
+    count = len(masks) if masks is not None else _member_count(robust)
+    matchings = None if masks is None else (closed_set_to_matching(robust.poset, m) for m in masks)
     if args.format == "json":
         payload = {
             "schema": 1,
@@ -323,9 +350,10 @@ def _cmd_represent(args) -> int:
             "edges": [list(e) for e in robust.edges],
             "robust_count": count,
         }
-        if matchings is not None:
-            payload["matchings"] = [_matching_json(inst, m) for m in matchings]
-        _emit(payload)
+        if matchings is None:
+            _emit(payload)
+        else:
+            _write_matchings(inst, {**payload, "matchings": []}, matchings)
         return 0
 
     def ids(rotations) -> str:
@@ -338,10 +366,10 @@ def _cmd_represent(args) -> int:
     lines.append(f"objective {_fmt_q(run.solution.objective)}")
     if count is not None:
         lines.append(f"robust matchings {count}")
-    if matchings is not None:
-        for m in matchings:
-            lines += ["", _matching_block(inst, m)]
-    print("\n".join(lines))
+    if matchings is None:
+        print("\n".join(lines))
+    else:
+        _write_matchings(inst, lines, matchings)
     return 0
 
 
@@ -349,19 +377,9 @@ def _cmd_enumerate(args) -> int:
     inst = _load_instance(args)
     poset = build_rotation_poset(inst)
     masks = enumerate_closed_masks(poset)
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "command": "enumerate",
-            "count": len(masks),
-            "matchings": [
-                _matching_json(inst, closed_set_to_matching(poset, m)) for m in masks
-            ],
-        }
-        _emit(payload)
-        return 0
-    blocks = [_matching_block(inst, closed_set_to_matching(poset, m)) for m in masks]
-    print("\n\n".join(blocks))
+    head = {"schema": 1, "command": "enumerate", "count": len(masks), "matchings": []}
+    matchings = (closed_set_to_matching(poset, m) for m in masks)
+    _write_matchings(inst, head if args.format == "json" else [], matchings)
     return 0
 
 
@@ -379,9 +397,9 @@ def _cmd_verify(args) -> int:
             "oracle_objective": _fmt_q(report.oracle_objective),
             "robust_count": len(report.main_argmin),
             "oracle_robust_count": len(report.oracle_argmin),
-            "argmin": [_matching_json(inst, m) for m in report.main_argmin],
+            "argmin": [],
         }
-        _emit(payload)
+        _write_matchings(inst, payload, report.main_argmin)
         return 0 if report.ok else 2
     lines = [
         f"objective {_fmt_q(report.main_objective)}",

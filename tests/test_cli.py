@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from robustmatch.cli import entrypoint, gen_random_instance, run
 from robustmatch.verification import VerificationReport
 
 from test_matching import M0_I2, MZ_I2
-from test_rotations import counting_eliminations
+from test_rotations import counting_eliminations, cyclic_blocks
 
 I3_POINT_DIST = "GIRL_LIST g1 b1 1 1/1\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -507,15 +508,24 @@ class TestEnumerate:
 
 class TestEnumerateGolden:
     """Output bytes pinned on 3 cyclic blocks of 4 (64 stable matchings),
-    on an instance that leaves agents unmatched, and for represent's
-    enumeration on the blocks under a two-shift distribution (36 robust
-    matchings, one mandatory rotation)."""
+    on an instance that leaves agents unmatched, on an instance with no
+    agents and on one whose every list is empty (empty pair lists, and
+    every agent unmatched), and for represent's enumeration on the blocks
+    under a two-shift distribution (36 robust matchings, one mandatory
+    rotation)."""
 
     CASES = {
         "enumerate-three-blocks.txt": ("enumerate", "--instance", "three-blocks.txt"),
         "enumerate-three-blocks.json": ("enumerate", "--instance", "three-blocks.txt", "--format", "json"),
         "enumerate-unmatched.txt": ("enumerate", "--instance", "unmatched.txt"),
         "enumerate-unmatched.json": ("enumerate", "--instance", "unmatched.txt", "--format", "json"),
+        "enumerate-empty.txt": ("enumerate", "--instance", "empty.txt"),
+        "enumerate-empty.json": ("enumerate", "--instance", "empty.txt", "--format", "json"),
+        "enumerate-no-lists.txt": ("enumerate", "--instance", "no-lists.txt"),
+        "enumerate-no-lists.json": ("enumerate", "--instance", "no-lists.txt", "--format", "json"),
+        "represent-three-blocks.txt": (
+            "represent", "--instance", "three-blocks.txt", "--dist", "three-blocks.dist", "--enumerate",
+        ),
         "represent-three-blocks.json": (
             "represent", "--instance", "three-blocks.txt", "--dist", "three-blocks.dist",
             "--enumerate", "--format", "json",
@@ -537,6 +547,49 @@ class TestEnumerateGolden:
         code, _, _ = cli(capsys, "enumerate", "--instance", str(FIXTURES / "three-blocks.txt"), "--format", fmt)
         assert code == 0
         assert len(calls) == 63
+
+
+class _CharCount(io.TextIOBase):
+    """A stdout that keeps nothing but the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+class TestStreaming:
+    """enumerate and represent --enumerate write each matching as it is
+    made: on 6 cyclic blocks of 4 (4,096 stable matchings, all robust under
+    the empty distribution, megabytes of output) the traced peak stays
+    under 1 MB."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["enumerate", "represent"])
+    def test_peak_memory_does_not_grow_with_the_output(self, tmp_path, command, fmt):
+        inst = tmp_path / "blocks.txt"
+        inst.write_text(serialize_instance(cyclic_blocks([4] * 6, 3)), encoding="utf-8")
+        dist = tmp_path / "empty.dist"
+        dist.write_text("", encoding="utf-8")
+        argv = [command, "--instance", str(inst), "--format", fmt]
+        if command == "represent":
+            argv += ["--dist", str(dist), "--enumerate"]
+        sink = _CharCount()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.chars > 4096 * 24 * len("b1 g1\n")  # every matching was written
+        assert peak < 1_000_000, f"peak {peak} bytes"
 
 
 class TestAnalyzeShiftGolden:
@@ -609,18 +662,37 @@ class TestEmit:
         assert emitted(obj) == json.dumps(obj, indent=2) + "\n"
 
     @pytest.mark.parametrize("obj", [
-        # same-depth lists that are equal as tuples only if 1 == "1" or 1 == True
+        # same-depth lists whose items differ only as "1", 1 and True
         [["1"], [1], [True], ["1"], [1], [True]],
         [[True], [1], ["1"], [True, "1"], ["1", True]],
         {"a": [0, 1], "b": [False, True], "c": ["0", "1"], "d": [False, True]},
         # one leaf list repeated at two depths, then again at the first
         {"pair": ["b1", "g1"], "pairs": [["b1", "g1"], ["b1", "g1"]], "again": ["b1", "g1"]},
         [["b1", "g1"], [["b1", "g1"]], [[["b1", "g1"]]], ["b1", "g1"]],
-        # tuples render as lists and share the memo with them
+        # tuples render as lists
         [("b1", "g1"), ["b1", "g1"], (), [], {}],
     ])
-    def test_memo_is_exact(self, obj):
+    def test_repeated_and_mixed_lists(self, obj):
         assert emitted(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_written_matchings_are_the_emitted_payload(self, i2, count):
+        """The streaming writer prints what _emit and print print for the
+        whole list, also when the list is empty."""
+        matchings = [M0_I2, MZ_I2][:count]
+        blocks = [robustmatch.cli._matching_block(i2, m) for m in matchings]
+        cases = [
+            ({"schema": 1, "matchings": []},
+             json.dumps({"schema": 1, "matchings": [robustmatch.cli._matching_json(i2, m) for m in matchings]},
+                        indent=2) + "\n"),
+            ([], "\n\n".join(blocks) + "\n"),
+            (["head", "lines"], "\n".join(["head", "lines"] + [line for b in blocks for line in ("", b)]) + "\n"),
+        ]
+        for head, expected in cases:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                robustmatch.cli._write_matchings(i2, head, iter(matchings))
+            assert buf.getvalue() == expected
 
     @pytest.mark.parametrize("obj", [1.5, [1.5], {1, 2}, {"a": [{2}]}, {1: "a"}, [{None: 1}], object()])
     def test_rejects_other_types_and_prints_nothing(self, obj):
@@ -642,6 +714,7 @@ class TestJsonRoundTrip:
         "analyze-shift-disjoint": ("analyze-shift", "--instance", "unmatched.txt", "--shift", "GIRL_LIST g4 b5 1"),
         "analyze-shift-empty": ("analyze-shift", "--instance", "unmatched.txt", "--shift", "GIRL_LIST g1 b13 1"),
         "represent": ("represent", "--instance", "three-blocks.txt", "--dist", "three-blocks.dist", "--enumerate"),
+        "represent-unmatched": ("represent", "--instance", "unmatched.txt", "--dist", "full-uniform", "--enumerate"),
         "enumerate": ("enumerate", "--instance", "unmatched.txt"),
         "verify": ("verify", "--instance", "I3.txt", "--dist", "full-uniform"),
         "gen": ("gen", "--n", "6", "--seed", "5", "--completeness", "0.5"),
@@ -769,6 +842,30 @@ class TestOnePoset:
         code, _, _ = cli(capsys, command, "--instance", str(i3_path), "--dist", "full-uniform")
         assert code == 0
         assert len(built) == 1
+
+
+class TestByteOrderMark:
+    """Input files that start with a UTF-8 byte-order mark, as Windows
+    editors write them, read as the same files without it."""
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate",),
+        ("represent", "--dist", "three-blocks.dist", "--enumerate"),
+        ("solve", "--dist", "three-blocks.dist", "--format", "json"),
+    ], ids=lambda argv: argv[0])
+    def test_same_output_as_the_plain_files(self, capsys, tmp_path, argv):
+        paths = {}
+        for name in ("three-blocks.txt", "three-blocks.dist"):
+            paths[name] = tmp_path / name
+            paths[name].write_text((FIXTURES / name).read_text(encoding="utf-8"), encoding="utf-8-sig")
+            assert paths[name].read_bytes().startswith(b"\xef\xbb\xbf")
+        command, *rest = argv
+        plain = cli(capsys, command, "--instance", str(FIXTURES / "three-blocks.txt"),
+                    *[str(FIXTURES / a) if a.endswith(".dist") else a for a in rest])
+        marked = cli(capsys, command, "--instance", str(paths["three-blocks.txt"]),
+                     *[str(paths[a]) if a.endswith(".dist") else a for a in rest])
+        assert plain[0] == 0
+        assert marked == plain
 
 
 class TestErrorHandling:
