@@ -10,13 +10,16 @@ Subcommands
   gen            reproducible random instance
 
 Exit codes: 0 success, 1 validation or usage error, 2 verification mismatch,
-3 internal invariant failure.
+3 internal invariant failure, 141 (128 + SIGPIPE) stdout closed by its
+reader before the output ended.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -75,47 +78,16 @@ def _matching_block(inst: PreferenceInstance, matching) -> str:
     return serialize_matching(inst, matching).rstrip("\n")
 
 
-def _json_block(open_: str, items: list[str], depth: int, close: str) -> str:
-    """A non-empty JSON array or object, one rendered item per line."""
+def _json_names(names, depth: int) -> str:
+    """A list of names as json.dumps(..., indent=2) renders it at this nesting depth."""
+    if not names:
+        return "[]"
     inner = "\n" + "  " * (depth + 1)
-    return open_ + inner + ("," + inner).join(items) + "\n" + "  " * depth + close
-
-
-def _json_text(obj, depth: int) -> str:
-    """obj as the json module renders it with indent=2, at this nesting depth."""
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return _json_block("[", [_json_text(item, depth + 1) for item in obj], depth, "]")
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        fields = []
-        for name, value in obj.items():
-            if not isinstance(name, str):
-                raise TypeError(f"keys must be str, not {type(name).__name__}")
-            fields.append(encode_basestring_ascii(name) + ": " + _json_text(value, depth + 1))
-        return _json_block("{", fields, depth, "}")
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return "[" + inner + ("," + inner).join(map(encode_basestring_ascii, names)) + "\n" + "  " * depth + "]"
 
 
 def _emit(payload) -> None:
-    """Print payload byte for byte as the json module prints it with indent=2.
-
-    Takes dicts with str keys, lists, tuples, str, int, bool and None; any
-    other type raises TypeError and prints nothing.
-    """
-    print(_json_text(payload, 0))
+    print(json.dumps(payload, indent=2))
 
 
 def _write_matchings(inst: PreferenceInstance, head, matchings) -> None:
@@ -141,14 +113,14 @@ def _write_matchings(inst: PreferenceInstance, head, matchings) -> None:
             sep = "\n\n"
         write("\n")
         return
-    before, _, after = _json_text(head, 0).rpartition("[]")
+    before, _, after = json.dumps(head, indent=2).rpartition("[]")
     write(before)
     boy_names, girl_names = inst.boy_names, inst.girl_names
 
     @functools.cache
     def pair_text(pair) -> str:
         b, g = pair
-        return _json_text([boy_names[b], girl_names[g]], 4)
+        return _json_names((boy_names[b], girl_names[g]), 4)
 
     opened = False
     for matching in matchings:
@@ -157,8 +129,8 @@ def _write_matchings(inst: PreferenceInstance, head, matchings) -> None:
         write(
             (",\n    {" if opened else "[\n    {")
             + '\n      "pairs": ' + ("[\n        " + pairs + "\n      ]" if pairs else "[]")
-            + ',\n      "unmatched_boys": ' + _json_text([boy_names[b] for b in boys], 3)
-            + ',\n      "unmatched_girls": ' + _json_text([girl_names[g] for g in girls], 3)
+            + ',\n      "unmatched_boys": ' + _json_names([boy_names[b] for b in boys], 3)
+            + ',\n      "unmatched_girls": ' + _json_names([girl_names[g] for g in girls], 3)
             + "\n    }"
         )
         opened = True
@@ -510,6 +482,8 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
+    except BrokenPipeError:  # the reader closed stdout: not an input error
+        raise
     except (InstanceFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -519,7 +493,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``robustmatch enumerate ... | head``):
+        # point fd 1 at devnull so that the interpreter's final flush stays
+        # quiet, and exit with 128 + SIGPIPE as a process killed by it does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

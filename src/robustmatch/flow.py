@@ -97,8 +97,8 @@ def build_network(poset: RotationPoset, dist: ShiftDistribution) -> ClosureNetwo
     """Translate a shift distribution over the poset's instance into the closure network.
 
     Both readers give one integer weight per outcome over the one
-    denominator ``dist.denominator``: the full-uniform distribution from one
-    count per mover (``uniform_weights``), without building any per-shift
+    denominator ``dist.denominator``: the full-uniform distribution one
+    mover at a time (``uniform_weights``), without building any per-shift
     object, an explicit one shift by shift.  The DISJOINT entry (None, None)
     becomes constant_weight, and every other (rho_in, rho_out) one edge from
     its exit rotation (T when absent) to its entry rotation (S when absent);

@@ -46,9 +46,9 @@ None the window holds every stable partner of the owner and the mover always
 prefers the owner.
 
 ``analyze_shift`` applies the rule to the run of one shift.
-``uniform_weights`` reads the whole domain without visiting runs: per mover
-it finds the fixed endpoint and how many of its runs survive, counts that,
-and adds the counts of one list owner into one table {(rho_in, rho_out):
+``uniform_weights`` reads the whole domain without visiting shifts: per
+mover it finds the fixed endpoint and how many of its runs survive, and adds
+the windows of each surviving run into one table {(rho_in, rho_out):
 windows}, the form in which the closure network reads either distribution.
 """
 
@@ -201,11 +201,9 @@ def uniform_weights(poset: RotationPoset, inst: PreferenceInstance) -> dict:
     PROPER.  For one mover at position i on an owner's list, run j < right
     holds p_j - p_{j-1} windows (p_{-1} = -1), which does not depend on the
     mover, and the runs that are not EMPTY_MAB are 0..t-1 (see
-    ``_surviving_runs``).  So each mover adds one to a count at (fixed
-    endpoint, t), and one suffix sum per owner and endpoint gives run j the
-    weight w_j times the number of movers with t > j, added straight into
-    the entry that pairs the fixed endpoint with boundary j as the module
-    docstring's rule says: no per-shift or per-run object or call, one
+    ``_surviving_runs``).  So each mover adds w_j straight into the entry of
+    each run j < t, the entry that pairs the fixed endpoint with boundary j
+    as the module docstring's rule says: no per-shift object or call, one
     bisection per mover.
     """
     weights: dict[tuple[int | None, int | None], int] = {}
@@ -214,22 +212,15 @@ def uniform_weights(poset: RotationPoset, inst: PreferenceInstance) -> dict:
         girl = side == GIRL_LIST
         for owner, (positions, boundaries) in chains.items():
             prefs = lists[owner]
-            counts: dict[int | None, dict[int, int]] = {}  # fixed endpoint -> t -> movers
+            widths = [p - q for p, q in zip(positions, (-1,) + positions)]
             for i in range(positions[0] + 1, len(prefs)):
                 never, crossing = _mover_crossing(poset, inst, side, owner, prefs[i])
                 if never:
                     continue
-                right = bisect_left(positions, i)
-                fixed, t = _surviving_runs(poset, girl, boundaries, right, crossing)
-                per_t = counts.setdefault(fixed, {})
-                per_t[t] = per_t.get(t, 0) + 1
-            widths = [p - q for p, q in zip(positions, (-1,) + positions)]
-            for fixed, per_t in counts.items():
-                movers = 0
-                for j in range(max(per_t) - 1, -1, -1):
-                    movers += per_t.get(j + 1, 0)
+                fixed, t = _surviving_runs(poset, girl, boundaries, bisect_left(positions, i), crossing)
+                for j in range(t):
                     outcome = (fixed, boundaries[j]) if girl else (boundaries[j], fixed)
-                    weights[outcome] = weights.get(outcome, 0) + movers * widths[j]
+                    weights[outcome] = weights.get(outcome, 0) + widths[j]
     return weights
 
 

@@ -21,14 +21,18 @@ import robustmatch.cli
 import robustmatch.representation
 from robustmatch import serialize_instance
 from robustmatch.cli import entrypoint, gen_random_instance, run
+from robustmatch.rotations import build_rotation_poset, closed_set_to_matching, enumerate_closed_masks
 from robustmatch.verification import VerificationReport
 
 from test_matching import M0_I2, MZ_I2
-from test_rotations import counting_eliminations, cyclic_blocks
+from test_rotations import counting_eliminations
 
 I3_POINT_DIST = "GIRL_LIST g1 b1 1 1/1\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+# serialize_instance(cyclic_blocks([4] * 6, 3)): 4,096 stable matchings,
+# 0.7 MB of text and 5.6 MB of JSON from enumerate, far more than a pipe holds
+SIX_BLOCKS = FIXTURES / "six-blocks.txt"
 
 
 def readme_examples():
@@ -572,11 +576,9 @@ class TestStreaming:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("command", ["enumerate", "represent"])
     def test_peak_memory_does_not_grow_with_the_output(self, tmp_path, command, fmt):
-        inst = tmp_path / "blocks.txt"
-        inst.write_text(serialize_instance(cyclic_blocks([4] * 6, 3)), encoding="utf-8")
         dist = tmp_path / "empty.dist"
         dist.write_text("", encoding="utf-8")
-        argv = [command, "--instance", str(inst), "--format", fmt]
+        argv = [command, "--instance", str(SIX_BLOCKS), "--format", fmt]
         if command == "represent":
             argv += ["--dist", str(dist), "--enumerate"]
         sink = _CharCount()
@@ -653,6 +655,18 @@ JSON_VALUES = st.recursive(
 )
 
 
+@st.composite
+def instances_with_matchings(draw):
+    """A random instance (n up to 12, so names reach two digits) and a
+    sequence of its stable matchings: any order, repeats, possibly empty."""
+    inst = gen_random_instance(
+        draw(st.integers(1, 12)), draw(st.integers(0, 10**6)), draw(st.sampled_from([1.0, 0.7, 0.4])),
+    )
+    poset = build_rotation_poset(inst)
+    stable = [closed_set_to_matching(poset, mask) for mask in enumerate_closed_masks(poset)]
+    return inst, draw(st.lists(st.sampled_from(stable), max_size=5))
+
+
 class TestEmit:
     """The CLI's JSON emitter writes the bytes of json.dumps(obj, indent=2)."""
 
@@ -694,7 +708,27 @@ class TestEmit:
                 robustmatch.cli._write_matchings(i2, head, iter(matchings))
             assert buf.getvalue() == expected
 
-    @pytest.mark.parametrize("obj", [1.5, [1.5], {1, 2}, {"a": [{2}]}, {1: "a"}, [{None: 1}], object()])
+    @given(instances_with_matchings())
+    @settings(max_examples=150, deadline=None)
+    def test_writer_template_is_json_dumps(self, case):
+        """The writer's hand-written per-matching JSON is what json.dumps
+        prints for the whole payload, and its text is the joined blocks."""
+        inst, matchings = case
+        json_head = {"schema": 1, "command": "enumerate", "count": len(matchings), "matchings": []}
+        payload = {**json_head, "matchings": [robustmatch.cli._matching_json(inst, m) for m in matchings]}
+        blocks = [robustmatch.cli._matching_block(inst, m) for m in matchings]
+        cases = [(json_head, json.dumps(payload, indent=2) + "\n"), ([], "\n\n".join(blocks) + "\n")]
+        for head, expected in cases:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                robustmatch.cli._write_matchings(inst, head, iter(matchings))
+            assert buf.getvalue() == expected
+
+    @pytest.mark.parametrize("obj", [1.5, [1.5], {1: "a"}, [{None: 1}]])
+    def test_floats_and_non_str_keys_print_as_json_dumps(self, obj):
+        assert emitted(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [{1, 2}, {"a": [{2}]}, object()])
     def test_rejects_other_types_and_prints_nothing(self, obj):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), pytest.raises(TypeError):
@@ -950,6 +984,25 @@ def fresh_process(argv):
         capture_output=True, text=True, env=env, check=False,
     )
     return done.returncode, done.stdout, done.stderr
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``robustmatch enumerate ... | head``)
+    ends the run with exit 141 (128 + SIGPIPE) and nothing on stderr."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_exit_141_and_empty_stderr(self, fmt):
+        src = Path(robustmatch.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "robustmatch.cli", "enumerate", "--instance", str(SIX_BLOCKS), "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
 
 class TestRunAsModule:
