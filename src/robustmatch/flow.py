@@ -17,8 +17,10 @@ hand the network one table {(rho_in, rho_out): weight}, whose (None, None)
 entry, the DISJOINT shifts, becomes the constant and every other entry one
 shift edge; the max flow uses those integers as its capacities, and the
 optimality certificate is checked in them.  The full-uniform distribution is
-never read shift by shift: each mover of each list adds one count, and the
-counts of one list owner are added into the table.  Fractions are made only
+never read shift by shift: each mover walks its own list as far as it can
+prefer an owner in some stable matching (the whole list for a mover that
+the rural hospitals theorem leaves unmatched in every one), and each pair
+it reaches adds its windows into the table.  Fractions are made only
 at the boundary: the flow value, the solution, the text dumps and the
 certificate messages.
 """

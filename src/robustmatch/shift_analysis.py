@@ -46,10 +46,15 @@ None the window holds every stable partner of the owner and the mover always
 prefers the owner.
 
 ``analyze_shift`` applies the rule to the run of one shift.
-``uniform_weights`` reads the whole domain without visiting shifts: per
-mover it finds the fixed endpoint and how many of its runs survive, and adds
-the windows of each surviving run into one table {(rho_in, rho_out):
-windows}, the form in which the closure network reads either distribution.
+``uniform_weights`` reads the whole domain without visiting shifts, mover by
+mover: each mover walks its own list only as far as it prefers an owner in
+some stable matching, reading its crossing off a pointer into its chain
+instead of a bisection, and a mover unmatched in every stable matching (the
+rural hospitals theorem) walks the whole list with no crossing.  For each
+(owner, mover) pair it reaches, ``_add_runs`` finds the fixed endpoint and
+how many runs survive, and adds the windows of each surviving run into one
+table {(rho_in, rho_out): windows}, the form in which the closure network
+reads either distribution.
 """
 
 from __future__ import annotations
@@ -193,6 +198,17 @@ def _surviving_runs(poset: RotationPoset, girl: bool, boundaries, right: int, cr
     return fixed, 1 + bisect_left(range(1, right), True, key=empty)
 
 
+def _add_runs(weights: dict, poset: RotationPoset, girl: bool, boundaries, widths, right: int, crossing) -> None:
+    """Add one (owner, mover) pair's windows into ``weights``: run j of the
+    ``right`` runs holds widths[j] windows and, unless EMPTY_MAB (runs t and
+    up, see ``_surviving_runs``), adds them to the entry that pairs the fixed
+    endpoint with boundary j of the owner's chain."""
+    fixed, t = _surviving_runs(poset, girl, boundaries, right, crossing)
+    for j in range(t):
+        outcome = (fixed, boundaries[j]) if girl else (boundaries[j], fixed)
+        weights[outcome] = weights.get(outcome, 0) + widths[j]
+
+
 def uniform_weights(poset: RotationPoset, inst: PreferenceInstance) -> dict:
     """The whole shift domain of the instance, as {(rho_in, rho_out): windows}.
 
@@ -200,27 +216,48 @@ def uniform_weights(poset: RotationPoset, inst: PreferenceInstance) -> dict:
     entry of its outcome; (None, None) is DISJOINT and every other key is
     PROPER.  For one mover at position i on an owner's list, run j < right
     holds p_j - p_{j-1} windows (p_{-1} = -1), which does not depend on the
-    mover, and the runs that are not EMPTY_MAB are 0..t-1 (see
-    ``_surviving_runs``).  So each mover adds w_j straight into the entry of
-    each run j < t, the entry that pairs the fixed endpoint with boundary j
-    as the module docstring's rule says: no per-shift object or call, one
-    bisection per mover.
+    mover, so each (owner, mover) pair adds those widths straight into the
+    entries of its surviving runs (``_add_runs``): no per-shift object or
+    call, one bisection per pair.
+
+    The walk is mover-major, so that it visits only the pairs that can
+    block.  A mover with a chain prefers an owner in some stable matching
+    only when the owner sits above its worst stable partner, so it walks
+    its own list down to that partner, and a pointer over its slot
+    positions gives k = bisect_right(positions, q) at each position q, and
+    so the crossing boundary k.  A mover with no chain is unmatched in
+    every stable matching (the rural hospitals theorem: Gale and Sotomayor,
+    "Some remarks on the stable matching problem", Discrete Appl. Math. 11,
+    1985), so it prefers every owner on its list: it walks the whole list
+    with no crossing, as if its one slot sat just past the list's end.  An
+    owner adds windows only if it has a chain and the mover sits below its
+    best stable partner.
     """
     weights: dict[tuple[int | None, int | None], int] = {}
-    sides = ((GIRL_LIST, inst.girl_prefs, poset.girl_chains), (BOY_LIST, inst.boy_prefs, poset.boy_chains))
-    for side, lists, chains in sides:
+    sides = (
+        (GIRL_LIST, inst.boy_prefs, inst.girl_rank, poset.boy_chains, poset.girl_chains),
+        (BOY_LIST, inst.girl_prefs, inst.boy_rank, poset.girl_chains, poset.boy_chains),
+    )
+    for side, mover_lists, owner_ranks, mover_chains, owner_chains in sides:
         girl = side == GIRL_LIST
-        for owner, (positions, boundaries) in chains.items():
-            prefs = lists[owner]
-            widths = [p - q for p, q in zip(positions, (-1,) + positions)]
-            for i in range(positions[0] + 1, len(prefs)):
-                never, crossing = _mover_crossing(poset, inst, side, owner, prefs[i])
-                if never:
+        owners = {
+            owner: (positions, boundaries, [p - q for p, q in zip(positions, (-1,) + positions)])
+            for owner, (positions, boundaries) in owner_chains.items()
+        }
+        for mover, prefs in enumerate(mover_lists):
+            slots, crossings = mover_chains.get(mover, ((len(prefs),), (None, None)))
+            k = 0
+            for q in range(slots[-1]):
+                if slots[k] <= q:
+                    k += 1
+                owner = prefs[q]
+                chain = owners.get(owner)
+                if chain is None:
                     continue
-                fixed, t = _surviving_runs(poset, girl, boundaries, bisect_left(positions, i), crossing)
-                for j in range(t):
-                    outcome = (fixed, boundaries[j]) if girl else (boundaries[j], fixed)
-                    weights[outcome] = weights.get(outcome, 0) + widths[j]
+                positions, boundaries, widths = chain
+                i = owner_ranks[owner][mover]
+                if i > positions[0]:
+                    _add_runs(weights, poset, girl, boundaries, widths, bisect_left(positions, i), crossings[k])
     return weights
 
 

@@ -516,7 +516,11 @@ class TestEnumerateGolden:
     agents and on one whose every list is empty (empty pair lists, and
     every agent unmatched), and for represent's enumeration on the blocks
     under a two-shift distribution (36 robust matchings, one mandatory
-    rotation)."""
+    rotation).  Last, the full-uniform closure network ``solve`` dumps at
+    the benchmark's scale: ``gen --n 30 --seed 4242`` (8 rotations, 44
+    shift edges), ``gen --n 20 --seed 4242 --completeness 0.7`` (one stable
+    matching, two agents unmatched, every breaking shift DISJOINT) and the
+    three blocks (27 shift edges)."""
 
     CASES = {
         "enumerate-three-blocks.txt": ("enumerate", "--instance", "three-blocks.txt"),
@@ -533,6 +537,15 @@ class TestEnumerateGolden:
         "represent-three-blocks.json": (
             "represent", "--instance", "three-blocks.txt", "--dist", "three-blocks.dist",
             "--enumerate", "--format", "json",
+        ),
+        "solve-full-uniform-gen30.json": (
+            "solve", "--instance", "gen30.txt", "--dist", "full-uniform", "--dump-network", "--format", "json",
+        ),
+        "solve-full-uniform-gen20-c07.json": (
+            "solve", "--instance", "gen20-c07.txt", "--dist", "full-uniform", "--dump-network", "--format", "json",
+        ),
+        "solve-full-uniform-three-blocks.json": (
+            "solve", "--instance", "three-blocks.txt", "--dist", "full-uniform", "--dump-network", "--format", "json",
         ),
     }
 

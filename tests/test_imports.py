@@ -1,8 +1,11 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and none uses
+a bare ``assert``.
 
-``__init__.py`` is left out: it imports names to re-export them.  A name
-counts as used when it is read anywhere in the module, annotations
-included, or named in a string annotation.
+``__init__.py`` is left out of the import check: it imports names to
+re-export them.  A name counts as used when it is read anywhere in the
+module, annotations included, or named in a string annotation.  An
+invariant check raises ``AssertionError`` explicitly, so that ``python -O``
+keeps it and the CLI still exits 3 when it fails.
 """
 
 from __future__ import annotations
@@ -55,3 +58,10 @@ def test_no_unused_import(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_bare_assert(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} has assert statements, which python -O strips, at lines {lines}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,8 +54,14 @@ from test_rotations import (
     recursive_closed_subsets,
 )
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
 I2_SHIFT = Shift(GIRL_LIST, 0, 0, 1)   # g1 moves b1 above b2
 I3_SHIFT = Shift(GIRL_LIST, 0, 0, 1)   # g1 moves b1 above b3
+
+# b1 is unmatched in the one stable matching; g1 moving him above b2 is the
+# one shift of the domain, and it is DISJOINT
+LONE_GIRL = "2 1\nb1: g1\nb2: g1\ng1: b2 b1\n"
 
 # unique-stable-matching instance: one shift destabilizes it, another cannot
 UNIQUE = parse_instance(
@@ -288,6 +295,25 @@ class TestShiftRuns:
     @pytest.mark.parametrize("text", UNEQUAL_SIDES, ids=["3x4", "5x6", "6x5"])
     def test_unequal_sides(self, text):
         self.check(parse_instance(text))
+
+    @pytest.mark.parametrize(
+        "text",
+        [*UNEQUAL_SIDES, (FIXTURES / "unmatched.txt").read_text(encoding="utf-8"), LONE_GIRL],
+        ids=["3x4", "5x6", "6x5", "unmatched", "2x1"],
+    )
+    def test_chainless_movers(self, text):
+        """A mover unmatched in every stable matching has no chain and
+        prefers every owner on its list; some of its shifts break matchings,
+        and ``uniform_weights`` counts them."""
+        inst = parse_instance(text)
+        poset = build_rotation_poset(inst)
+        chainless_breaking = 0
+        for shift in enumerate_shift_domain(inst):
+            mover_chains = poset.boy_chains if shift.side == GIRL_LIST else poset.girl_chains
+            if shift.mover not in mover_chains and analyze_shift(poset, inst, shift).status != EMPTY_MAB:
+                chainless_breaking += 1
+        assert chainless_breaking > 0
+        self.check(inst)
 
 
 class TestSurvivingRunsArePrefix:
