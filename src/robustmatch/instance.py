@@ -12,9 +12,12 @@ instances and shifts can be shared freely between threads.
 
 A distribution holds its probabilities as integer weights over one
 denominator; the ``Fraction`` form (``entries``) is built on its first read.
-The readers resolve agent names through per-instance tables (``boy_ids``,
-``girl_ids``) and read ``a/b`` probabilities as two integers; the matching
-writers read names off the inverse tables (``boy_names``, ``girl_names``).
+The readers split each line once and resolve agent names through
+per-instance tables (``boy_ids``, ``girl_ids``), parsing only a token that
+is not an agent's own name.  They read ``a/b`` probabilities as the two
+integers written, raw, and reduce them once, over the gcd common to all
+weights and their common denominator.  The matching writers read names off
+the inverse tables (``boy_names``, ``girl_names``).
 """
 
 from __future__ import annotations
@@ -289,9 +292,16 @@ class ShiftDistribution:
         self._entries: tuple[tuple[Shift, Fraction], ...] | None = entries
 
     def _set_weights(self, shifts: list[Shift], numerators: list[int], denominators: list[int], allow_partial: bool):
-        """Keep the shifts, probability i being numerators[i] / denominators[i]
-        in lowest terms, as integer weights over their least common
-        denominator, after the checks on duplicates, signs and the sum."""
+        """Keep the shifts, probability i being numerators[i] / denominators[i],
+        as integer weights over one denominator, after the checks on
+        duplicates, signs and the sum.
+
+        The fractions need not be in lowest terms.  Over D', the least
+        common multiple of the denominators as given, the weights are
+        divided once by g = gcd(D', w_1, ..., w_n): D' / g is then exactly
+        the least common multiple of the denominators in lowest terms, and
+        fractions already in lowest terms give g = 1.
+        """
         self.allow_partial = allow_partial
         # the instance whose whole shift domain this distribution is uniform over
         self.uniform_over: PreferenceInstance | None = None
@@ -299,16 +309,22 @@ class ShiftDistribution:
         self._parsed_for: PreferenceInstance | None = None
         self._entries = None
         distinct = set(denominators)
-        self.denominator = math.lcm(*distinct)
-        scale = {d: self.denominator // d for d in distinct}
+        common = math.lcm(*distinct)
+        scale = {d: common // d for d in distinct}
         weights = [n * scale[d] for n, d in zip(numerators, denominators)]
-        seen = set()
-        for shift, w in zip(shifts, weights):
-            if shift in seen:
-                raise ValueError(f"duplicate shift in distribution: {shift.describe()}")
-            seen.add(shift)
-            if w < 0:
-                raise ValueError(f"negative probability for {shift.describe()}")
+        g = math.gcd(common, *weights)
+        if g > 1:
+            common //= g
+            weights = [w // g for w in weights]
+        self.denominator = common
+        if len(set(shifts)) != len(shifts) or min(weights, default=0) < 0:
+            seen = set()
+            for shift, w in zip(shifts, weights):
+                if shift in seen:
+                    raise ValueError(f"duplicate shift in distribution: {shift.describe()}")
+                seen.add(shift)
+                if w < 0:
+                    raise ValueError(f"negative probability for {shift.describe()}")
         self._weight_sum = sum(weights)
         if shifts and not allow_partial and self._weight_sum != self.denominator:
             raise ValueError(f"distribution sums to {self.total}, expected exactly 1")
@@ -369,45 +385,67 @@ class ShiftDistribution:
             mover_position(inst, shift)
 
 
+def _shift_reader(inst: PreferenceInstance):
+    """The reader of one shift's tokens ``side agent mover k`` in ``inst``,
+    shared by ``parse_shift`` and ``parse_distribution``.
+
+    Agents' own names and windows in canonical form are read from tables,
+    and the mover's position from the side's rank table; any other token,
+    and every failure, goes through the general checks, whose messages name
+    the first offending token.
+    """
+    longest = max(map(len, inst.boy_prefs + inst.girl_prefs), default=0)
+    windows = {str(k): k for k in range(1, longest)}
+    sides = {
+        GIRL_LIST: (inst.girl_ids, "g", inst.boy_ids, "b", inst.girl_rank),
+        BOY_LIST: (inst.boy_ids, "b", inst.girl_ids, "g", inst.boy_rank),
+    }
+
+    def read(side: str, agent_tok: str, mover_tok: str, k_tok: str, line: int | None) -> Shift:
+        tables = sides.get(side)
+        if tables is None:
+            raise InstanceFormatError(f"unknown side {side!r}", line)
+        agent_ids, agent_prefix, mover_ids, mover_prefix, ranks = tables
+        agent = agent_ids.get(agent_tok)
+        if agent is None:
+            agent = _parse_agent(agent_tok, agent_ids, agent_prefix, line)
+        mover = mover_ids.get(mover_tok)
+        if mover is None:
+            mover = _parse_agent(mover_tok, mover_ids, mover_prefix, line)
+        k = windows.get(k_tok)
+        if k is None:
+            if not _is_number(k_tok) or int(k_tok) < 1:
+                raise InstanceFormatError(f"window must be a positive integer, got {k_tok!r}", line)
+            k = int(k_tok)
+        shift = Shift(side, agent, mover, k)
+        pos = ranks[agent].get(mover)
+        if pos is None or pos < k:
+            try:
+                mover_position(inst, shift)
+            except ValueError as exc:
+                raise InstanceFormatError(str(exc), line) from None
+        return shift
+
+    return read
+
+
 def parse_shift(text: str, inst: PreferenceInstance, line: int | None = None) -> Shift:
     """Parse ``SIDE agent mover k`` (e.g. ``GIRL_LIST g1 b1 1``)."""
     parts = text.split()
     if len(parts) != 4:
         raise InstanceFormatError(f"expected 'SIDE agent mover k', got {text!r}", line)
-    side, agent_tok, mover_tok, k_tok = parts
-    if side == GIRL_LIST:
-        agent = _parse_agent(agent_tok, inst.girl_ids, "g", line)
-        mover = _parse_agent(mover_tok, inst.boy_ids, "b", line)
-    elif side == BOY_LIST:
-        agent = _parse_agent(agent_tok, inst.boy_ids, "b", line)
-        mover = _parse_agent(mover_tok, inst.girl_ids, "g", line)
-    else:
-        raise InstanceFormatError(f"unknown side {side!r}", line)
-    if not _is_number(k_tok) or int(k_tok) < 1:
-        raise InstanceFormatError(f"window must be a positive integer, got {k_tok!r}", line)
-    shift = Shift(side, agent, mover, int(k_tok))
-    try:
-        mover_position(inst, shift)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc), line) from None
-    return shift
+    return _shift_reader(inst)(*parts, line)
 
 
 def _parse_probability(token: str, line: int) -> tuple[int, int]:
-    """A probability as (numerator, denominator) in lowest terms.
+    """A probability not written as plain ``a/b``, as (numerator, denominator).
 
-    ``a/b`` in ASCII digits is read as two integers.  Every other form
-    (``1``, ``0.5``, ``+1/2``, ``1e-1``) goes through ``Fraction``, but only
-    in ASCII (``Fraction`` also reads digits such as "\\u0661") and without
-    ``_`` (which ``Fraction`` reads from Python 3.11 on).
+    Every such form (``1``, ``0.5``, ``+1/2``, ``1e-1``) goes through
+    ``Fraction``, but only in ASCII (``Fraction`` also reads digits such as
+    "\\u0661") and without ``_`` (which ``Fraction`` reads from Python 3.11
+    on).
     """
-    num, slash, den = token.partition("/")
-    if slash and token.isascii() and num.isdigit() and den.isdigit():
-        n, d = int(num), int(den)
-        if d:
-            g = math.gcd(n, d)
-            return n // g, d // g
-    elif token.isascii() and "_" not in token:
+    if token.isascii() and "_" not in token:
         try:
             p = Fraction(token)
         except (ValueError, ZeroDivisionError):
@@ -418,17 +456,35 @@ def _parse_probability(token: str, line: int) -> tuple[int, int]:
 
 
 def parse_distribution(text: str, inst: PreferenceInstance) -> ShiftDistribution:
-    """Parse distribution text: one ``SIDE agent mover k p_num/p_den`` per line."""
+    """Parse distribution text: one ``SIDE agent mover k p_num/p_den`` per line.
+
+    Each line is split once.  An ``a/b`` probability in ASCII digits keeps
+    its two integers as written, each distinct denominator string converted
+    once; ``ShiftDistribution`` reduces them all together.
+    """
+    read_shift = _shift_reader(inst)
+    # denominator string -> its value, or 0 when it is not a positive integer
+    # in ASCII digits, which sends the probability to ``_parse_probability``
+    denominator_of: dict[str, int] = {}
     shifts, numerators, denominators = [], [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = stripped.rsplit(None, 1)
-        if len(parts) != 2:
-            raise InstanceFormatError("expected 'SIDE agent mover k p_num/p_den'", line_no)
-        shifts.append(parse_shift(parts[0], inst, line_no))
-        n, d = _parse_probability(parts[1], line_no)
+        if len(parts) != 5:
+            if len(parts) == 1:
+                raise InstanceFormatError("expected 'SIDE agent mover k p_num/p_den'", line_no)
+            parse_shift(raw.strip().rsplit(None, 1)[0], inst, line_no)  # raises: not four tokens
+        side, agent_tok, mover_tok, k_tok, p_tok = parts
+        shifts.append(read_shift(side, agent_tok, mover_tok, k_tok, line_no))
+        num, _, den = p_tok.partition("/")
+        d = denominator_of.get(den)
+        if d is None:
+            d = denominator_of[den] = int(den) if _is_number(den) else 0
+        if d and num.isascii() and num.isdigit():  # isdigit alone accepts "\u0661"
+            n = int(num)
+        else:
+            n, d = _parse_probability(p_tok, line_no)
         numerators.append(n)
         denominators.append(d)
     dist = ShiftDistribution()
@@ -485,15 +541,20 @@ def parse_instance(text: str) -> PreferenceInstance:
                 raise InstanceFormatError(
                     f"expected list for {expected}, got {head.strip()!r}", line_no
                 )
-            prefs = []
-            seen = set()
-            for token in rest.split():
-                a = _parse_agent(token, other_ids, other_prefix, line_no)
-                if a in seen:
-                    raise InstanceFormatError(f"duplicate entry {token}", line_no)
-                seen.add(a)
-                prefs.append(a)
-            out.append(tuple(prefs))
+            tokens = rest.split()
+            prefs = tuple(map(other_ids.get, tokens))
+            distinct = set(prefs)
+            if None in distinct or len(distinct) != len(prefs):
+                # a token that is not an agent's own name, or a repeat: read
+                # token by token, naming the first one that fails
+                listed = {}
+                for token in tokens:
+                    a = _parse_agent(token, other_ids, other_prefix, line_no)
+                    if a in listed:
+                        raise InstanceFormatError(f"duplicate entry {token}", line_no)
+                    listed[a] = None
+                prefs = tuple(listed)
+            out.append(prefs)
         return tuple(out)
 
     boy_prefs = read_lists(body[:n_boys], "b", "g", _name_table("g", n_girls))

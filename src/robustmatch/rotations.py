@@ -53,10 +53,6 @@ class Rotation:
         return tuple(b for b, _ in self.pairs)
 
     @property
-    def girls(self) -> tuple[int, ...]:
-        return tuple(g for _, g in self.pairs)
-
-    @property
     def post_pairs(self) -> tuple[tuple[int, int], ...]:
         """Pairs present after elimination: each boy with the next girl."""
         r = len(self.pairs)

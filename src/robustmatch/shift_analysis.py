@@ -182,17 +182,17 @@ def _surviving_runs(poset: RotationPoset, girl: bool, boundaries, right: int, cr
     over to every j' > j in the same way.  Hence t is a bisection over j in
     [1, right).  Without a crossing no run may be EMPTY_MAB (it would mean
     an exit at or below its entry); by the same order it suffices to test
-    run right-1.
+    run right-1.  With one run (right = 1) there is nothing to test: t = 1.
     """
     fixed = boundaries[right] if crossing is None else crossing
-    if fixed is None:
+    if fixed is None or right == 1:
         return fixed, right
 
     def empty(j: int) -> bool:
         return poset.leq(boundaries[j], fixed) if girl else poset.leq(fixed, boundaries[j])
 
     if crossing is None:
-        if right > 1 and empty(right - 1):
+        if empty(right - 1):
             raise AssertionError("exit rotation precedes entry rotation in a proper analysis")
         return fixed, right
     return fixed, 1 + bisect_left(range(1, right), True, key=empty)

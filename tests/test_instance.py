@@ -382,6 +382,30 @@ class TestParsedEqualsConstructed:
         assert again.entries == entries
         assert serialize_distribution(again) == serialized
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(gen_random_instance, st.integers(2, 8), st.integers(0, 10**6)), st.data())
+    def test_decimals_beside_unreduced(self, inst, data):
+        """Probabilities over 10**places, some written as decimals (``0.25``)
+        and the rest as unreduced ``a/b``, read as the fractions they are."""
+        domain = enumerate_shift_domain(inst)
+        chosen = data.draw(st.lists(st.sampled_from(domain), min_size=1, unique=True))
+        places = data.draw(st.integers(1, 3))
+        total = 10 ** places
+        cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=len(chosen) - 1,
+                                         max_size=len(chosen) - 1)))
+        raw = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+        written = [
+            f"{r // total}.{r % total:0{places}d}" if data.draw(st.booleans())
+            else _unreduced(r, total, data.draw(st.integers(1, 6)))
+            for r in raw
+        ]
+        text = "".join(f"{s.describe()} {w}\n" for s, w in zip(chosen, written))
+        entries = tuple((s, Fraction(r, total)) for s, r in zip(chosen, raw))
+        parsed = parse_distribution(text, inst)
+        assert parsed.entries == entries
+        assert parsed.denominator == math.lcm(*(p.denominator for _, p in entries))
+        assert serialize_distribution(parsed) == serialize_distribution(ShiftDistribution(entries))
+
 
 I3_TEXT = "3\nb1: g1 g2 g3\nb2: g2 g3 g1\nb3: g3 g1 g2\ng1: b2 b3 b1\ng2: b3 b1 b2\ng3: b1 b2 b3\n"
 # g2 lists only b2, so b1 is not on her list
@@ -402,8 +426,12 @@ DISTRIBUTION_ERRORS = [
     (I3_TEXT, "GIRL_LIST g1 b1 3 1/1\n",
      "line 1: shift window 3 does not fit above position 2 in the list of g1", 1),
     (SHORT_TEXT, "\nGIRL_LIST g2 b1 1 1/1\n", "line 2: shift mover is not on the list of g2", 2),
+    (I3_TEXT, "GIRL_LIST\tg1  b1 1/1\n",
+     "line 1: expected 'SIDE agent mover k', got 'GIRL_LIST\\tg1  b1'", 1),
     (I3_TEXT, "GIRL_LIST g1 b1 1 1/0\n", "line 1: bad probability '1/0'", 1),
+    (I3_TEXT, "GIRL_LIST g1 b1 1 0/0\n", "line 1: bad probability '0/0'", 1),
     (I3_TEXT, "GIRL_LIST g1 b1 1 ١/١\n", "line 1: bad probability '١/١'", 1),
+    (I3_TEXT, "GIRL_LIST g1 b1 1 ١/1\n", "line 1: bad probability '١/1'", 1),
     (I3_TEXT, "GIRL_LIST g1 b1 1 -1/2\nBOY_LIST b1 g2 1 3/2\n",
      "negative probability for GIRL_LIST g1 b1 1", None),
     (I3_TEXT, "GIRL_LIST g1 b1 1 2/4\n", "distribution sums to 1/2, expected exactly 1", None),
@@ -413,8 +441,29 @@ DISTRIBUTION_ERRORS = [
     (I3_TEXT, "GIRL_LIST g1 b1 1 1/2\nBOY_LIST b1 g2 1 3/2\n", "distribution sums to 2, expected exactly 1", None),
 ]
 
+
+def _wide_denominators() -> tuple[str, str, int]:
+    """Three probabilities over ~170-bit denominators that share most of
+    their factors, as the chain-decay benchmark's do, each written with
+    numerator and denominator multiplied by one common factor."""
+    big = 3 ** 107
+    probabilities = [Fraction(1, 2 * big), Fraction(1, 5 * big)]
+    probabilities.append(1 - sum(probabilities))
+    shifts = ["GIRL_LIST g1 b1 1", "BOY_LIST b1 g2 1", "BOY_LIST b1 g3 2"]
+    common = 7 ** 20
+    text = "".join(f"{s} {p.numerator * common}/{p.denominator * common}\n"
+                   for s, p in zip(shifts, probabilities))
+    serialized = "".join(f"{s} {p.numerator}/{p.denominator}\n" for s, p in zip(shifts, probabilities))
+    return text, serialized, math.lcm(*(p.denominator for p in probabilities))
+
+
 # (distribution text on I3, its serialization, its denominator)
 DISTRIBUTIONS_ACCEPTED = [
+    ("GIRL_LIST g1 b1 1 1/4\r\nBOY_LIST b2 g1 2 3/4\r\n", "GIRL_LIST g1 b1 1 1/4\nBOY_LIST b2 g1 2 3/4\n", 4),
+    ("# café\nGIRL_LIST g1 b1 1 14/28\nBOY_LIST b1 g2 1 1/2\n", "GIRL_LIST g1 b1 1 1/2\nBOY_LIST b1 g2 1 1/2\n", 2),
+    ("GIRL_LIST g01 b1 1 1/4\nGIRL_LIST g1 b001 2 1/4\nBOY_LIST b02 g1 2 1/2\n",
+     "GIRL_LIST g1 b1 1 1/4\nGIRL_LIST g1 b1 2 1/4\nBOY_LIST b2 g1 2 1/2\n", 4),
+    _wide_denominators(),
     ("GIRL_LIST g01 b1 1 1/1\n", "GIRL_LIST g1 b1 1 1/1\n", 1),
     ("GIRL_LIST g1 b01 1 1/1\n", "GIRL_LIST g1 b1 1 1/1\n", 1),
     ("GIRL_LIST g1 b1 1 0.5\nBOY_LIST b1 g2 1 1/2\n", "GIRL_LIST g1 b1 1 1/2\nBOY_LIST b1 g2 1 1/2\n", 2),
@@ -429,6 +478,7 @@ DISTRIBUTIONS_ACCEPTED = [
 INSTANCE_ERRORS = [
     ("1\nb01: g1\ng1: b1\n", "line 2: expected list for b1, got 'b01'", 2),
     ("2\nb1: g1 g01\nb2: g1 g2\ng1: b1 b2\ng2: b2 b1\n", "line 2: duplicate entry g01", 2),
+    ("2\nb1: g1 g2\nb2: g2 g2\ng1: b1 b2\ng2: b2 b1\n", "line 3: duplicate entry g2", 3),
     ("2\nb1: g1 g2\nb2: g1 g3\ng1: b1 b2\ng2: b2 b1\n", "line 3: agent 'g3' out of range (1..2)", 3),
     ("2\nb1: g1 g2\nb2: g1 g2\ng1: b1 b0\ng2: b2 b1\n", "line 4: agent 'b0' out of range (1..2)", 4),
     ("2\nb1: g1 g2\nb2: g1 g2\ng1: b1 b١\ng2: b2 b1\n", "line 4: expected an agent like b3, got 'b١'", 4),
