@@ -49,10 +49,6 @@ class Rotation:
         return cls(pairs[k:] + pairs[:k])
 
     @property
-    def boys(self) -> tuple[int, ...]:
-        return tuple(b for b, _ in self.pairs)
-
-    @property
     def post_pairs(self) -> tuple[tuple[int, int], ...]:
         """Pairs present after elimination: each boy with the next girl."""
         r = len(self.pairs)
@@ -118,14 +114,11 @@ def exposed_rotations(inst: PreferenceInstance, matching: Matching) -> list[Rota
     return out
 
 
-def _eliminate_in_place(inst: PreferenceInstance, girl_of: dict, boy_of: dict, rotation: Rotation):
-    """Apply an exposed rotation to a boy->girl / girl->boy pair of maps.
-
-    Every pair of the rotation is checked against the maps before any is
-    written: the pair must be present, and the next girl of the rotation
-    must be the boy's successor girl.  Raises ValueError, with the maps
-    untouched, when either check fails.
-    """
+def _check_exposed(inst: PreferenceInstance, girl_of: dict, boy_of: dict, rotation: Rotation):
+    """Raise ValueError unless the rotation is exposed at the matching of a
+    boy->girl / girl->boy pair of maps: every pair of the rotation must be
+    present, and the next girl of the rotation must be the boy's successor
+    girl."""
     pairs = rotation.pairs
     after = pairs[1:] + pairs[:1]  # after[i][1] is b_i's next girl
     boy_prefs, boy_rank, girl_rank = inst.boy_prefs, inst.boy_rank, inst.girl_rank
@@ -136,9 +129,6 @@ def _eliminate_in_place(inst: PreferenceInstance, girl_of: dict, boy_of: dict, r
         p = _successor_position(prefs, girl_rank, boy_of, b, boy_rank[b][g] + 1)
         if p is None or prefs[p] != g_next:
             raise ValueError(f"rotation is not exposed: {girl_name(g_next)} is not the successor girl of {boy_name(b)}")
-    for (b, _), (_, g_next) in zip(pairs, after):
-        girl_of[b] = g_next
-        boy_of[g_next] = b
 
 
 def eliminate(inst: PreferenceInstance, matching: Matching, rotation: Rotation) -> Matching:
@@ -149,7 +139,8 @@ def eliminate(inst: PreferenceInstance, matching: Matching, rotation: Rotation) 
     rotation is not exposed at this matching, i.e. either check fails.
     """
     girl_of, boy_of = matching.partner_maps()
-    _eliminate_in_place(inst, girl_of, boy_of, rotation)
+    _check_exposed(inst, girl_of, boy_of, rotation)
+    girl_of.update(rotation.post_pairs)
     return Matching(girl_of.items())
 
 
@@ -158,17 +149,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-@dataclass
-class _Walk:
-    """Partner maps of the stable matching of the closed set ``mask``, and
-    the ids eliminated from the boy-optimal matching to reach it, in order."""
-
-    girl_of: dict
-    boy_of: dict
-    chain: list[int]
-    mask: int = 0
 
 
 @dataclass
@@ -194,15 +174,17 @@ class RotationPoset:
     entry k+1 but not entry k (None: no condition).  Agents
     unmatched in every stable matching have no chain.
 
-    The poset also keeps one walk through the lattice, which every
-    closed_set_to_matching call resumes: a pair of partner maps and the
-    rotations eliminated from the boy-optimal matching to reach them, in
-    order, so that each prefix of that chain is a closed set.  A call pops
-    the chain down to the deepest prefix inside the requested set and
-    eliminates only the missing rotations, so consecutive sets that differ by
-    one rotation cost one checked elimination.  The walk takes no part in
-    equality or repr, and ``dataclasses.replace`` starts a fresh one.  It is
-    mutable state: one poset serves one thread at a time.
+    A boy's boundary ids form a chain in the precedence order, so a closed
+    set holds a prefix of them, and its size is his slot.  ``boy_slots``
+    keeps, in boy order, one entry per boy with a chain: (b, mask of his
+    boundary ids, his stable partners in slot order), from which
+    closed_set_to_matching reads any stable matching.
+
+    The poset records which rotations closed_set_to_matching has found
+    exposed at the matching of their predecessors.  The record only grows,
+    takes no part in equality or repr, and never changes a result: a thread
+    that misses another's update repeats a check, and ``dataclasses.replace``
+    starts with nothing checked.
     """
 
     inst: PreferenceInstance
@@ -214,7 +196,8 @@ class RotationPoset:
     hasse_succs: tuple[tuple[int, ...], ...]
     girl_chains: dict  # g -> (ascending positions on g's list of her stable partners, boundary ids)
     boy_chains: dict   # b -> (ascending positions on b's list of his stable partners, boundary ids)
-    _walk: _Walk | None = field(default=None, init=False, repr=False, compare=False)
+    boy_slots: tuple[tuple[int, int, tuple[int, ...]], ...]  # (b, boundary id mask, partners by slot)
+    _exposed: int = field(default=0, init=False, repr=False, compare=False)  # rotations checked exposed
 
     @property
     def size(self) -> int:
@@ -223,12 +206,6 @@ class RotationPoset:
     def leq(self, i: int, j: int) -> bool:
         """True when rotation i precedes (or equals) rotation j."""
         return i == j or bool((self.pred_closure[j] >> i) & 1)
-
-    def index_of(self, rotation: Rotation) -> int:
-        try:
-            return self.rotations.index(rotation)
-        except ValueError:
-            raise ValueError(f"rotation {rotation.describe()} does not belong to this instance") from None
 
     @property
     def minimal_ids(self) -> tuple[int, ...]:
@@ -389,6 +366,10 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
         hasse_succs=tuple(tuple(s) for s in hasse_succs_sets),
         girl_chains=girl_chains,
         boy_chains=boy_chains,
+        boy_slots=tuple(
+            (b, ids_to_mask(bd[1:-1]), tuple(map(boy_prefs[b].__getitem__, pos)))
+            for b, (pos, bd) in boy_chains.items()
+        ),
     )
 
 
@@ -434,43 +415,37 @@ def is_closed_mask(poset: RotationPoset, mask: int) -> bool:
     return all((poset.pred_closure[v] & ~mask) == 0 for v in _bits(mask))
 
 
+def _matching_of(poset: RotationPoset, mask: int) -> Matching:
+    """The matching of a closed set: each boy holds the slot given by how
+    many of his boundary ids the set contains."""
+    return Matching((b, partners[(mask & crossed).bit_count()]) for b, crossed, partners in poset.boy_slots)
+
+
 def closed_set_to_matching(poset: RotationPoset, mask: int) -> Matching:
     """The stable matching of a downward-closed set: its rotations eliminated
-    from the boy-optimal matching.
+    from the boy-optimal matching, read off the partner chains (see
+    RotationPoset).
 
     Raises ValueError for unknown ids and for a set that is not downward
-    closed.  The call resumes the poset's walk (see RotationPoset): it pops
-    the walk's chain down to the deepest prefix contained in the set,
-    writing each popped rotation's pairs back, then eliminates the missing
-    rotations in ascending id order, a linear extension.  Every rotation
-    eliminated is checked as in eliminate: every pair is present and every
-    next girl is the boy's successor girl, so a rotation that is not exposed
-    raises ValueError instead of yielding an unstable matching.  Each
-    rotation joins the chain as it is applied, so the maps and the chain
-    stay in step when a check fails.  One Matching is built at the end.
+    closed.  Before any matching that holds a rotation is returned, the
+    rotation is checked once per poset as in eliminate, at the matching of
+    its strict predecessors: every pair is present and every next girl is the
+    boy's successor girl.  The set's rotations are checked in ascending id
+    order, so when a wrong order lets a set that is not truly closed pass as
+    closed, its first rotation missing a true predecessor is checked at a
+    truly closed set that lacks it, and raises ValueError instead of yielding
+    an unstable matching.  A rotation that fails is not recorded, so the next
+    request that holds it raises again.
     """
     if mask >> poset.size:
         raise ValueError("rotation set contains unknown ids")
-    walk = poset._walk
-    if walk is None:
-        walk = poset._walk = _Walk(*poset.boy_opt.partner_maps(), [])
-    girl_of, boy_of, chain, rotations = walk.girl_of, walk.boy_of, walk.chain, poset.rotations
-    while walk.mask & ~mask:
-        v = chain.pop()
-        walk.mask ^= 1 << v
-        for b, g in rotations[v].pairs:
-            girl_of[b] = g
-            boy_of[g] = b
-    # ids are a linear extension, so every prefix of the chain is closed and
-    # only the rotations being added can have a predecessor outside the set
-    missing = mask & ~walk.mask
-    if any(poset.pred_closure[v] & ~mask for v in _bits(missing)):
+    if not is_closed_mask(poset, mask):
         raise ValueError("rotation set is not downward closed")
-    for v in _bits(missing):
-        _eliminate_in_place(poset.inst, girl_of, boy_of, rotations[v])
-        chain.append(v)
-        walk.mask |= 1 << v
-    return Matching(girl_of.items())
+    for v in _bits(mask & ~poset._exposed):
+        girl_of, boy_of = _matching_of(poset, poset.pred_closure[v]).partner_maps()
+        _check_exposed(poset.inst, girl_of, boy_of, poset.rotations[v])
+        poset._exposed |= 1 << v
+    return _matching_of(poset, mask)
 
 
 def matching_to_closed_set(poset: RotationPoset, matching: Matching) -> int:

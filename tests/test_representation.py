@@ -44,7 +44,7 @@ from test_matching import M0_I2, M0_I3, M1_I3, MZ_I2, MZ_I3
 from test_rotations import (
     DEEP_CHAIN,
     chain_prefixes,
-    counting_eliminations,
+    counting_checks,
     cyclic_blocks,
     lattice_instances,
     recursive_closed_subsets,
@@ -93,23 +93,19 @@ class TestBuildRobustPoset:
 
 
 class TestEnumerateRobustCost:
-    def test_one_walk_step_per_element(self, monkeypatch):
-        """The first robust matching costs at most the mandatory rotations;
-        each later one, at most the rotations of the element it adds."""
+    def test_at_most_one_check_per_rotation(self, monkeypatch):
+        """Enumerating the robust set checks each of its rotations for
+        exposure at most once, and no rotation outside it."""
         inst = cyclic_blocks([4, 4, 4], 1)
         dist = parse_distribution((FIXTURES / "three-blocks.dist").read_text(encoding="utf-8"), inst)
         robust, _ = robust_of(inst, dist)
         assert robust.mandatory and any(len(e) > 1 for e in robust.free_elements)
-        calls = counting_eliminations(monkeypatch)
+        calls = counting_checks(monkeypatch)
         matchings = enumerate_robust(robust)
-        # each member after the first adds its highest element to an earlier one
-        items = [ids_to_mask(e) for e in robust.free_elements]
-        bound = len(robust.mandatory) + sum(
-            len(robust.free_elements[max(k for k, item in enumerate(items) if mask & item)])
-            for mask in robust.member_masks()[1:]
-        )
+        in_robust_set = robust.mandatory + tuple(v for element in robust.free_elements for v in element)
         assert len(matchings) == 36
-        assert len(calls) <= bound
+        assert len(calls) == len(set(calls))
+        assert set(calls) <= {robust.poset.rotations[v] for v in in_robust_set}
 
 
 class TestManualNetworks:

@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -135,16 +138,16 @@ def reference_closed_set_to_matching(poset, mask):
     return m
 
 
-def counting_eliminations(monkeypatch) -> list:
-    """Count the checked eliminations every closed_set_to_matching call makes."""
+def counting_checks(monkeypatch) -> list:
+    """Record every rotation that closed_set_to_matching checks for exposure."""
     calls = []
-    original = rotations_module._eliminate_in_place
+    original = rotations_module._check_exposed
 
     def counted(*args):
         calls.append(args[-1])
         return original(*args)
 
-    monkeypatch.setattr(rotations_module, "_eliminate_in_place", counted)
+    monkeypatch.setattr(rotations_module, "_check_exposed", counted)
     return calls
 
 
@@ -313,7 +316,7 @@ class TestExposedRotations:
     @given(random_instances(max_n=6))
     def test_exposed_rotations_are_vertex_disjoint(self, inst):
         rotations = exposed_rotations(inst, boy_optimal(inst))
-        boys = [b for rot in rotations for b in rot.boys]
+        boys = [b for rot in rotations for b, _ in rot.pairs]
         assert len(boys) == len(set(boys))
 
 
@@ -360,11 +363,6 @@ class TestRotationPoset:
         poset = build_rotation_poset(i3)
         assert poset.boy_opt == M0_I3 and poset.girl_opt == MZ_I3
 
-    def test_index_of_unknown_rotation(self, i2):
-        poset = build_rotation_poset(i2)
-        with pytest.raises(ValueError, match="does not belong"):
-            poset.index_of(RHO_A)
-
     def test_unique_matching_means_empty_poset(self):
         inst = parse_instance("2\nb1: g1 g2\nb2: g1 g2\ng1: b1 b2\ng2: b1 b2\n")
         poset = build_rotation_poset(inst)
@@ -382,8 +380,8 @@ class TestRotationPoset:
         block = {b: frozenset(prefs[:20]) for b, prefs in enumerate(inst.boy_prefs)}
         rotation_block = []
         for rot in poset.rotations:
-            assert len({block[b] for b in rot.boys}) == 1
-            rotation_block.append(block[rot.boys[0]])
+            assert len({block[b] for b, _ in rot.pairs}) == 1
+            rotation_block.append(block[rot.pairs[0][0]])
         for v in range(poset.size):
             assert len(poset.hasse_preds[v]) <= 1 and len(poset.hasse_succs[v]) <= 1
             assert all(rotation_block[u] == rotation_block[v] for u in mask_to_ids(poset.pred_closure[v]))
@@ -645,7 +643,7 @@ class TestMatchesEliminateChain:
             self.check(cyclic_blocks([rng.randint(1, 6) for _ in range(rng.randint(1, 3))], seed))
 
 
-def walk_requests(poset, draw):
+def drawn_requests(poset, draw):
     """A drawn sequence of closed masks of the poset: random access, repeats,
     and runs in enumeration order."""
     masks = enumerate_closed_masks(poset)
@@ -654,9 +652,9 @@ def walk_requests(poset, draw):
     return picks + masks[start:start + 10] + picks[::-1]
 
 
-class TestWalk:
-    """closed_set_to_matching resumes one walk per poset; no order of
-    requests changes what a request returns."""
+class TestRequestOrder:
+    """closed_set_to_matching keeps no state that changes a result: no order
+    of requests, on one poset, changes what a request returns."""
 
     @staticmethod
     def check(poset, masks):
@@ -667,19 +665,19 @@ class TestWalk:
     @settings(max_examples=80, deadline=None)
     def test_lattice_instances(self, inst, data):
         poset = build_rotation_poset(inst)
-        self.check(poset, walk_requests(poset, data.draw))
+        self.check(poset, drawn_requests(poset, data.draw))
 
     @given(st.lists(st.integers(2, 4), min_size=2, max_size=3), st.integers(0, 10**6), st.data())
     @settings(max_examples=30, deadline=None)
     def test_cyclic_blocks(self, sizes, seed, data):
         poset = build_rotation_poset(cyclic_blocks(sizes, seed))
-        self.check(poset, walk_requests(poset, data.draw))
+        self.check(poset, drawn_requests(poset, data.draw))
 
     @given(lattice_instances(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_rejected_mask_changes_no_later_result(self, inst, data):
         poset = build_rotation_poset(inst)
-        before, after = walk_requests(poset, data.draw), walk_requests(poset, data.draw)
+        before, after = drawn_requests(poset, data.draw), drawn_requests(poset, data.draw)
         open_masks = [1 << v for v in range(poset.size) if poset.pred_closure[v]]
         self.check(poset, before)
         with pytest.raises(ValueError, match="unknown ids"):
@@ -689,19 +687,43 @@ class TestWalk:
                 closed_set_to_matching(poset, data.draw(st.sampled_from(open_masks)))
         self.check(poset, after)
 
-    def test_rotation_not_exposed_leaves_the_walk_in_step(self, i3):
+    def test_rejected_rotation_is_checked_again(self, i3, monkeypatch):
         """R1 of the wrong poset has both pairs at M1, but g1 is not b1's
-        successor girl: the walk stops at {R0} and later calls start there."""
+        successor girl: R1 is not recorded as checked, so the same request
+        raises again, and the sets without it still read right."""
         poset = build_rotation_poset(i3)
         wrong = dataclasses.replace(poset, rotations=(RHO_A, Rotation(((0, 1), (2, 0)))))
-        assert wrong._walk is None
-        with pytest.raises(ValueError, match="not exposed"):
-            closed_set_to_matching(wrong, 0b11)  # from the empty set
-        assert closed_set_to_matching(wrong, 0b01) == M1_I3
-        with pytest.raises(ValueError, match="not exposed"):
-            closed_set_to_matching(wrong, 0b11)  # from {R0}
-        assert closed_set_to_matching(wrong, 0) == M0_I3
+        calls = counting_checks(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not exposed"):
+                closed_set_to_matching(wrong, 0b11)
+            for mask in (0b01, 0):
+                assert closed_set_to_matching(wrong, mask) == reference_closed_set_to_matching(wrong, mask)
+        assert calls == list(wrong.rotations) + [wrong.rotations[1]]
         assert closed_set_to_matching(poset, 0b11) == MZ_I3
+
+    def test_threads_share_one_poset(self):
+        """4 threads, started together and switched often, materialise every
+        closed set of one fresh poset, each in its own order; every result
+        equals the reference."""
+        poset = build_rotation_poset(cyclic_blocks([3, 4], 2))
+        masks = enumerate_closed_masks(poset)
+        expected = {mask: reference_closed_set_to_matching(poset, mask) for mask in masks}
+        orders = [masks, masks[::-1]] + [random.Random(seed).sample(masks, len(masks)) for seed in range(2)]
+        start = threading.Barrier(len(orders))
+
+        def materialise(order):
+            start.wait()
+            return [(mask, closed_set_to_matching(poset, mask)) for mask in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                results = list(pool.map(materialise, orders))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(got == expected[mask] for result in results for mask, got in result)
 
     def test_walked_posets_compare_equal(self):
         inst = cyclic_blocks([3, 4], 2)
