@@ -187,7 +187,7 @@ def reversed_instance(inst: PreferenceInstance) -> PreferenceInstance:
 # ---------------------------------------------------------------------------
 # shifts
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shift:
     """Move ``mover`` upward over the ``window`` entries directly above it.
 

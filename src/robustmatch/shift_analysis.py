@@ -25,25 +25,28 @@ position q on the mover's list at boundary bisect_right(positions, q) of the
 mover's chain (see ``_mover_crossing``); a mover that never prefers the
 owner breaks nothing either.  Otherwise run j has one outcome:
 
-- the fixed endpoint is the mover's crossing, else boundary ``right`` of
-  the owner's chain;
-- run j pairs the fixed endpoint with boundary j: (entry, exit) on a girl
-  list, (exit, entry) on a boy list, None standing for the bottom and top;
+- run j pairs the mover's crossing with boundary j of the owner's chain:
+  (entry, exit) on a girl list, (exit, entry) on a boy list, None standing
+  for the bottom and top;
 - with both None the run breaks every matching (DISJOINT);
-- with the exit at or below the entry it breaks none (EMPTY_MAB), which
-  only a crossing can cause;
+- with the exit at or below the entry it breaks none (EMPTY_MAB);
 - otherwise it is PROPER with that entry and exit.
 
 Why: a matching breaks when the owner's partner lies in the window, where
 the mover outranks it after the shift, and the mover prefers the owner.  A
 girl owner rises across her boundaries, so she holds a partner in the window
 of run j from boundary ``right`` to boundary j; a boy owner falls across
-his, the mirror, from boundary j to boundary ``right``.  On a girl list the
-mover's crossing is a second entry, which never precedes the window's; on a
-boy list it is a second exit, which never follows the window's; so the
-crossing, when there is one, replaces boundary ``right``.  With both ends
-None the window holds every stable partner of the owner and the mover always
-prefers the owner.
+his, the mirror, from boundary j to boundary ``right``.  The mover prefers
+the owner from its crossing on: on a girl list the crossing is a second
+entry, on a boy list a second exit.  In a stable matching where the mover
+prefers the owner, the owner's partner cannot rank below the mover, or the
+two would form a blocking pair, so the owner holds one of its ``right``
+partners above the mover: the crossing's condition implies boundary
+``right``'s, and the crossing alone fixes that end of every run.  A mover
+with no crossing prefers the owner in every stable matching, or is unmatched
+in all of them (the rural hospitals theorem), so by the same argument
+boundary ``right`` is None there too.  With both ends None the window holds
+every stable partner of the owner and the mover always prefers the owner.
 
 ``analyze_shift`` applies the rule to the run of one shift.
 ``uniform_weights`` reads the whole domain without visiting shifts, mover by
@@ -51,10 +54,10 @@ mover: each mover walks its own list only as far as it prefers an owner in
 some stable matching, reading its crossing off a pointer into its chain
 instead of a bisection, and a mover unmatched in every stable matching (the
 rural hospitals theorem) walks the whole list with no crossing.  For each
-(owner, mover) pair it reaches, ``_add_runs`` finds the fixed endpoint and
-how many runs survive, and adds the windows of each surviving run into one
-table {(rho_in, rho_out): windows}, the form in which the closure network
-reads either distribution.
+(owner, mover) pair it reaches, ``_add_runs`` finds how many runs survive
+and adds the windows of each surviving run into one table {(rho_in,
+rho_out): windows}, the form in which the closure network reads either
+distribution.
 """
 
 from __future__ import annotations
@@ -130,7 +133,10 @@ def find_component_rotations(poset: RotationPoset, inst: PreferenceInstance, shi
 
     rho1 moves the girl to her worst stable partner inside the window, rho2
     moves the mover below the girl, rho3 moves the girl away from her best
-    stable partner inside the window.
+    stable partner inside the window.  A PROPER shift enters at rho2 and
+    exits at rho3.  Whenever the mover prefers the girl in some stable
+    matching, rho1 lies at or below rho2 (see the module docstring), so rho1
+    takes no part in the analysis.
     """
     if shift.side != GIRL_LIST:
         raise ValueError("component rotations are defined on girl-list shifts; reverse roles first")
@@ -149,63 +155,44 @@ def analyze_shift(poset: RotationPoset, inst: PreferenceInstance, shift: Shift) 
     never, crossing = _mover_crossing(poset, inst, shift.side, shift.agent, shift.mover)
     if never:
         return ShiftAnalysis(shift, EMPTY_MAB)
-    fixed = boundaries[right] if crossing is None else crossing
     if shift.side == GIRL_LIST:
-        rho_in, rho_out = fixed, boundaries[run]
+        rho_in, rho_out = crossing, boundaries[run]
     else:
-        rho_in, rho_out = boundaries[run], fixed
+        rho_in, rho_out = boundaries[run], crossing
     if rho_in is None and rho_out is None:
         return ShiftAnalysis(shift, DISJOINT)
     if rho_in is not None and rho_out is not None and poset.leq(rho_out, rho_in):
-        if crossing is None:
-            raise AssertionError("exit rotation precedes entry rotation in a proper analysis")
         return ShiftAnalysis(shift, EMPTY_MAB)
     return ShiftAnalysis(shift, PROPER, rho_in, rho_out)
 
 
-def _surviving_runs(poset: RotationPoset, girl: bool, boundaries, right: int, crossing):
-    """(fixed endpoint, t) of one mover: runs 0..t-1 are not EMPTY_MAB, runs t..right-1 are.
-
-    For a mover that does not ``never`` prefer the owner, with ``right``
-    stable partners of the owner above it.  By the rule in the module
-    docstring run j pairs the fixed endpoint with boundary j, so it is
-    EMPTY_MAB exactly when leq(bd[j], fixed) on a girl list (the fixed entry
-    E), leq(fixed, bd[j]) on a boy list (the fixed exit X); run 0 never is
-    (bd[0] is None).
-
-    The EMPTY_MAB runs form a suffix.  A girl's partners improve along every
-    maximal chain of the lattice, so her boundaries are a chain in the
-    rotation order, bd[right-1] < ... < bd[2] < bd[1]: bd[j] ascends as j
-    falls.  If leq(bd[j], E) holds, then so does leq(bd[j'], E) for every
-    j' > j, since bd[j'] < bd[j].  A boy's partners worsen along every
-    maximal chain, so bd[j] descends as j falls, and leq(X, bd[j]) carries
-    over to every j' > j in the same way.  Hence t is a bisection over j in
-    [1, right).  Without a crossing no run may be EMPTY_MAB (it would mean
-    an exit at or below its entry); by the same order it suffices to test
-    run right-1.  With one run (right = 1) there is nothing to test: t = 1.
-    """
-    fixed = boundaries[right] if crossing is None else crossing
-    if fixed is None or right == 1:
-        return fixed, right
-
-    def empty(j: int) -> bool:
-        return poset.leq(boundaries[j], fixed) if girl else poset.leq(fixed, boundaries[j])
-
-    if crossing is None:
-        if empty(right - 1):
-            raise AssertionError("exit rotation precedes entry rotation in a proper analysis")
-        return fixed, right
-    return fixed, 1 + bisect_left(range(1, right), True, key=empty)
-
-
 def _add_runs(weights: dict, poset: RotationPoset, girl: bool, boundaries, widths, right: int, crossing) -> None:
-    """Add one (owner, mover) pair's windows into ``weights``: run j of the
-    ``right`` runs holds widths[j] windows and, unless EMPTY_MAB (runs t and
-    up, see ``_surviving_runs``), adds them to the entry that pairs the fixed
-    endpoint with boundary j of the owner's chain."""
-    fixed, t = _surviving_runs(poset, girl, boundaries, right, crossing)
+    """Add one (owner, mover) pair's windows into ``weights``, for a mover
+    that does not ``never`` prefer the owner, with ``right`` stable partners
+    of the owner above it: run j holds widths[j] windows and, unless
+    EMPTY_MAB, adds them to the entry that pairs the crossing with boundary
+    j of the owner's chain, (crossing, bd[j]) on a girl list and (bd[j],
+    crossing) on a boy list.
+
+    Run j is EMPTY_MAB exactly when leq(bd[j], crossing) on a girl list and
+    leq(crossing, bd[j]) on a boy list, and these runs form a suffix
+    t..right-1.  A girl's partners improve along every maximal chain of the
+    lattice, so her boundaries are a chain in the rotation order,
+    bd[right-1] < ... < bd[2] < bd[1]: bd[j] ascends as j falls, and if
+    leq(bd[j], crossing) holds, then so does leq(bd[j'], crossing) for every
+    j' > j.  A boy's boundaries descend as j falls, and leq(crossing, bd[j])
+    carries over to every j' > j in the same way.  Hence t is a bisection
+    over j in [1, right).  Run 0 is never EMPTY_MAB (bd[0] is None), and
+    without a crossing no run is, so t = right then, as with one run.
+    """
+    t = right
+    if crossing is not None and right > 1:
+        def empty(j: int) -> bool:
+            return poset.leq(boundaries[j], crossing) if girl else poset.leq(crossing, boundaries[j])
+
+        t = 1 + bisect_left(range(1, right), True, key=empty)
     for j in range(t):
-        outcome = (fixed, boundaries[j]) if girl else (boundaries[j], fixed)
+        outcome = (crossing, boundaries[j]) if girl else (boundaries[j], crossing)
         weights[outcome] = weights.get(outcome, 0) + widths[j]
 
 
@@ -229,9 +216,10 @@ def uniform_weights(poset: RotationPoset, inst: PreferenceInstance) -> dict:
     every stable matching (the rural hospitals theorem: Gale and Sotomayor,
     "Some remarks on the stable matching problem", Discrete Appl. Math. 11,
     1985), so it prefers every owner on its list: it walks the whole list
-    with no crossing, as if its one slot sat just past the list's end.  An
-    owner adds windows only if it has a chain and the mover sits below its
-    best stable partner.
+    with no crossing, as if its one slot sat just past the list's end.  Every
+    owner it reaches has a chain, since an owner unmatched in every stable
+    matching would form a blocking pair with the mover.  The owner adds
+    windows only if the mover sits below its best stable partner.
     """
     weights: dict[tuple[int | None, int | None], int] = {}
     sides = (
@@ -251,10 +239,7 @@ def uniform_weights(poset: RotationPoset, inst: PreferenceInstance) -> dict:
                 if slots[k] <= q:
                     k += 1
                 owner = prefs[q]
-                chain = owners.get(owner)
-                if chain is None:
-                    continue
-                positions, boundaries, widths = chain
+                positions, boundaries, widths = owners[owner]
                 i = owner_ranks[owner][mover]
                 if i > positions[0]:
                     _add_runs(weights, poset, girl, boundaries, widths, bisect_left(positions, i), crossings[k])

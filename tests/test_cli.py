@@ -520,7 +520,13 @@ class TestEnumerateGolden:
     the benchmark's scale: ``gen --n 30 --seed 4242`` (8 rotations, 44
     shift edges), ``gen --n 20 --seed 4242 --completeness 0.7`` (one stable
     matching, two agents unmatched, every breaking shift DISJOINT) and the
-    three blocks (27 shift edges)."""
+    three blocks (27 shift edges).  represent's summary without
+    ``--enumerate`` on the blocks, the command shape of the chain-decay
+    benchmark.  And the network of an explicit distribution read shift by
+    shift: 40 shifts each, weighted 1/window, 32 of them where the mover
+    prefers the owner in some stable matching, over the blocks (20 shift
+    edges) and over unmatched.txt, whose chainless movers have no
+    crossing."""
 
     CASES = {
         "enumerate-three-blocks.txt": ("enumerate", "--instance", "three-blocks.txt"),
@@ -546,6 +552,17 @@ class TestEnumerateGolden:
         ),
         "solve-full-uniform-three-blocks.json": (
             "solve", "--instance", "three-blocks.txt", "--dist", "full-uniform", "--dump-network", "--format", "json",
+        ),
+        "represent-summary-three-blocks.json": (
+            "represent", "--instance", "three-blocks.txt", "--dist", "three-blocks.dist", "--format", "json",
+        ),
+        "solve-windows-three-blocks.json": (
+            "solve", "--instance", "three-blocks.txt", "--dist", "three-blocks-windows.dist",
+            "--dump-network", "--format", "json",
+        ),
+        "solve-windows-unmatched.json": (
+            "solve", "--instance", "unmatched.txt", "--dist", "unmatched-windows.dist",
+            "--dump-network", "--format", "json",
         ),
     }
 

@@ -88,9 +88,11 @@ class TestPreferenceInstance:
         assert str(info.value) == "acceptability is not mutual: g1 lists b2 but not vice versa"
 
     def test_unequal_sides_supported(self):
-        inst = parse_instance("2 1\nb1: g1\nb2: g1\ng1: b2 b1\n")
+        text = "2 1\nb1: g1\nb2: g1\ng1: b2 b1\n"
+        inst = parse_instance(text)
         assert inst.n_boys == 2 and inst.n_girls == 1
         assert not inst.is_complete
+        assert serialize_instance(inst) == text
 
     def test_incomplete_lists_are_not_complete(self):
         inst = parse_instance("2\nb1: g1\nb2:\ng1: b1\ng2:\n")
@@ -141,6 +143,10 @@ class TestShift:
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError, match="at least 1"):
             Shift(GIRL_LIST, 0, 0, 0)
+
+    def test_side_must_be_known(self):
+        with pytest.raises(ValueError, match="unknown side 'SIDEWAYS'"):
+            Shift("SIDEWAYS", 0, 0, 1)
 
     def test_apply_on_girl_list(self, i2):
         shifted = apply_shift(i2, Shift(GIRL_LIST, 0, 0, 1))
@@ -238,6 +244,8 @@ class TestDistribution:
         shift = Shift(GIRL_LIST, 0, 0, 1)
         dist = ShiftDistribution(((shift, Fraction(1, 3)),), allow_partial=True)
         assert dist.total == Fraction(1, 3)
+        with pytest.raises(ValueError, match="sums to 4/3, more than 1"):
+            ShiftDistribution(((shift, Fraction(4, 3)),), allow_partial=True)
 
     def test_empty_distribution_allowed(self):
         assert ShiftDistribution(()).total == 0
@@ -415,6 +423,7 @@ SHORT_TEXT = "2\nb1: g1\nb2: g1 g2\ng1: b1 b2\ng2: b2\n"
 DISTRIBUTION_ERRORS = [
     (I3_TEXT, "# c\nGIRL_LIST g1 b1 1/1\n",
      "line 2: expected 'SIDE agent mover k', got 'GIRL_LIST g1 b1'", 2),
+    (I3_TEXT, "# c\nGIRL_LIST\n", "line 2: expected 'SIDE agent mover k p_num/p_den'", 2),
     (I3_TEXT, "# c\nGIRL_LIST g1 b1 1 1 1/1\n",
      "line 2: expected 'SIDE agent mover k', got 'GIRL_LIST g1 b1 1 1'", 2),
     (I3_TEXT, "GIRL_LIST g1 b1 1 1/2\nSIDEWAYS g1 b1 1 1/2\n", "line 2: unknown side 'SIDEWAYS'", 2),
@@ -477,6 +486,7 @@ DISTRIBUTIONS_ACCEPTED = [
 # (instance text, exact error message, its line number)
 INSTANCE_ERRORS = [
     ("1\nb01: g1\ng1: b1\n", "line 2: expected list for b1, got 'b01'", 2),
+    ("1\nb1: g1\ng1 b1\n", "line 3: missing ':' in preference line", 3),
     ("2\nb1: g1 g01\nb2: g1 g2\ng1: b1 b2\ng2: b2 b1\n", "line 2: duplicate entry g01", 2),
     ("2\nb1: g1 g2\nb2: g2 g2\ng1: b1 b2\ng2: b2 b1\n", "line 3: duplicate entry g2", 3),
     ("2\nb1: g1 g2\nb2: g1 g3\ng1: b1 b2\ng2: b2 b1\n", "line 3: agent 'g3' out of range (1..2)", 3),

@@ -14,6 +14,7 @@ from robustmatch import (
     is_stable,
     join,
     meet,
+    parse_instance,
     serialize_matching,
 )
 from robustmatch.matching import unmatched_agents, validate_matching
@@ -57,6 +58,9 @@ class TestMatching:
         validate_matching(i2, M0_I2)
         with pytest.raises(ValueError, match="out of range"):
             validate_matching(i2, Matching([(0, 5)]))
+        short = parse_instance("2\nb1: g1\nb2: g1 g2\ng1: b1 b2\ng2: b2\n")
+        with pytest.raises(ValueError, match="pair b1 g2 is not mutually acceptable"):
+            validate_matching(short, Matching([(0, 1)]))
 
     def test_unmatched_agents(self, i2):
         assert unmatched_agents(i2, Matching([(0, 0)])) == ((1,), (1,))
@@ -84,8 +88,6 @@ class TestBlockingAndStability:
         assert not is_stable(i3, Matching([(0, 1), (1, 0), (2, 2)]))
 
     def test_two_unmatched_acceptable_agents_block(self):
-        from robustmatch import parse_instance
-
         inst = parse_instance("2\nb1: g1 g2\nb2: g1 g2\ng1: b1 b2\ng2: b1 b2\n")
         assert (1, 1) in blocking_pairs(inst, Matching([(0, 0)]))
 
@@ -135,6 +137,13 @@ class TestLatticeOperations:
         unstable = Matching([(0, 1), (1, 0), (2, 2)])
         with pytest.raises(ValueError, match="must be stable"):
             meet(i3, M0_I3, unstable)
+
+    def test_inputs_must_match_the_same_agents(self, i3):
+        """Stable matchings of one instance do; unchecked inputs may not."""
+        partial = Matching([(0, 0), (1, 1)])
+        for combine in (meet, join):
+            with pytest.raises(ValueError, match="match different agent sets"):
+                combine(i3, M0_I3, partial, validate=False)
 
     def test_dominates_is_reflexive_and_ordered(self, i3):
         assert dominates(i3, M1_I3, M1_I3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from pathlib import Path
 
@@ -37,8 +38,8 @@ from robustmatch.shift_analysis import (
     PROPER,
     STATUSES,
     ShiftAnalysis,
+    _add_runs,
     _mover_crossing,
-    _surviving_runs,
     find_component_rotations,
     uniform_weights,
 )
@@ -75,6 +76,16 @@ UNMATCHED_CHANGE = parse_instance(
 # the same instance with the roles of the two sides swapped
 UNMATCHED_CHANGE_BOYS = parse_instance(
     "3\nb1: g1 g3\nb2: g3\nb3: g2 g1\ng1: b1 b3\ng2: b3\ng3: b1 b2\n"
+)
+# instances with movers unmatched in every stable matching, hence chainless
+CHAINLESS = pytest.mark.parametrize(
+    "text",
+    [*UNEQUAL_SIDES, (FIXTURES / "unmatched.txt").read_text(encoding="utf-8"), LONE_GIRL],
+    ids=["3x4", "5x6", "6x5", "unmatched", "2x1"],
+)
+# random instances, incomplete lists and cyclic blocks
+PAIR_INSTANCES = st.one_of(
+    lattice_instances(), random_instances(max_n=8, completeness=st.sampled_from([0.9, 0.7, 0.5, 0.3]))
 )
 
 
@@ -296,11 +307,7 @@ class TestShiftRuns:
     def test_unequal_sides(self, text):
         self.check(parse_instance(text))
 
-    @pytest.mark.parametrize(
-        "text",
-        [*UNEQUAL_SIDES, (FIXTURES / "unmatched.txt").read_text(encoding="utf-8"), LONE_GIRL],
-        ids=["3x4", "5x6", "6x5", "unmatched", "2x1"],
-    )
+    @CHAINLESS
     def test_chainless_movers(self, text):
         """A mover unmatched in every stable matching has no chain and
         prefers every owner on its list; some of its shifts break matchings,
@@ -317,8 +324,10 @@ class TestShiftRuns:
 
 
 class TestSurvivingRunsArePrefix:
-    """Per mover, the runs that are not EMPTY_MAB are exactly 0..t-1, and
-    each pairs the fixed endpoint with the run's own boundary."""
+    """Per mover, ``_add_runs`` adds exactly the runs that are not
+    EMPTY_MAB, which are runs 0..t-1, each under its own analysis's
+    (rho_in, rho_out).  Run j is given 2**j windows, so every entry of the
+    table names the runs it holds."""
 
     @staticmethod
     def check(inst):
@@ -332,15 +341,18 @@ class TestSurvivingRunsArePrefix:
                     right = sum(1 for p in positions if p < i)
                     if not right or never:
                         continue
-                    runs = list(run_windows(poset, inst, side, owner, i))[:right]
-                    outcomes = [analyze_shift(poset, inst, shift) for _, shift in runs]
-                    fixed, t = _surviving_runs(poset, girl, boundaries, right, crossing)
-                    assert [a.status != EMPTY_MAB for a in outcomes] == [run < t for run in range(right)]
-                    for run, a in enumerate(outcomes[:t]):
-                        bd = boundaries[run]
-                        assert (a.rho_in, a.rho_out) == ((fixed, bd) if girl else (bd, fixed))
+                    expected = Counter()
+                    for run, (_, shift) in enumerate(list(run_windows(poset, inst, side, owner, i))[:right]):
+                        a = analyze_shift(poset, inst, shift)
+                        if a.status != EMPTY_MAB:
+                            expected[a.rho_in, a.rho_out] += 1 << run
+                    weights = {}
+                    _add_runs(weights, poset, girl, boundaries, [1 << j for j in range(right)], right, crossing)
+                    assert weights == expected
+                    held = sum(weights.values())
+                    assert held & 1 and held & (held + 1) == 0
 
-    @given(st.one_of(lattice_instances(), random_instances(max_n=8, completeness=st.sampled_from([0.9, 0.7, 0.5, 0.3]))))
+    @given(PAIR_INSTANCES)
     @settings(max_examples=120, deadline=None)
     def test_random_and_block_instances(self, inst):
         self.check(inst)
@@ -348,6 +360,75 @@ class TestSurvivingRunsArePrefix:
     @pytest.mark.parametrize("size", range(5, 13))
     def test_single_cyclic_block(self, size):
         self.check(cyclic_blocks([size], size))
+
+
+class TestCrossingIsTheOnlyFixedEndpoint:
+    """The stability argument the shift rule rests on, checked against the
+    two extreme stable matchings rather than the rule's own reading.  For
+    every (owner, mover) pair where the mover prefers the owner in some
+    stable matching:
+
+    - the owner is matched in every stable matching, so it has a chain;
+    - without a crossing, the mover prefers the owner in every stable
+      matching too, every stable partner of the owner ranks above the mover,
+      and boundary ``right`` of the owner's chain is None;
+    - on a girl list, rho1 comes with a rho2 at or above it, and a PROPER
+      analysis enters at rho2 and exits at rho3.
+    """
+
+    @staticmethod
+    def check(inst):
+        poset = build_rotation_poset(inst)
+        for side, lists in ((GIRL_LIST, inst.girl_prefs), (BOY_LIST, inst.boy_prefs)):
+            girl = side == GIRL_LIST
+            owner_chains = poset.girl_chains if girl else poset.boy_chains
+            # on a girl list the boy mover is worst off in the girl-optimal
+            # matching and the girl owner in the boy-optimal one
+            mover_worst, mover_best = (poset.girl_opt, poset.boy_opt) if girl else (poset.boy_opt, poset.girl_opt)
+            owner_worst = poset.boy_opt if girl else poset.girl_opt
+            mover_rank = inst.boy_rank if girl else inst.girl_rank
+            owner_rank = inst.girl_rank if girl else inst.boy_rank
+
+            def prefers(matching, mover, owner):
+                mate = matching.girl_of(mover) if girl else matching.boy_of(mover)
+                return mate is None or mover_rank[mover][mate] > mover_rank[mover][owner]
+
+            for owner, prefs in enumerate(lists):
+                for i, mover in enumerate(prefs):
+                    if not prefers(mover_worst, mover, owner):
+                        continue
+                    assert owner in owner_chains
+                    positions, boundaries = owner_chains[owner]
+                    never, crossing = _mover_crossing(poset, inst, side, owner, mover)
+                    assert not never
+                    if crossing is None:
+                        assert prefers(mover_best, mover, owner)
+                        partner = owner_worst.boy_of(owner) if girl else owner_worst.girl_of(owner)
+                        assert owner_rank[owner][partner] < i
+                        assert boundaries[bisect_left(positions, i)] is None
+                    if not girl:
+                        continue
+                    for window in range(1, i + 1):
+                        shift = Shift(side, owner, mover, window)
+                        rho1, rho2, rho3 = find_component_rotations(poset, inst, shift)
+                        if rho1 is not None:
+                            assert rho2 is not None and poset.leq(rho1, rho2)
+                        a = analyze_shift(poset, inst, shift)
+                        if a.status == PROPER:
+                            assert (a.rho_in, a.rho_out) == (rho2, rho3)
+
+    @given(PAIR_INSTANCES)
+    @settings(max_examples=150, deadline=None)
+    def test_random_and_block_instances(self, inst):
+        self.check(inst)
+
+    @pytest.mark.parametrize("sizes", [[5], [8], [12], [3, 4, 5], [6, 6]], ids=str)
+    def test_cyclic_blocks(self, sizes):
+        self.check(cyclic_blocks(sizes, len(sizes)))
+
+    @CHAINLESS
+    def test_chainless_movers(self, text):
+        self.check(parse_instance(text))
 
 
 class TestDestabilizesMask:
