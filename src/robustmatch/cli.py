@@ -39,7 +39,9 @@ from .instance import (
 )
 from .matching import serialize_matching, unmatched_agents
 from .representation import build_robust_poset, robust_members, sublattice_poset
-from .rotations import build_rotation_poset, closed_set_to_matching, enumerate_closed_masks
+from .rotations import (
+    build_rotation_poset, closed_set_to_matching, enumerate_closed_masks, is_closed_mask, matching_to_closed_set,
+)
 from .shift_analysis import EMPTY_MAB, PROPER, analyze_shift
 from .verification import cross_check
 
@@ -90,51 +92,50 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _write_matchings(inst: PreferenceInstance, head, matchings) -> None:
-    """Print head, then each matching as soon as the iterable yields it.
+def _write_matchings(inst: PreferenceInstance, head, poset, masks) -> None:
+    """Print head, then the stable matching of each closed set in masks as
+    soon as the iterable yields it.
 
-    A dict head is a JSON payload whose last value is an empty list, the
-    slot of the matchings: the output is what _emit prints once the slot
-    holds every matching's _matching_json.  A list head holds text lines:
-    the output is what print prints for those lines, each matching's block
-    after an empty line, and the blocks alone (one empty line apart) when
-    there are no head lines.  Only one matching is held at a time.  In JSON,
-    a matching's pairs sit at one fixed depth, so each (b, g) pair is
-    rendered once per call.
-    """
+    A dict head is a JSON payload whose last value is an empty list: the
+    output is what _emit prints once that list holds every matching's
+    _matching_json.  A list head holds text lines: the output is what print
+    prints for them, each _matching_block after an empty line, and the
+    blocks alone (one empty line apart) when there are no head lines.  A row
+    is each boy's cell at his slot (RotationPoset.boy_slots), and the cells
+    and the unmatched agents, alike in all stable matchings, are rendered
+    once.  A mask holding a rotation that no earlier mask held goes through
+    closed_set_to_matching, any other through is_closed_mask."""
+    boy_names, girl_names = inst.boy_names, inst.girl_names
+    boys, girls = unmatched_agents(inst, poset.boy_opt)
+    boys, girls = [boy_names[b] for b in boys], [girl_names[g] for g in girls]
     write = sys.stdout.write
     if isinstance(head, list):
-        sep = ""
-        if head:
-            write("\n".join(head))
-            sep = "\n\n"
-        for matching in matchings:
-            write(sep + _matching_block(inst, matching))
-            sep = "\n\n"
-        write("\n")
-        return
-    before, _, after = json.dumps(head, indent=2).rpartition("[]")
-    write(before)
-    boy_names, girl_names = inst.boy_names, inst.girl_names
-
-    @functools.cache
-    def pair_text(pair) -> str:
-        b, g = pair
-        return _json_names((boy_names[b], girl_names[g]), 4)
-
-    opened = False
-    for matching in matchings:
-        boys, girls = unmatched_agents(inst, matching)
-        pairs = ",\n        ".join(map(pair_text, matching.pairs))
-        write(
-            (",\n    {" if opened else "[\n    {")
-            + '\n      "pairs": ' + ("[\n        " + pairs + "\n      ]" if pairs else "[]")
-            + ',\n      "unmatched_boys": ' + _json_names([boy_names[b] for b in boys], 3)
-            + ',\n      "unmatched_girls": ' + _json_names([girl_names[g] for g in girls], 3)
-            + "\n    }"
-        )
-        opened = True
-    write(("\n  ]" if opened else "[]") + after + "\n")
+        write("\n".join(head))
+        render, sep, opening, ends = " ".join, "\n", "", ("\n", "\n")
+        first, lead = "\n\n" if head else "", "\n\n"
+        tail = "\n".join(["# unmatched", *boys, *girls]) if boys or girls else ""
+        closing = "\n" + tail if poset.boy_slots and tail else tail
+    else:
+        before, _, after = json.dumps(head, indent=2).rpartition("[]")
+        write(before)
+        render, sep, first, lead = functools.partial(_json_names, depth=4), ",\n        ", "[\n    {", ",\n    {"
+        opening = '\n      "pairs": ' + ("[\n        " if poset.boy_slots else "[]")
+        closing = ("\n      ]" if poset.boy_slots else "") + ',\n      "unmatched_boys": ' + _json_names(boys, 3)
+        closing += ',\n      "unmatched_girls": ' + _json_names(girls, 3) + "\n    }"
+        ends = ("[]" + after + "\n", "\n  ]" + after + "\n")
+    table = [
+        (crossed, [render((boy_names[b], girl_names[g])) for g in partners]) for b, crossed, partners in poset.boy_slots
+    ]
+    passed = 0
+    for mask in masks:
+        if mask & ~passed:
+            closed_set_to_matching(poset, mask)
+            passed |= mask
+        elif not is_closed_mask(poset, mask):
+            raise ValueError("rotation set is not downward closed")
+        write(first + opening + sep.join([cells[(mask & crossed).bit_count()] for crossed, cells in table]) + closing)
+        first = lead
+    write(ends[first == lead])
 
 
 def _load_instance(args) -> PreferenceInstance:
@@ -310,7 +311,6 @@ def _cmd_represent(args) -> int:
     robust = build_robust_poset(run.network, run.flow)
     masks = robust.member_masks() if args.enumerate else None
     count = len(masks) if masks is not None else _member_count(robust)
-    matchings = None if masks is None else (closed_set_to_matching(robust.poset, m) for m in masks)
     if args.format == "json":
         payload = {
             "schema": 1,
@@ -322,10 +322,10 @@ def _cmd_represent(args) -> int:
             "edges": [list(e) for e in robust.edges],
             "robust_count": count,
         }
-        if matchings is None:
+        if masks is None:
             _emit(payload)
         else:
-            _write_matchings(inst, {**payload, "matchings": []}, matchings)
+            _write_matchings(inst, {**payload, "matchings": []}, robust.poset, masks)
         return 0
 
     def ids(rotations) -> str:
@@ -338,10 +338,10 @@ def _cmd_represent(args) -> int:
     lines.append(f"objective {_fmt_q(run.solution.objective)}")
     if count is not None:
         lines.append(f"robust matchings {count}")
-    if matchings is None:
+    if masks is None:
         print("\n".join(lines))
     else:
-        _write_matchings(inst, lines, matchings)
+        _write_matchings(inst, lines, robust.poset, masks)
     return 0
 
 
@@ -350,8 +350,7 @@ def _cmd_enumerate(args) -> int:
     poset = build_rotation_poset(inst)
     masks = enumerate_closed_masks(poset)
     head = {"schema": 1, "command": "enumerate", "count": len(masks), "matchings": []}
-    matchings = (closed_set_to_matching(poset, m) for m in masks)
-    _write_matchings(inst, head if args.format == "json" else [], matchings)
+    _write_matchings(inst, head if args.format == "json" else [], poset, masks)
     return 0
 
 
@@ -371,7 +370,8 @@ def _cmd_verify(args) -> int:
             "oracle_robust_count": len(report.oracle_argmin),
             "argmin": [],
         }
-        _write_matchings(inst, payload, report.main_argmin)
+        poset = build_rotation_poset(inst)
+        _write_matchings(inst, payload, poset, [matching_to_closed_set(poset, m) for m in report.main_argmin])
         return 0 if report.ok else 2
     lines = [
         f"objective {_fmt_q(report.main_objective)}",

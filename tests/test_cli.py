@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -18,10 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import robustmatch.cli
+import robustmatch.flow
 import robustmatch.representation
 from robustmatch import serialize_instance
 from robustmatch.cli import entrypoint, gen_random_instance, run
-from robustmatch.rotations import build_rotation_poset, closed_set_to_matching, enumerate_closed_masks
+from robustmatch.rotations import Rotation, build_rotation_poset, closed_set_to_matching, enumerate_closed_masks
 from robustmatch.verification import VerificationReport
 
 from test_matching import M0_I2, MZ_I2
@@ -526,7 +528,10 @@ class TestEnumerateGolden:
     shift: 40 shifts each, weighted 1/window, 32 of them where the mover
     prefers the owner in some stable matching, over the blocks (20 shift
     edges) and over unmatched.txt, whose chainless movers have no
-    crossing."""
+    crossing.  verify's argmin in JSON on two-blocks.txt (4 matchings) and
+    on I3 (2), and represent's enumeration of the one robust matching of
+    unmatched.txt under its windows distribution, which leaves b3, b10, g2
+    and g8 unmatched."""
 
     CASES = {
         "enumerate-three-blocks.txt": ("enumerate", "--instance", "three-blocks.txt"),
@@ -564,6 +569,15 @@ class TestEnumerateGolden:
             "solve", "--instance", "unmatched.txt", "--dist", "unmatched-windows.dist",
             "--dump-network", "--format", "json",
         ),
+        "verify-two-blocks.json": ("verify", "--instance", "two-blocks.txt", "--dist", "full-uniform", "--format", "json"),
+        "verify-I3.json": ("verify", "--instance", "I3.txt", "--dist", "full-uniform", "--format", "json"),
+        "represent-unmatched.txt": (
+            "represent", "--instance", "unmatched.txt", "--dist", "unmatched-windows.dist", "--enumerate",
+        ),
+        "represent-unmatched.json": (
+            "represent", "--instance", "unmatched.txt", "--dist", "unmatched-windows.dist",
+            "--enumerate", "--format", "json",
+        ),
     }
 
     @pytest.mark.parametrize("golden", CASES)
@@ -581,6 +595,84 @@ class TestEnumerateGolden:
         code, _, _ = cli(capsys, "enumerate", "--instance", str(FIXTURES / "three-blocks.txt"), "--format", fmt)
         assert code == 0
         assert len(calls) == len(set(calls)) == 9
+
+
+def reversed_rotation(k: int):
+    """A build_rotation_poset whose rotation k is written backwards: every
+    pair is still in the matching where the rotation is exposed, but no
+    boy's next girl is his successor girl."""
+
+    def build(inst):
+        poset = build_rotation_poset(inst)
+        rotations = list(poset.rotations)
+        rotations[k] = Rotation.from_cycle(rotations[k].pairs[::-1])
+        return dataclasses.replace(poset, rotations=tuple(rotations))
+
+    return build
+
+
+class TestWriterChecks:
+    """The matchings enumerate and represent --enumerate list are checked
+    as closed_set_to_matching checks them: on 3 cyclic blocks of 4 the run
+    writes every row before the first bad mask, then exits 1 with the
+    error."""
+
+    ARGV = {
+        "enumerate": ("enumerate", "--instance", "three-blocks.txt"),
+        "represent": ("represent", "--instance", "three-blocks.txt", "--dist", "three-blocks.dist", "--enumerate"),
+    }
+
+    def run(self, capsys, command, fmt):
+        argv = [str(FIXTURES / a) if a.endswith((".txt", ".dist")) else a for a in self.ARGV[command]]
+        return cli(capsys, *argv, "--format", fmt)
+
+    @staticmethod
+    def rows(out, command, fmt) -> int:
+        """How many matchings out holds: JSON rows open with a brace, and
+        text rows are one empty line apart, after represent's head lines."""
+        if fmt == "json":
+            return out.count("\n    {")
+        if command == "represent":
+            return out.count("\n\n")
+        return out.count("\n\n") + 1 if out else 0
+
+    # (rotation reversed, rows before the first mask holding it, the
+    # successor girl and boy named); R0 is in represent's solution, whose
+    # own closed_set_to_matching call would raise first
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command, k, before, message", [
+        pytest.param("enumerate", 1, 2, "g5 is not the successor girl of b1", id="enumerate-R1"),
+        pytest.param("enumerate", 8, 9, "g6 is not the successor girl of b4", id="enumerate-R8"),
+        pytest.param("represent", 1, 1, "g5 is not the successor girl of b1", id="represent-R1"),
+        pytest.param("represent", 4, 4, "g11 is not the successor girl of b2", id="represent-R4"),
+        pytest.param("represent", 8, 7, "g6 is not the successor girl of b4", id="represent-R8"),
+    ])
+    def test_rotation_not_exposed(self, capsys, monkeypatch, command, k, before, message, fmt):
+        module = robustmatch.cli if command == "enumerate" else robustmatch.flow
+        monkeypatch.setattr(module, "build_rotation_poset", reversed_rotation(k))
+        code, out, err = self.run(capsys, command, fmt)
+        assert (code, err) == (1, f"error: rotation is not exposed: {message}\n")
+        golden = (FIXTURES / "golden" / f"{command}-three-blocks.{'txt' if fmt == 'text' else 'json'}").read_text()
+        assert golden.startswith(out)
+        assert self.rows(out, command, fmt) == before
+
+    # the last mask of each list is bad; "seen" holds no rotation that an
+    # earlier mask did not, so only the closure test can catch it
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["enumerate", "represent"])
+    @pytest.mark.parametrize("masks, message", [
+        pytest.param([0, 0b1, 0b111111111, 0b10], "rotation set is not downward closed", id="seen"),
+        pytest.param([0, 0b10], "rotation set is not downward closed", id="new"),
+        pytest.param([0, 1 << 9], "rotation set contains unknown ids", id="unknown"),
+    ])
+    def test_bad_mask(self, capsys, monkeypatch, command, masks, message, fmt):
+        if command == "enumerate":
+            monkeypatch.setattr(robustmatch.cli, "enumerate_closed_masks", lambda poset: list(masks))
+        else:
+            monkeypatch.setattr(robustmatch.representation.Sublattice, "member_masks", lambda self: list(masks))
+        code, out, err = self.run(capsys, command, fmt)
+        assert (code, err) == (1, f"error: {message}\n")
+        assert self.rows(out, command, fmt) == len(masks) - 1
 
 
 class _CharCount(io.TextIOBase):
@@ -686,15 +778,15 @@ JSON_VALUES = st.recursive(
 
 
 @st.composite
-def instances_with_matchings(draw):
-    """A random instance (n up to 12, so names reach two digits) and a
-    sequence of its stable matchings: any order, repeats, possibly empty."""
+def instances_with_masks(draw):
+    """A random instance (n up to 12, so names reach two digits; lists cut
+    to 0.4 leave agents unmatched), its rotation poset and a sequence of
+    closed sets: any order, repeats, possibly empty."""
     inst = gen_random_instance(
         draw(st.integers(1, 12)), draw(st.integers(0, 10**6)), draw(st.sampled_from([1.0, 0.7, 0.4])),
     )
     poset = build_rotation_poset(inst)
-    stable = [closed_set_to_matching(poset, mask) for mask in enumerate_closed_masks(poset)]
-    return inst, draw(st.lists(st.sampled_from(stable), max_size=5))
+    return inst, poset, draw(st.lists(st.sampled_from(enumerate_closed_masks(poset)), max_size=5))
 
 
 class TestEmit:
@@ -722,8 +814,11 @@ class TestEmit:
     @pytest.mark.parametrize("count", [0, 1, 2])
     def test_written_matchings_are_the_emitted_payload(self, i2, count):
         """The streaming writer prints what _emit and print print for the
-        whole list, also when the list is empty."""
-        matchings = [M0_I2, MZ_I2][:count]
+        whole list of the closed sets' matchings, also when it is empty."""
+        poset = build_rotation_poset(i2)
+        masks = [0, 1][:count]
+        matchings = [closed_set_to_matching(poset, m) for m in masks]
+        assert matchings == [M0_I2, MZ_I2][:count]
         blocks = [robustmatch.cli._matching_block(i2, m) for m in matchings]
         cases = [
             ({"schema": 1, "matchings": []},
@@ -735,23 +830,29 @@ class TestEmit:
         for head, expected in cases:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                robustmatch.cli._write_matchings(i2, head, iter(matchings))
+                robustmatch.cli._write_matchings(i2, head, poset, iter(masks))
             assert buf.getvalue() == expected
 
-    @given(instances_with_matchings())
+    @given(instances_with_masks())
     @settings(max_examples=150, deadline=None)
     def test_writer_template_is_json_dumps(self, case):
         """The writer's hand-written per-matching JSON is what json.dumps
-        prints for the whole payload, and its text is the joined blocks."""
-        inst, matchings = case
+        prints for the whole payload of the closed sets' matchings, and its
+        text is the joined blocks."""
+        inst, poset, masks = case
+        matchings = [closed_set_to_matching(poset, m) for m in masks]
         json_head = {"schema": 1, "command": "enumerate", "count": len(matchings), "matchings": []}
         payload = {**json_head, "matchings": [robustmatch.cli._matching_json(inst, m) for m in matchings]}
         blocks = [robustmatch.cli._matching_block(inst, m) for m in matchings]
-        cases = [(json_head, json.dumps(payload, indent=2) + "\n"), ([], "\n\n".join(blocks) + "\n")]
+        cases = [
+            (json_head, json.dumps(payload, indent=2) + "\n"),
+            ([], "\n\n".join(blocks) + "\n"),
+            (["head"], "\n".join(["head"] + [line for b in blocks for line in ("", b)]) + "\n"),
+        ]
         for head, expected in cases:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                robustmatch.cli._write_matchings(inst, head, iter(matchings))
+                robustmatch.cli._write_matchings(inst, head, poset, iter(masks))
             assert buf.getvalue() == expected
 
     @pytest.mark.parametrize("obj", [1.5, [1.5], {1: "a"}, [{None: 1}]])
