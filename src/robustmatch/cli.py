@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import operator
 import os
 import random
 import sys
@@ -39,9 +41,7 @@ from .instance import (
 )
 from .matching import serialize_matching, unmatched_agents
 from .representation import build_robust_poset, robust_members, sublattice_poset
-from .rotations import (
-    build_rotation_poset, closed_set_to_matching, enumerate_closed_masks, is_closed_mask, matching_to_closed_set,
-)
+from .rotations import build_rotation_poset, closed_set_to_matching, enumerate_closed_masks, is_closed_mask
 from .shift_analysis import EMPTY_MAB, PROPER, analyze_shift
 from .verification import cross_check
 
@@ -101,9 +101,13 @@ def _write_matchings(inst: PreferenceInstance, head, poset, masks) -> None:
     _matching_json.  A list head holds text lines: the output is what print
     prints for them, each _matching_block after an empty line, and the
     blocks alone (one empty line apart) when there are no head lines.  A row
-    is each boy's cell at his slot (RotationPoset.boy_slots), and the cells
-    and the unmatched agents, alike in all stable matchings, are rendered
-    once.  A mask holding a rotation that no earlier mask held goes through
+    is each boy's cell at his slot (RotationPoset.boy_slots).  Consecutive
+    boys with the same boundary mask hold the same slot in every closed set
+    (a boy whose partner never moves has mask 0, and the boys of one cyclic
+    block move together), so each run of them is one entry whose cells are
+    joined per slot; a row then costs one bit count per run.  The cells and
+    the unmatched agents, alike in all stable matchings, are rendered once.
+    A mask holding a rotation that no earlier mask held goes through
     closed_set_to_matching, any other through is_closed_mask."""
     boy_names, girl_names = inst.boy_names, inst.girl_names
     boys, girls = unmatched_agents(inst, poset.boy_opt)
@@ -123,9 +127,10 @@ def _write_matchings(inst: PreferenceInstance, head, poset, masks) -> None:
         closing = ("\n      ]" if poset.boy_slots else "") + ',\n      "unmatched_boys": ' + _json_names(boys, 3)
         closing += ',\n      "unmatched_girls": ' + _json_names(girls, 3) + "\n    }"
         ends = ("[]" + after + "\n", "\n  ]" + after + "\n")
-    table = [
-        (crossed, [render((boy_names[b], girl_names[g])) for g in partners]) for b, crossed, partners in poset.boy_slots
-    ]
+    table = []
+    for crossed, run in itertools.groupby(poset.boy_slots, operator.itemgetter(1)):
+        cells = [[render((boy_names[b], girl_names[g])) for g in partners] for b, _, partners in run]
+        table.append((crossed, [sep.join(slot) for slot in zip(*cells)]))
     passed = 0
     for mask in masks:
         if mask & ~passed:
@@ -366,17 +371,16 @@ def _cmd_verify(args) -> int:
             "failures": list(report.failures),
             "objective": _fmt_q(report.main_objective),
             "oracle_objective": _fmt_q(report.oracle_objective),
-            "robust_count": len(report.main_argmin),
+            "robust_count": len(report.argmin_masks),
             "oracle_robust_count": len(report.oracle_argmin),
             "argmin": [],
         }
-        poset = build_rotation_poset(inst)
-        _write_matchings(inst, payload, poset, [matching_to_closed_set(poset, m) for m in report.main_argmin])
+        _write_matchings(inst, payload, report.poset, report.argmin_masks)
         return 0 if report.ok else 2
     lines = [
         f"objective {_fmt_q(report.main_objective)}",
         f"oracle objective {_fmt_q(report.oracle_objective)}",
-        f"robust matchings {len(report.main_argmin)} (oracle {len(report.oracle_argmin)})",
+        f"robust matchings {len(report.argmin_masks)} (oracle {len(report.oracle_argmin)})",
     ]
     if report.ok:
         lines.append("OK")

@@ -16,6 +16,7 @@ import heapq
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .instance import PreferenceInstance, boy_name, girl_name
 from .matching import Matching, boy_optimal, girl_optimal
@@ -219,6 +220,18 @@ class RotationPoset:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
+    @cached_property
+    def cover_offsets(self) -> tuple[tuple[int, int], ...]:
+        """The Hasse arcs u -> v grouped by their id offset d = v - u (> 0,
+        as ids are a linear extension): one (d, mask of the heads v) per
+        offset, ascending.  Read off hasse_preds on first use, so a
+        ``dataclasses.replace``d poset derives its own."""
+        heads: dict[int, int] = {}
+        for v, us in enumerate(self.hasse_preds):
+            for u in us:
+                heads[v - u] = heads.get(v - u, 0) | 1 << v
+        return tuple(sorted(heads.items()))
+
 
 def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
     """Discover all rotations of the instance and order them.
@@ -336,21 +349,18 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
             for a, (pos, bd) in chains.items():
                 chains[a] = pos, tuple(None if u is None else new_id[u] for u in bd)
 
+    # A cover of v is one of its generating predecessors, and one is a
+    # cover unless it precedes another of them.
     n = len(rotations)
     pred_closure = [0] * n
-    for v in range(n):
-        mask = 0
-        for u in preds[v]:
-            mask |= pred_closure[u] | (1 << u)
-        pred_closure[v] = mask
-
     hasse_preds: list[tuple[int, ...]] = []
     for v in range(n):
-        mask = pred_closure[v]
-        dominated = 0
-        for u in _bits(mask):
+        direct = dominated = 0
+        for u in preds[v]:
+            direct |= 1 << u
             dominated |= pred_closure[u]
-        hasse_preds.append(tuple(_bits(mask & ~dominated)))
+        pred_closure[v] = direct | dominated
+        hasse_preds.append(tuple(_bits(direct & ~dominated)))
     hasse_succs_sets: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         for u in hasse_preds[v]:
@@ -412,7 +422,20 @@ def _slots(positions: dict, moves: dict, step: int) -> dict:
 # stable matchings <-> downward-closed rotation sets
 
 def is_closed_mask(poset: RotationPoset, mask: int) -> bool:
-    return all((poset.pred_closure[v] & ~mask) == 0 for v in _bits(mask))
+    """True when mask is a set of the poset's rotation ids that holds every
+    predecessor of each of its rotations; False for a mask holding an id of
+    no rotation (size or more, or a negative mask).
+
+    A set is downward closed exactly when it holds the tail of every Hasse
+    arc whose head it holds, so the test is one bit expression per offset
+    of cover_offsets: the heads in the set whose tail is missing.
+    """
+    if mask >> poset.size:
+        return False
+    for d, heads in poset.cover_offsets:
+        if mask & heads & ~(mask << d):
+            return False
+    return True
 
 
 def _matching_of(poset: RotationPoset, mask: int) -> Matching:

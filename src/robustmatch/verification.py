@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .flow import solve_pipeline
 from .instance import PreferenceInstance, ShiftDistribution, apply_shift
-from .matching import is_stable, join, meet
+from .matching import Matching, is_stable, join, meet
 from .oracle import (
     OraclePoset,
     enumerate_stable_bruteforce,
@@ -23,7 +23,7 @@ from .oracle import (
     oracle_objective,
     oracle_poset,
 )
-from .representation import build_robust_poset, enumerate_robust, sublattice_poset
+from .representation import build_robust_poset, sublattice_poset
 from .rotations import RotationPoset, closed_set_to_matching, enumerate_closed_masks
 from .shift_analysis import EMPTY_MAB, analyze_shift, characterize_MAB
 
@@ -50,8 +50,13 @@ def posets_isomorphic(poset: RotationPoset, reference: OraclePoset) -> str | Non
 
 @dataclass
 class VerificationReport:
+    """What cross_check found.  The solver's argmin is kept as closed sets
+    of the rotation poset the solver built, sorted by their matchings'
+    pairs; the oracle's as matchings."""
+
     failures: list[str]
-    main_argmin: tuple
+    poset: RotationPoset
+    argmin_masks: tuple[int, ...]
     oracle_argmin: tuple
     main_objective: Fraction
     oracle_objective: Fraction
@@ -59,6 +64,10 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def main_argmin(self) -> tuple[Matching, ...]:
+        return tuple(closed_set_to_matching(self.poset, m) for m in self.argmin_masks)
 
     def argmin_diff(self) -> str:
         main = set(self.main_argmin)
@@ -128,7 +137,8 @@ def cross_check(inst: PreferenceInstance, dist: ShiftDistribution) -> Verificati
         )
 
     # the succinct representation enumerates exactly the argmin set
-    robust = enumerate_robust(build_robust_poset(run.network, run.flow))
+    robust_masks = build_robust_poset(run.network, run.flow).member_masks()
+    robust = [closed_set_to_matching(run.poset, m) for m in robust_masks]
     if len(robust) != len(set(robust)):
         failures.append("robust enumeration repeated a matching")
     if set(robust) != set(winners):
@@ -137,7 +147,7 @@ def cross_check(inst: PreferenceInstance, dist: ShiftDistribution) -> Verificati
         )
 
     # the robust set is closed under meet and join
-    robust_set = set(robust)
+    robust_set = dict(zip(robust, robust_masks))  # each robust matching -> its closed set
     for m1 in robust_set:
         for m2 in robust_set:
             if meet(inst, m1, m2, validate=False) not in robust_set or join(inst, m1, m2, validate=False) not in robust_set:
@@ -149,7 +159,8 @@ def cross_check(inst: PreferenceInstance, dist: ShiftDistribution) -> Verificati
 
     return VerificationReport(
         failures=failures,
-        main_argmin=tuple(sorted(robust_set, key=lambda m: m.pairs)),
+        poset=run.poset,
+        argmin_masks=tuple(robust_set[m] for m in sorted(robust_set, key=lambda m: m.pairs)),
         oracle_argmin=tuple(sorted(winners, key=lambda m: m.pairs)),
         main_objective=run.solution.objective,
         oracle_objective=best,

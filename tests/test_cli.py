@@ -21,13 +21,13 @@ from hypothesis import given, settings, strategies as st
 import robustmatch.cli
 import robustmatch.flow
 import robustmatch.representation
-from robustmatch import serialize_instance
+from robustmatch import parse_instance, serialize_instance
 from robustmatch.cli import entrypoint, gen_random_instance, run
 from robustmatch.rotations import Rotation, build_rotation_poset, closed_set_to_matching, enumerate_closed_masks
 from robustmatch.verification import VerificationReport
 
 from test_matching import M0_I2, MZ_I2
-from test_rotations import counting_checks
+from test_rotations import UNEQUAL_SIDES, counting_checks, cyclic_blocks
 
 I3_POINT_DIST = "GIRL_LIST g1 b1 1 1/1\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -833,13 +833,8 @@ class TestEmit:
                 robustmatch.cli._write_matchings(i2, head, poset, iter(masks))
             assert buf.getvalue() == expected
 
-    @given(instances_with_masks())
-    @settings(max_examples=150, deadline=None)
-    def test_writer_template_is_json_dumps(self, case):
-        """The writer's hand-written per-matching JSON is what json.dumps
-        prints for the whole payload of the closed sets' matchings, and its
-        text is the joined blocks."""
-        inst, poset, masks = case
+    @staticmethod
+    def check_writer(inst, poset, masks):
         matchings = [closed_set_to_matching(poset, m) for m in masks]
         json_head = {"schema": 1, "command": "enumerate", "count": len(matchings), "matchings": []}
         payload = {**json_head, "matchings": [robustmatch.cli._matching_json(inst, m) for m in matchings]}
@@ -854,6 +849,33 @@ class TestEmit:
             with contextlib.redirect_stdout(buf):
                 robustmatch.cli._write_matchings(inst, head, poset, iter(masks))
             assert buf.getvalue() == expected
+
+    @given(instances_with_masks())
+    @settings(max_examples=150, deadline=None)
+    def test_writer_template_is_json_dumps(self, case):
+        """The writer's hand-written per-matching JSON is what json.dumps
+        prints for the whole payload of the closed sets' matchings, and its
+        text is the joined blocks."""
+        self.check_writer(*case)
+
+    # consecutive boys of a block share a boundary mask: long runs when the
+    # blocks are numbered consecutively, runs of one boy when relabelled,
+    # runs of boys whose partner never moves (mask 0) on blocks of one, on
+    # unequal sides and on unmatched.txt, and no boy with a partner at all
+    # on no-lists.txt
+    @pytest.mark.parametrize("inst", [
+        pytest.param(cyclic_blocks([4, 1, 3, 1, 1], 5, relabel=False), id="consecutive-blocks"),
+        pytest.param(cyclic_blocks([4, 1, 3], 5), id="relabelled-blocks"),
+        *(pytest.param(parse_instance(text), id=f"unequal-{k}") for k, text in enumerate(UNEQUAL_SIDES)),
+        pytest.param(parse_instance((FIXTURES / "unmatched.txt").read_text()), id="unmatched"),
+        pytest.param(parse_instance((FIXTURES / "no-lists.txt").read_text()), id="no-lists"),
+    ])
+    def test_writer_on_structured_inputs(self, inst):
+        """Every closed set in enumeration order, then in reverse with the
+        first one repeated."""
+        poset = build_rotation_poset(inst)
+        masks = enumerate_closed_masks(poset)
+        self.check_writer(inst, poset, masks + masks[::-1] + masks[:1])
 
     @pytest.mark.parametrize("obj", [1.5, [1.5], {1: "a"}, [{None: 1}]])
     def test_floats_and_non_str_keys_print_as_json_dumps(self, obj):
@@ -921,10 +943,11 @@ class TestVerify:
         assert payload["robust_count"] == len(payload["argmin"])
 
     @pytest.fixture
-    def broken_cross_check(self, monkeypatch):
+    def broken_cross_check(self, monkeypatch, i2):
         report = VerificationReport(
             failures=["synthetic mismatch"],
-            main_argmin=(M0_I2,),
+            poset=build_rotation_poset(i2),
+            argmin_masks=(0,),
             oracle_argmin=(MZ_I2,),
             main_objective=Fraction(0),
             oracle_objective=Fraction(1, 2),

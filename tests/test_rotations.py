@@ -37,7 +37,7 @@ from robustmatch.cli import gen_random_instance
 from robustmatch.instance import boy_name, girl_name, reversed_instance
 from robustmatch.oracle import enumerate_stable_bruteforce
 import robustmatch.rotations as rotations_module
-from robustmatch.rotations import closed_subsets, ids_to_mask, mask_to_ids
+from robustmatch.rotations import closed_subsets, ids_to_mask, is_closed_mask, mask_to_ids
 from robustmatch.shift_analysis import PROPER, _mover_crossing
 
 from test_instance import random_instances
@@ -221,9 +221,10 @@ def chain_pair_rotations(poset, girl: bool, agent: int, q: int):
     return (bd[k + 1], bd[k]) if girl else (bd[k], bd[k + 1])
 
 
-def cyclic_blocks(sizes, seed) -> PreferenceInstance:
+def cyclic_blocks(sizes, seed, relabel=True) -> PreferenceInstance:
     """Disjoint cyclic Latin-square blocks (I3 is the one block of size 3),
-    complete lists, agents relabelled by the seed.
+    complete lists, agents relabelled by the seed (or, with relabel False,
+    each block's agents numbered consecutively).
 
     Every agent lists its own block first, then the rest in seeded order, so
     a block of size m adds a chain of m - 1 rotations: random instances of
@@ -231,7 +232,7 @@ def cyclic_blocks(sizes, seed) -> PreferenceInstance:
     """
     rng = random.Random(seed)
     n = sum(sizes)
-    boys, girls = rng.sample(range(n), n), rng.sample(range(n), n)
+    boys, girls = (rng.sample(range(n), n), rng.sample(range(n), n)) if relabel else (range(n), range(n))
     boy_prefs, girl_prefs = [None] * n, [None] * n
     base = 0
     for m in sizes:
@@ -537,7 +538,7 @@ class TestClosedSets:
         wrong: a set that only looks closed raises instead of returning."""
         poset = build_rotation_poset(i3)
         # with no precedence, {RHO_B} looks closed, but (b1,g2) is not in M0
-        unordered = dataclasses.replace(poset, pred_closure=(0, 0))
+        unordered = dataclasses.replace(poset, pred_closure=(0, 0), hasse_preds=((), ()), hasse_succs=((), ()))
         with pytest.raises(ValueError, match="not in the matching"):
             closed_set_to_matching(unordered, 0b10)
         # both pairs are in M0, but g3 is not b1's successor girl; applied
@@ -546,6 +547,11 @@ class TestClosedSets:
         assert not is_stable(i3, Matching([(0, 2), (1, 1), (2, 0)]))
         with pytest.raises(ValueError, match="not exposed"):
             closed_set_to_matching(wrong, 0b01)
+
+    def test_ids_beyond_the_poset_are_not_closed(self, i3):
+        poset = build_rotation_poset(i3)
+        for mask in (0b100, 0b111, 1 << 70 | 0b1, -1, -0b100):
+            assert not is_closed_mask(poset, mask)
 
     def test_i2_enumeration(self, i2):
         poset = build_rotation_poset(i2)
@@ -590,6 +596,50 @@ class TestClosedSets:
     def test_girl_optimal_is_full_mask(self, inst):
         poset = build_rotation_poset(inst)
         assert closed_set_to_matching(poset, poset.full_mask) == girl_optimal(inst)
+
+
+class TestIsClosedMask:
+    """is_closed_mask, one bit test per Hasse arc offset, agrees with the
+    definition of a downward-closed set on every mask of posets with at most
+    10 rotations and on seeded masks of larger ones."""
+
+    @staticmethod
+    def check(poset, seed):
+        if poset.size <= 10:
+            masks = list(range(1 << poset.size))
+        else:
+            # random sets, closed sets, and closed sets with one id flipped
+            rng = random.Random(seed)
+            down = [poset.pred_closure[v] | 1 << v for v in range(poset.size)]
+            closed = [0, poset.full_mask]
+            for _ in range(200):
+                mask = 0
+                for v in rng.sample(range(poset.size), rng.randint(1, 4)):
+                    mask |= down[v]
+                closed.append(mask)
+            masks = closed + [m ^ 1 << rng.randrange(poset.size) for m in closed]
+            masks += [rng.getrandbits(poset.size) for _ in range(200)]
+        for mask in masks:
+            expected = all(poset.pred_closure[v] & ~mask == 0 for v in mask_to_ids(mask))
+            assert is_closed_mask(poset, mask) == expected, mask
+            assert not is_closed_mask(poset, mask | 1 << poset.size)
+
+    @given(lattice_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_lattice_instances(self, inst):
+        self.check(build_rotation_poset(inst), 0)
+
+    def test_cyclic_blocks(self):
+        """Up to 3 blocks of up to 7: chains of up to 18 rotations, whose ids
+        interleave unless the blocks are numbered consecutively."""
+        rng = random.Random(26)
+        for seed in range(30):
+            sizes = [rng.randint(1, 7) for _ in range(rng.randint(1, 3))]
+            self.check(build_rotation_poset(cyclic_blocks(sizes, seed, relabel=seed % 2 == 0)), seed)
+
+    def test_rotation_rich_random_instances(self):
+        for seed, inst in enumerate(rotation_rich_instances()):
+            self.check(build_rotation_poset(inst), seed)
 
 
 def reference_girl_optimal(inst):

@@ -62,10 +62,11 @@ class TestPosetsIsomorphic:
 
 
 class TestVerificationReport:
-    def test_agreeing_report(self):
+    def test_agreeing_report(self, i2):
         report = VerificationReport(
             failures=[],
-            main_argmin=(M0_I2,),
+            poset=build_rotation_poset(i2),
+            argmin_masks=(0,),
             oracle_argmin=(M0_I2,),
             main_objective=Fraction(0),
             oracle_objective=Fraction(0),
@@ -73,10 +74,11 @@ class TestVerificationReport:
         assert report.ok
         assert report.argmin_diff() == "argmin sets agree"
 
-    def test_disagreeing_report(self):
+    def test_disagreeing_report(self, i2):
         report = VerificationReport(
             failures=["objective mismatch"],
-            main_argmin=(M0_I2,),
+            poset=build_rotation_poset(i2),
+            argmin_masks=(0,),
             oracle_argmin=(MZ_I2,),
             main_objective=Fraction(0),
             oracle_objective=Fraction(1, 2),
