@@ -4,93 +4,91 @@ A ``Sublattice`` compresses the rotation poset: rotations forced into every
 member, rotations forced out of every member, and an order on the free
 rest, whose downward-closed subsets are in bijection with the members.
 One builder, ``condense``, makes every one of them from a graph of forcing
-arcs on the rotations plus a bottom endpoint (in every set) and a top
-endpoint (in none): the caller's mandatory rotations reach the bottom,
-the rotations the top reaches are excluded, and the strongly connected
-components of the arcs among the free rest, contracted, give a DAG whose
-downward-closed subsets are the members.  Two callers pass different arcs.
-Every reader of the members goes through ``Sublattice.member_masks``, one
-pass of ``closed_subsets`` over the free elements' rotation masks, or,
-for a single member, through ``robust_members``.
+arcs alone, over the rotations plus a bottom endpoint (in every set) and a
+top endpoint (in none).  The arcs fix both ends (Picard and Queyranne, "On
+the structure of all minimum cuts in a network", 1980): whatever reaches
+the bottom is forced in, whatever the top reaches is forced out, and the
+strongly connected components of the free rest, contracted, give a DAG
+whose downward-closed subsets are the members.  Two callers pass
+different arcs.  Every reader of the members goes through
+``Sublattice.member_masks``, one pass of ``closed_subsets`` over the free
+elements' rotation masks, or, for a single member, through
+``robust_members``.
 
 A shift's destabilized set (``sublattice_poset``, which returns the
-``Sublattice`` alone) passes the Hasse arcs plus one arc from the top to
-its exit rotation, and everything at or below its entry rotation as
-mandatory; the free rotations form a convex set, so each is a component of
-its own and their covers give the induced order.  A DISJOINT shift has
-neither rotation: its set is the whole lattice.
+``Sublattice`` alone) is the Hasse arcs plus two: one from its entry
+rotation to the bottom and one from the top to its exit rotation.  The
+free rotations form a convex set, so each is a component of its own and
+their covers give the induced order.  A DISJOINT shift has neither
+rotation: its set is the whole lattice.
 
 The robust set (``build_robust_poset``): one max flow pins down one robust
 matching, but usually many closed sets achieve the same minimum.  They are
 exactly the residual-closed vertex sets: no residual edge may enter the set
-from outside (Picard and Queyranne, "On the structure of all minimum cuts
-in a network", 1980).  So the arcs are the residual edges, and the
-mandatory rotations are those with a residual path to the bottom endpoint
--- the solver's own cut, as ``extract_closed_set`` reads it.
+from outside.  So the arcs are the residual edges; the mandatory rotations,
+those with a residual path to the bottom, are the solver's own cut, and a
+top with such a path means the flow is not maximum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flow import ClosureNetwork, FlowResult, extract_closed_set
+from .flow import ClosureNetwork, FlowResult
 from .matching import Matching
 from .rotations import (
     RotationPoset,
     closed_set_to_matching,
     closed_subsets,
     ids_to_mask,
-    mask_to_ids,
     topological_order,
 )
 from .shift_analysis import DISJOINT, PROPER, ShiftAnalysis
 
 
-def _tarjan_scc(adj: list[list[int]]) -> tuple[int, list[int]]:
-    """(component count, component id per vertex), iteratively."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp = [-1] * n
+def _reached(adj, start: int) -> list[bool]:
+    """Which nodes a walk along adj from start reaches, start included."""
+    seen = [False] * len(adj)
+    seen[start] = True
+    stack = [start]
+    while stack:
+        for v in adj[stack.pop()]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return seen
+
+
+def _strong_components(succ, pred, inside: list[bool]) -> tuple[int, list[int]]:
+    """(component count, component id per node, -1 for the nodes not
+    inside): the strongly connected components of the subgraph the inside
+    nodes induce, by Kosaraju's two passes, a finishing order over succ,
+    then, in reverse finishing order, one walk over the transpose pred per
+    component."""
+    seen = [not i for i in inside]
+    finished: list[int] = []
+    for root in range(len(succ)):
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            if u < 0:
+                finished.append(~u)
+            elif not seen[u]:
+                seen[u] = True
+                stack.append(~u)  # u finishes once every successor pushed after it has
+                stack.extend(succ[u])
+    comp = [-1] * len(succ)
     count = 0
-    next_index = 0
-    work: list[tuple[int, int]] = []
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work.append((root, 0))
-        while work:
-            u, pi = work.pop()
-            if pi == 0:
-                index[u] = low[u] = next_index
-                next_index += 1
-                stack.append(u)
-                on_stack[u] = True
-            recurse = False
-            for i in range(pi, len(adj[u])):
-                v = adj[u][i]
-                if index[v] == -1:
-                    work.append((u, i + 1))
-                    work.append((v, 0))
-                    recurse = True
-                    break
-                if on_stack[v]:
-                    low[u] = min(low[u], index[v])
-            if recurse:
-                continue
-            if low[u] == index[u]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = count
-                    if w == u:
-                        break
-                count += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[u])
+    for root in reversed(finished):
+        if comp[root] < 0:
+            comp[root] = count
+            stack = [root]
+            while stack:
+                for v in pred[stack.pop()]:
+                    if inside[v] and comp[v] < 0:
+                        comp[v] = count
+                        stack.append(v)
+            count += 1
     return count, comp
 
 
@@ -130,51 +128,43 @@ class Sublattice:
         return closed_subsets(*self._element_masks(), ids_to_mask(self.mandatory))
 
 
-def condense(poset: RotationPoset, succ, mandatory: int) -> Sublattice:
+def condense(poset: RotationPoset, succ) -> Sublattice:
     """The sublattice of the closed sets that respect a graph of forcing arcs.
 
     Nodes are the rotations, then the bottom endpoint ``poset.size`` (in
     every set) and the top endpoint ``poset.size + 1`` (in none); succ[u]
     lists the heads of the arcs out of u, and an arc u -> v means that v in
-    a set forces u in.  ``mandatory`` is the caller's mask of the rotations
-    forced in, those that reach the bottom; the arcs out of them are never
-    read.  The rotations one forward walk from the top reaches are excluded.  A cycle through a free rotation meets neither kind (it
-    would make the rotation reach the bottom or be reached from the top), so
-    components, DAG edges and the order of the free elements -- smallest
-    least member first -- are computed over the free rotations alone.
+    a set forces u in.  The arcs alone fix both ends: the rotations with a
+    path to the bottom are mandatory, found by one walk back from it over
+    the transpose, and the rotations the top reaches, one walk forward, are
+    excluded.  A top that reaches the bottom leaves no such closed set and
+    raises ValueError.  No path joins a free rotation to either kind in the
+    direction that would force it, so the strongly connected components of
+    the free rotations alone are those of the whole graph; contracted, and
+    ordered smallest least member first, they are the free elements.
     """
-    top = poset.size + 1
-    reached = [False] * (top + 1)
-    reached[top] = True
-    stack = [top]
-    while stack:
-        for v in succ[stack.pop()]:
-            if not reached[v]:
-                reached[v] = True
-                stack.append(v)
-    rotations = range(poset.size)
-    excluded = tuple(r for r in rotations if reached[r])
-    free = [r for r in rotations if not reached[r] and not (mandatory >> r) & 1]
-    index = {r: i for i, r in enumerate(free)}
-    free_adj = [[index[v] for v in succ[r] if v in index] for r in free]
-
-    count, comp = _tarjan_scc(free_adj)
+    bottom, top = poset.size, poset.size + 1
+    pred: list[list[int]] = [[] for _ in succ]
+    for u, heads in enumerate(succ):
+        for v in heads:
+            pred[v].append(u)
+    forced, barred = _reached(pred, bottom), _reached(succ, top)
+    if forced[top]:
+        raise ValueError("the top endpoint reaches the bottom endpoint: no closed set respects the arcs")
+    count, comp = _strong_components(succ, pred, [not (f or b) for f, b in zip(forced, barred)])
     members: list[list[int]] = [[] for _ in range(count)]
-    for r, c in zip(free, comp):
-        members[c].append(r)
-    dag_pred: list[set[int]] = [set() for _ in range(count)]
-    for i, heads in enumerate(free_adj):
-        for j in heads:
-            if comp[j] != comp[i]:
-                dag_pred[comp[j]].add(comp[i])
-    order = topological_order(dag_pred, [m[0] for m in members])
+    for r in range(poset.size):
+        if comp[r] >= 0:
+            members[comp[r]].append(r)
+    dag_pred = [{comp[u] for r in rs for u in pred[r] if comp[u] >= 0} - {c} for c, rs in enumerate(members)]
+    order = topological_order(dag_pred, [rs[0] for rs in members])
     position = [0] * count
     for i, c in enumerate(order):
         position[c] = i
     return Sublattice(
         poset=poset,
-        mandatory=mask_to_ids(mandatory),
-        excluded=excluded,
+        mandatory=tuple(r for r in range(poset.size) if forced[r]),
+        excluded=tuple(r for r in range(poset.size) if barred[r]),
         free_elements=tuple(tuple(members[c]) for c in order),
         edges=tuple(sorted((position[c], position[d]) for d in range(count) for c in dag_pred[d])),
     )
@@ -183,13 +173,16 @@ def condense(poset: RotationPoset, succ, mandatory: int) -> Sublattice:
 def build_robust_poset(network: ClosureNetwork, flow: FlowResult) -> Sublattice:
     """Condense the residual graph into the poset of optimal closed sets.
 
-    The arcs are the edges with positive residual capacity; the mandatory
-    rotations are ``extract_closed_set``'s, which raises ValueError when
-    the flow is not maximum.
+    The arcs are the edges with positive residual capacity.  Raises
+    ValueError when the flow is not maximum: then the top endpoint has a
+    residual path to the bottom one.
     """
-    mandatory, to, cap = extract_closed_set(network, flow), flow.to, flow.cap
-    succ = [() if mandatory >> u & 1 else [to[e] for e in edges if cap[e] > 0] for u, edges in enumerate(flow.adj)]
-    return condense(network.poset, succ, mandatory)
+    to, cap = flow.to, flow.cap
+    succ = [[to[e] for e in edges if cap[e] > 0] for edges in flow.adj]
+    try:
+        return condense(network.poset, succ)
+    except ValueError:
+        raise ValueError("flow is not maximum: an augmenting path remains") from None
 
 
 def robust_members(robust: Sublattice, element_ids) -> Matching:
@@ -219,15 +212,20 @@ def enumerate_robust(robust: Sublattice) -> list[Matching]:
 def sublattice_poset(poset: RotationPoset, analysis: ShiftAnalysis) -> Sublattice:
     """The sublattice of the matchings a shift destabilizes.
 
-    The condensation of the Hasse arcs plus one arc from the top to the exit
-    rotation: everything at or below the entry rotation is mandatory,
-    everything at or above the exit rotation is excluded, and each remaining
-    rotation is a free element of its own, in ascending id.  A DISJOINT
-    analysis has neither, so its sublattice is the whole lattice.  An
-    EMPTY_MAB analysis destabilizes nothing and raises ValueError.
+    The condensation of the Hasse arcs plus two: one from the entry rotation
+    to the bottom, so everything at or below it is mandatory, and one from
+    the top to the exit rotation, so everything at or above it is excluded.
+    Each remaining rotation is a free element of its own, in ascending id.
+    A DISJOINT analysis has neither rotation, so its sublattice is the whole
+    lattice.  An EMPTY_MAB analysis destabilizes nothing and raises
+    ValueError.
     """
     if analysis.status not in (PROPER, DISJOINT):
         raise ValueError(f"sublattice is only defined for PROPER and DISJOINT analyses, not {analysis.status}")
     rho_in, rho_out = analysis.rho_in, analysis.rho_out
-    mandatory = 0 if rho_in is None else poset.pred_closure[rho_in] | 1 << rho_in
-    return condense(poset, [*poset.hasse_succs, (), () if rho_out is None else (rho_out,)], mandatory)
+    succ = [*poset.hasse_succs, (), ()]
+    if rho_in is not None:
+        succ[rho_in] = (*succ[rho_in], poset.size)
+    if rho_out is not None:
+        succ[-1] = (rho_out,)
+    return condense(poset, succ)

@@ -22,6 +22,7 @@ from robustmatch import (
     enumerate_shift_domain,
     parse_distribution,
     parse_instance,
+    parse_shift,
     robust_matching,
     solve_pipeline,
 )
@@ -320,6 +321,20 @@ class TestCertificate:
         # {R0} pays the full edge probability instead of the optimum 0
         violations = certificate_violations(run.network, run.flow, 0b01)
         assert violations
+
+    @pytest.mark.parametrize("shifts, mask, violation", [
+        # {R1} without its predecessor R0
+        ((I3_POINT,), 0b10, "unbounded edge R0->R1 crosses the cut: set not closed"),
+        # the flow T -> R0 -> R1 -> S climbs the cover R0 -> R1 out of {R0}
+        (("GIRL_LIST g1 b1 2", "BOY_LIST b1 g3 2"), 0b01, "unbounded edge R0->R1 carries 1/2 against the cut"),
+        # the flow T -> R1 -> R0 -> S leaves {R1} by its shift edge R1 -> R0
+        (("GIRL_LIST g1 b3 1", I3_POINT, "BOY_LIST b1 g2 1"), 0b10, "shift edge R1->R0 crosses back into the cut with flow 1/3"),
+    ])
+    def test_reports_a_cut_the_flow_contradicts(self, i3, shifts, mask, violation):
+        """A mask that is wrong on purpose, against a solved network."""
+        dist = ShiftDistribution(tuple((parse_shift(text, i3), Fraction(1, len(shifts))) for text in shifts))
+        run = solve_pipeline(i3, dist)
+        assert violation in certificate_violations(run.network, run.flow, mask)
 
 
 class TestPipeline:

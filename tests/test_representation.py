@@ -27,7 +27,7 @@ from robustmatch import (
 )
 from robustmatch.flow import ClosureNetwork, build_network, extract_closed_set, solve
 from robustmatch.oracle import oracle_argmin
-from robustmatch.representation import Sublattice, _tarjan_scc
+from robustmatch.representation import Sublattice, _strong_components, condense
 from robustmatch.rotations import (
     build_rotation_poset,
     closed_set_to_matching,
@@ -247,10 +247,23 @@ class TestMemberMasks:
         assert robust.member_masks() == chain_prefixes(range(2 * DEEP_CHAIN + 1))[1::2]
 
 
-def reference_robust_poset(network: ClosureNetwork, flow) -> Sublattice:
-    """Test-only reference: the condensation build_robust_poset replaced.
+def closure(start, step) -> set[int]:
+    """Every node a walk along step from start reaches, start included."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        for d in step[frontier.pop()]:
+            if d not in seen:
+                seen.add(d)
+                frontier.append(d)
+    return seen
 
-    Condenses the whole residual graph, endpoints included, and finds the
+
+def reference_robust_poset(network: ClosureNetwork, flow) -> Sublattice:
+    """Test-only reference for build_robust_poset, sharing no graph code
+    with it.
+
+    Condenses the whole residual graph, endpoints included, into classes of
+    mutual reachability, each named by its least node, and finds the
     mandatory and excluded components by walking the condensation DAG.
     """
     n = network.n_nodes
@@ -258,31 +271,21 @@ def reference_robust_poset(network: ClosureNetwork, flow) -> Sublattice:
     for e, v in enumerate(flow.to):
         if flow.cap[e] > 0:
             adj[flow.to[e ^ 1]].append(v)
-    count, comp = _tarjan_scc(adj)
-    members: list[list[int]] = [[] for _ in range(count)]
-    for r in range(network.n_rotations):
-        members[comp[r]].append(r)
-    dag_succ: list[set[int]] = [set() for _ in range(count)]
-    dag_pred: list[set[int]] = [set() for _ in range(count)]
+    reach = [closure(u, adj) for u in range(n)]
+    comp = [min(v for v in reach[u] if u in reach[v]) for u in range(n)]
+    labels = sorted(set(comp))
+    members = {c: [r for r in range(network.n_rotations) if comp[r] == c] for c in labels}
+    dag_succ: dict[int, set[int]] = {c: set() for c in labels}
+    dag_pred: dict[int, set[int]] = {c: set() for c in labels}
     for u in range(n):
         for v in adj[u]:
             if comp[u] != comp[v]:
                 dag_succ[comp[u]].add(comp[v])
                 dag_pred[comp[v]].add(comp[u])
-
-    def closure(start, step) -> set[int]:
-        seen, frontier = {start}, [start]
-        while frontier:
-            for d in step[frontier.pop()]:
-                if d not in seen:
-                    seen.add(d)
-                    frontier.append(d)
-        return seen
-
     reaches_bottom = closure(comp[network.bottom], dag_pred)
     from_top = closure(comp[network.top], dag_succ)
     assert comp[network.top] not in reaches_bottom
-    free_set = {c for c in range(count) if c not in reaches_bottom and c not in from_top}
+    free_set = {c for c in labels if c not in reaches_bottom and c not in from_top}
     pending = {c: sum(1 for d in dag_pred[c] if d in free_set) for c in free_set}
     ready = sorted((min(members[c]), c) for c in free_set if pending[c] == 0)
     order: list[int] = []
@@ -310,14 +313,16 @@ def condensation_fields(robust: Sublattice):
 
 
 class TestCondensationMatchesReference:
-    """build_robust_poset (the solver's cut, components over free rotations only)
-    equals the whole-graph condensation."""
+    """build_robust_poset (both ends read off the residual arcs) equals the
+    condensation by mutual reachability, and its mandatory rotations are
+    the solver's own cut."""
 
     @staticmethod
     def check(inst, dist) -> Sublattice:
         run = solve_pipeline(inst, dist)
         robust = build_robust_poset(run.network, run.flow)
         assert condensation_fields(robust) == condensation_fields(reference_robust_poset(run.network, run.flow))
+        assert robust.mandatory == mask_to_ids(extract_closed_set(run.network, run.flow))
         return robust
 
     def test_cyclic_blocks(self):
@@ -357,10 +362,57 @@ def reference_sublattice(poset, analysis) -> Sublattice:
     )
 
 
+class TestCondense:
+    def test_rejects_a_top_that_reaches_the_bottom(self, i3):
+        """An arc from the top to the bottom, directly on a poset of size 0,
+        or through the chain R0 < R1 with R1 forced in and R0 forced out."""
+        empty = build_rotation_poset(parse_instance("1\nb1: g1\ng1: b1\n"))
+        assert empty.size == 0
+        chain = build_rotation_poset(i3)
+        for poset, succ in ((empty, [(), (0,)]), (chain, [(1,), (2,), (), (0,)])):
+            with pytest.raises(ValueError, match="^the top endpoint reaches the bottom endpoint"):
+                condense(poset, succ)
+
+    def test_forced_ends_need_no_mandatory_mask(self, i3):
+        """R1 -> S forces R0 in through the cover R0 -> R1; T -> R0 alone
+        bars R1 too."""
+        poset = build_rotation_poset(i3)
+        forced = condense(poset, [(1,), (2,), (), ()])
+        assert (forced.mandatory, forced.excluded, forced.free_elements) == ((0, 1), (), ())
+        barred = condense(poset, [(1,), (), (), (0,)])
+        assert (barred.mandatory, barred.excluded, barred.free_elements) == ((), (0, 1), ())
+
+
+class TestStrongComponents:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_classes_of_mutual_reachability(self, seed):
+        """Random digraphs of 0 to 12 nodes, with a self-loop, a repeated
+        arc and an isolated last node whenever there are nodes to hold
+        them."""
+        rng = random.Random(seed)
+        n = seed % 13
+        live = max(n - 1, 0)  # node n - 1 stays isolated
+        arcs = [(rng.randrange(live), rng.randrange(live)) for _ in range(rng.randrange(3 * live + 1))]
+        if live:
+            u = rng.randrange(live)
+            arcs += [(u, u), *arcs[:1]]
+        succ: list[list[int]] = [[] for _ in range(n)]
+        pred: list[list[int]] = [[] for _ in range(n)]
+        for u, v in arcs:
+            succ[u].append(v)
+            pred[v].append(u)
+        count, comp = _strong_components(succ, pred, [True] * n)
+        reach = [closure(u, succ) for u in range(n)]
+        assert sorted(set(comp)) == list(range(count))
+        for u in range(n):
+            for v in range(n):
+                assert (comp[u] == comp[v]) == (v in reach[u] and u in reach[v]), (u, v, arcs)
+
+
 class TestDestabilizedSetMatchesReference:
-    """sublattice_poset (the condensation of the Hasse arcs) equals the
-    mask-and-cover construction on every PROPER shift, and a DISJOINT
-    shift's set is the whole lattice."""
+    """sublattice_poset (the condensation of the Hasse arcs and two arcs to
+    the endpoints) equals the mask-and-cover construction on every PROPER
+    and DISJOINT shift, and a DISJOINT shift's set is the whole lattice."""
 
     @staticmethod
     def check(inst) -> int:
@@ -377,9 +429,8 @@ class TestDestabilizedSetMatchesReference:
                 continue
             seen.add(ends)
             sublattice = sublattice_poset(poset, analysis)
-            if analysis.status == PROPER:
-                assert condensation_fields(sublattice) == condensation_fields(reference_sublattice(poset, analysis))
-            else:
+            assert condensation_fields(sublattice) == condensation_fields(reference_sublattice(poset, analysis))
+            if analysis.status == DISJOINT:
                 assert sublattice.member_masks() == enumerate_closed_masks(poset)
         return proper
 

@@ -178,17 +178,6 @@ class TestComponentRotations:
         with pytest.raises(ValueError):
             find_component_rotations(poset, i2, Shift(BOY_LIST, 0, 1, 1))
 
-    @given(random_instances(max_n=6))
-    @settings(max_examples=60)
-    def test_rho1_below_rho2(self, inst):
-        poset = build_rotation_poset(inst)
-        for shift in enumerate_shift_domain(inst):
-            if shift.side != GIRL_LIST:
-                continue
-            rho1, rho2, _ = find_component_rotations(poset, inst, shift)
-            if rho1 is not None and rho2 is not None:
-                assert poset.leq(rho1, rho2)
-
 
 class TestAnalyzeShift:
     def test_i2_proper(self, i2):
