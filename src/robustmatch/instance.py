@@ -164,19 +164,18 @@ class PreferenceInstance:
 def _rank_tables(prefs, other_count: int, who: str) -> tuple[dict[Agent, int], ...]:
     """Per list: listed agent -> position.  A list must name each agent of
     the other side at most once and only ids in range; the first entry that
-    does not is searched for only when a table is short or a bound fails."""
-    ranks = tuple({x: i for i, x in enumerate(lst)} for lst in prefs)
-    for a, (lst, rank) in enumerate(zip(prefs, ranks)):
-        if len(rank) == len(lst) and (not lst or (min(lst) >= 0 and max(lst) < other_count)):
-            continue
-        seen = set()
-        for x in lst:
+    does not raises, a repeat when ``setdefault`` returns its earlier
+    position."""
+    ranks = []
+    for a, lst in enumerate(prefs):
+        rank = {}
+        for i, x in enumerate(lst):
             if not 0 <= x < other_count:
                 raise ValueError(f"{who} {a + 1}: listed agent id {x} out of range")
-            if x in seen:
+            if rank.setdefault(x, i) != i:
                 raise ValueError(f"{who} {a + 1}: duplicate entry in preference list")
-            seen.add(x)
-    return ranks
+        ranks.append(rank)
+    return tuple(ranks)
 
 
 def reversed_instance(inst: PreferenceInstance) -> PreferenceInstance:
@@ -302,7 +301,6 @@ class ShiftDistribution:
         the least common multiple of the denominators in lowest terms, and
         fractions already in lowest terms give g = 1.
         """
-        self.allow_partial = allow_partial
         # the instance whose whole shift domain this distribution is uniform over
         self.uniform_over: PreferenceInstance | None = None
         # the instance every listed shift was located in when it was parsed

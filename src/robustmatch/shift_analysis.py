@@ -181,16 +181,15 @@ def _add_runs(weights: dict, poset: RotationPoset, girl: bool, boundaries, width
     bd[right-1] < ... < bd[2] < bd[1]: bd[j] ascends as j falls, and if
     leq(bd[j], crossing) holds, then so does leq(bd[j'], crossing) for every
     j' > j.  A boy's boundaries descend as j falls, and leq(crossing, bd[j])
-    carries over to every j' > j in the same way.  Hence t is a bisection
-    over j in [1, right).  Run 0 is never EMPTY_MAB (bd[0] is None), and
-    without a crossing no run is, so t = right then, as with one run.
+    carries over to every j' > j in the same way.  Hence t is found by
+    stepping back from run right-1 while the run is EMPTY_MAB.  Run 0 is
+    never EMPTY_MAB (bd[0] is None), so the scan stops at run 1, and without
+    a crossing no run is, so t = right then, as with one run.
     """
     t = right
-    if crossing is not None and right > 1:
-        def empty(j: int) -> bool:
-            return poset.leq(boundaries[j], crossing) if girl else poset.leq(crossing, boundaries[j])
-
-        t = 1 + bisect_left(range(1, right), True, key=empty)
+    if crossing is not None:
+        while t > 1 and (poset.leq(boundaries[t - 1], crossing) if girl else poset.leq(crossing, boundaries[t - 1])):
+            t -= 1
     for j in range(t):
         outcome = (crossing, boundaries[j]) if girl else (boundaries[j], crossing)
         weights[outcome] = weights.get(outcome, 0) + widths[j]
@@ -205,7 +204,7 @@ def uniform_weights(poset: RotationPoset, inst: PreferenceInstance) -> dict:
     holds p_j - p_{j-1} windows (p_{-1} = -1), which does not depend on the
     mover, so each (owner, mover) pair adds those widths straight into the
     entries of its surviving runs (``_add_runs``): no per-shift object or
-    call, one bisection per pair.
+    call, one backward scan over the runs per pair.
 
     The walk is mover-major, so that it visits only the pairs that can
     block.  A mover with a chain prefers an owner in some stable matching

@@ -29,6 +29,7 @@ from robustmatch import (
     robust_members,
     sublattice_poset,
 )
+from robustmatch.cli import gen_random_instance
 from robustmatch.instance import reversed_instance
 from robustmatch.matching import boy_optimal, unmatched_agents
 from robustmatch.rotations import ids_to_mask
@@ -316,11 +317,14 @@ class TestSurvivingRunsArePrefix:
     """Per mover, ``_add_runs`` adds exactly the runs that are not
     EMPTY_MAB, which are runs 0..t-1, each under its own analysis's
     (rho_in, rho_out).  Run j is given 2**j windows, so every entry of the
-    table names the runs it holds."""
+    table names the runs it holds.  ``check`` returns how many pairs keep
+    some runs but not all of them past run 0 (1 < t < right), the pairs on
+    which the scan for t steps back and then stops mid-chain."""
 
     @staticmethod
-    def check(inst):
+    def check(inst) -> int:
         poset = build_rotation_poset(inst)
+        mid_chain = 0
         for side, lists in ((GIRL_LIST, inst.girl_prefs), (BOY_LIST, inst.boy_prefs)):
             girl = side == GIRL_LIST
             for owner, prefs in enumerate(lists):
@@ -340,6 +344,8 @@ class TestSurvivingRunsArePrefix:
                     assert weights == expected
                     held = sum(weights.values())
                     assert held & 1 and held & (held + 1) == 0
+                    mid_chain += 1 < held.bit_length() < right
+        return mid_chain
 
     @given(PAIR_INSTANCES)
     @settings(max_examples=120, deadline=None)
@@ -349,6 +355,12 @@ class TestSurvivingRunsArePrefix:
     @pytest.mark.parametrize("size", range(5, 13))
     def test_single_cyclic_block(self, size):
         self.check(cyclic_blocks([size], size))
+
+    # the benchmark's complete n = 30 panel (seed 4242 is fixtures/gen30.txt),
+    # less seed 4, whose one stable matching leaves no run past run 0
+    @pytest.mark.parametrize("seed", (4242, 1, 2, 3, 5, 6))
+    def test_random_complete_n30(self, seed):
+        assert self.check(gen_random_instance(30, seed)) > 0
 
 
 class TestCrossingIsTheOnlyFixedEndpoint:
