@@ -236,15 +236,16 @@ class RotationPoset:
 def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
     """Discover all rotations of the instance and order them.
 
-    Precedence between rotations u and v is generated by three rules:
-    u creates a pair that v removes; u makes some girl's partner better
-    than a boy whom v sweeps past her (strictly between v's endpoints on
-    his list); plus transitivity.  Equality of the resulting lattice with
-    the brute-force stable set is exercised heavily by the test suite.
-
-    Discovery is Gusfield's walk, O(n^2) over the lengths of the lists.
-    The rotations it finds are renumbered into the canonical linear
-    extension described on RotationPoset, so ids do not depend on the walk.
+    Discovery is Gusfield's walk, O(n^2) over the lengths of the lists: it
+    finds the rotations and every agent's partner chain, nothing else.
+    Precedence between rotations u and v is then read off the boy chains,
+    generated by two rules plus transitivity: u creates a pair that v
+    removes; u makes some girl's partner better than a boy whom v sweeps
+    past her (strictly between v's endpoints on his list).  Equality of the
+    resulting lattice with the brute-force stable set is exercised heavily
+    by the test suite.  The rotations are renumbered into the canonical
+    linear extension described on RotationPoset, so ids do not depend on
+    the walk.
     """
     m0 = boy_optimal(inst)
     mz = girl_optimal(inst)
@@ -263,9 +264,7 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
     # there.
     # Along the walk each agent's partners, kept as positions on the agent's
     # list, come in lattice order with the rotations that move the agent
-    # along them; boys only get worse and girls only better.  A rotation that
-    # moves a boy off a partner removes the pair his previous move created:
-    # pair-creation precedence.
+    # along them; boys only get worse and girls only better.
     girl_of, boy_of = m0.partner_maps()
     scan = {b: boy_rank[b][g] + 1 for b, g in girl_of.items()}
     boy_positions = {b: [boy_rank[b][g]] for b, g in girl_of.items()}
@@ -273,8 +272,6 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
     boy_moves: dict[int, list] = {b: [None] for b in girl_of}
     girl_moves: dict[int, list] = {g: [None] for g in boy_of}
     rotations: list[Rotation] = []
-    preds: list[set[int]] = []  # the generating predecessors of each rotation
-    sweeps = []  # (v, b, first, stop): v moves b past the girls at first..stop-1 on his list
     path: list[int] = []
     on_path: dict[int, int] = {}  # boy -> his index on path
     for b0 in girl_of:
@@ -297,7 +294,6 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
             del path[at:]
             v = len(rotations)
             rotations.append(Rotation.from_cycle((x, girl_of[x]) for x in cycle))
-            preds.append(set())
             for x in cycle:
                 del on_path[x]
                 p = scan[x]
@@ -305,13 +301,8 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
                 girl_of[x] = g
                 boy_of[g] = x
                 scan[x] = p + 1
-                positions, moves = boy_positions[x], boy_moves[x]
-                if p > positions[-1] + 1:
-                    sweeps.append((v, x, positions[-1] + 1, p))
-                if moves[-1] is not None:
-                    preds[v].add(moves[-1])
-                positions.append(p)
-                moves.append(v)
+                boy_positions[x].append(p)
+                boy_moves[x].append(v)
                 girl_positions[g].append(girl_rank[g][x])
                 girl_moves[g].append(v)
     if Matching(girl_of.items()) != mz:
@@ -319,20 +310,31 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
     boy_chains = _slots(boy_positions, boy_moves, 1)
     girl_chains = _slots(girl_positions, girl_moves, -1)
 
-    # sweep precedence: v drops a boy past a girl strictly between his two
-    # partners, so the rotation that lifts her above him must come first
-    for v, b, first, stop in sweeps:
-        for mid in boy_prefs[b][first:stop]:
-            positions, boundaries = girl_chains.get(mid, ((), ()))
-            k = bisect_right(positions, girl_rank[mid][b])
-            if k == 0:
-                raise AssertionError("swept girl never rises above the boy sweeping past her")
-            u = boundaries[k]
-            if u is None or u == v:  # None: she starts out holding someone better
+    # The generating predecessors of each rotation, in walk ids, read off
+    # the boy chains.  Each boundary v of a boy's chain moves him from the
+    # slot at position first on his list to the slot at position stop.  v
+    # removes the pair that the boundary before it created (pair creation),
+    # and it drops him past each girl strictly between first and stop, so
+    # the rotation that lifts her above him must come first (sweep): the
+    # boundary of her chain at her rank of him.
+    preds: list[set[int]] = [set() for _ in rotations]
+    for b, (pos, bd) in boy_chains.items():
+        for creator, v, first, stop in zip(bd, bd[1:-1], pos, pos[1:]):
+            if creator is not None:
+                preds[v].add(creator)
+            if stop == first + 1:
                 continue
-            if u > v:
-                raise AssertionError("sweep precedence points forward")
-            preds[v].add(u)
+            for mid in boy_prefs[b][first + 1:stop]:
+                positions, boundaries = girl_chains.get(mid, ((), ()))
+                j = bisect_right(positions, girl_rank[mid][b])
+                if j == 0:
+                    raise AssertionError("swept girl never rises above the boy sweeping past her")
+                u = boundaries[j]
+                if u is None or u == v:  # None: she starts out holding someone better
+                    continue
+                if u > v:
+                    raise AssertionError("sweep precedence points forward")
+                preds[v].add(u)
 
     # Renumber into the canonical linear extension: the topological order
     # that always takes the smallest available pairs tuple.  Every agent
@@ -340,31 +342,31 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
     # only the ids change, never the chains.
     order = topological_order(preds, [rot.pairs for rot in rotations])
     if order != list(range(len(order))):
-        new_id = [0] * len(order)
-        for k, u in enumerate(order):
-            new_id[u] = k
+        new_id: dict = {u: k for k, u in enumerate(order)}
+        new_id[None] = None  # the ends of every chain
         rotations = [rotations[u] for u in order]
         preds = [{new_id[u] for u in preds[old]} for old in order]
         for chains in (boy_chains, girl_chains):
             for a, (pos, bd) in chains.items():
-                chains[a] = pos, tuple(None if u is None else new_id[u] for u in bd)
+                chains[a] = pos, tuple(map(new_id.__getitem__, bd))
 
     # A cover of v is one of its generating predecessors, and one is a
-    # cover unless it precedes another of them.
+    # cover unless it precedes another of them.  v ascends, so each list of
+    # covered successors ascends too.
     n = len(rotations)
     pred_closure = [0] * n
     hasse_preds: list[tuple[int, ...]] = []
+    hasse_succs: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         direct = dominated = 0
         for u in preds[v]:
             direct |= 1 << u
             dominated |= pred_closure[u]
         pred_closure[v] = direct | dominated
-        hasse_preds.append(tuple(_bits(direct & ~dominated)))
-    hasse_succs_sets: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for u in hasse_preds[v]:
-            hasse_succs_sets[u].append(v)
+        covers = tuple(_bits(direct & ~dominated))
+        hasse_preds.append(covers)
+        for u in covers:
+            hasse_succs[u].append(v)
 
     return RotationPoset(
         inst=inst,
@@ -373,7 +375,7 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
         girl_opt=mz,
         pred_closure=tuple(pred_closure),
         hasse_preds=tuple(hasse_preds),
-        hasse_succs=tuple(tuple(s) for s in hasse_succs_sets),
+        hasse_succs=tuple(map(tuple, hasse_succs)),
         girl_chains=girl_chains,
         boy_chains=boy_chains,
         boy_slots=tuple(
@@ -411,10 +413,10 @@ def _slots(positions: dict, moves: dict, step: int) -> dict:
     backwards (step -1) so the positions ascend; they must strictly ascend."""
     chains: dict[int, tuple[tuple[int, ...], tuple]] = {}
     for a, pos in positions.items():
-        pos = tuple(pos[::step])
+        pos = tuple(pos)[::step]
         if not all(map(operator.lt, pos, pos[1:])):
             raise AssertionError("a partner chain is not strictly monotone along the lattice")
-        chains[a] = pos, tuple(moves[a] + [None])[::step]
+        chains[a] = pos, (*moves[a], None)[::step]
     return chains
 
 
@@ -474,18 +476,16 @@ def closed_set_to_matching(poset: RotationPoset, mask: int) -> Matching:
 def matching_to_closed_set(poset: RotationPoset, matching: Matching) -> int:
     """The downward-closed rotation set producing the given stable matching.
 
-    Raises ValueError when the matching is not a stable matching of the
-    instance (detected by regenerating and comparing).
+    Each boy's slot is read off his chain, the inverse of _matching_of: the
+    set holds the boundary ids he has crossed to reach his partner.  Raises
+    ValueError when the matching is not a stable matching of the instance
+    (detected by regenerating and comparing).
     """
-    inst = poset.inst
+    boy_rank = poset.inst.boy_rank
     mask = 0
-    for v, rot in enumerate(poset.rotations):
-        b0 = rot.pairs[0][0]
-        after = rot.pairs[1][1]  # b0's partner once rot is eliminated
-        partner = matching.girl_of(b0)
-        rank = inst.boy_rank[b0].get(partner, len(inst.boy_prefs[b0])) if partner is not None else len(inst.boy_prefs[b0])
-        if rank >= inst.boy_rank[b0][after]:
-            mask |= 1 << v
+    for b, (pos, bd) in poset.boy_chains.items():
+        r = boy_rank[b].get(matching.girl_of(b), -1)  # -1: unmatched, or a partner off his list
+        mask |= ids_to_mask(bd[1:bisect_right(pos, r)])
     if not is_closed_mask(poset, mask) or closed_set_to_matching(poset, mask) != matching:
         raise ValueError("matching is not a stable matching of this instance")
     return mask

@@ -531,7 +531,9 @@ class TestEnumerateGolden:
     crossing.  verify's argmin in JSON on two-blocks.txt (4 matchings) and
     on I3 (2), and represent's enumeration of the one robust matching of
     unmatched.txt under its windows distribution, which leaves b3, b10, g2
-    and g8 unmatched."""
+    and g8 unmatched.  Last, the rotation poset ``lattice`` prints for
+    gen30.txt, in text and JSON: 8 rotations and 7 Hasse arcs, 4 of them
+    generated by the sweep rule alone."""
 
     CASES = {
         "enumerate-three-blocks.txt": ("enumerate", "--instance", "three-blocks.txt"),
@@ -578,6 +580,8 @@ class TestEnumerateGolden:
             "represent", "--instance", "unmatched.txt", "--dist", "unmatched-windows.dist",
             "--enumerate", "--format", "json",
         ),
+        "lattice-gen30.txt": ("lattice", "--instance", "gen30.txt"),
+        "lattice-gen30.json": ("lattice", "--instance", "gen30.txt", "--format", "json"),
     }
 
     @pytest.mark.parametrize("golden", CASES)
@@ -586,6 +590,15 @@ class TestEnumerateGolden:
         code, out, _ = cli(capsys, *argv)
         assert code == 0
         assert out == (FIXTURES / "golden" / golden).read_text(encoding="utf-8")
+
+    def test_lattice_gen100(self, capsys, tmp_path):
+        """The rotation poset of ``gen --n 100 --seed 4242``: 28 rotations
+        and 32 Hasse arcs, 17 of them generated by the sweep rule alone."""
+        path = tmp_path / "gen100.txt"
+        path.write_text(serialize_instance(gen_random_instance(100, 4242)), encoding="utf-8")
+        code, out, _ = cli(capsys, "lattice", "--instance", str(path))
+        assert code == 0
+        assert out == (FIXTURES / "golden" / "lattice-gen100.txt").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_one_check_per_rotation(self, capsys, monkeypatch, fmt):

@@ -74,8 +74,15 @@ class TestPreferenceInstance:
         (((0, 0, 5),), ((0,),), "boy 1: duplicate entry in preference list"),
         (((5, 0, 0),), ((0,),), "boy 1: listed agent id 5 out of range"),
         (((0,), (0, 0)), ((0, 1),), "boy 2: duplicate entry in preference list"),
+        (((0,),), ((0.0,),), "girl 1: listed agent id 0.0 is not an integer"),
+        (((0.0,),), ((0,),), "boy 1: listed agent id 0.0 is not an integer"),
+        ((("a",),), ((0,),), "boy 1: listed agent id 'a' is not an integer"),
+        (((0,),), ((0, "b"),), "girl 1: listed agent id 'b' is not an integer"),
+        (((0, 0.0),), ((0,),), "boy 1: listed agent id 0.0 is not an integer"),
+        (((5, "a"),), ((0,),), "boy 1: listed agent id 5 out of range"),
     ], ids=["boy-unmatched", "girl-unmatched", "too-large", "negative", "duplicate-first",
-            "range-first", "second-list"])
+            "range-first", "second-list", "girl-float", "boy-float", "boy-str", "girl-str",
+            "float-equal-to-earlier-id", "range-before-str"])
     def test_constructor_messages(self, boy_prefs, girl_prefs, message):
         """The first offending entry is named, boys' lists before girls'."""
         with pytest.raises(ValueError) as info:

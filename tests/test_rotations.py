@@ -8,6 +8,7 @@ import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -596,6 +597,73 @@ class TestClosedSets:
     def test_girl_optimal_is_full_mask(self, inst):
         poset = build_rotation_poset(inst)
         assert closed_set_to_matching(poset, poset.full_mask) == girl_optimal(inst)
+
+
+UNMATCHED = Path(__file__).parent / "fixtures" / "unmatched.txt"
+
+
+class TestMatchingToClosedSet:
+    """matching_to_closed_set inverts closed_set_to_matching on every
+    closed set, and rejects each matching that is not stable with the one
+    message."""
+
+    def check_round_trip(self, inst):
+        poset = build_rotation_poset(inst)
+        for mask in enumerate_closed_masks(poset):
+            assert matching_to_closed_set(poset, closed_set_to_matching(poset, mask)) == mask
+
+    @given(lattice_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_lattice_instances(self, inst):
+        self.check_round_trip(inst)
+
+    @pytest.mark.parametrize("text", UNEQUAL_SIDES, ids=["3x4", "5x6", "6x5"])
+    def test_round_trip_unequal_sides(self, text):
+        self.check_round_trip(parse_instance(text))
+
+    @pytest.mark.parametrize("sizes, seed", [([3, 4], 2), ([4, 4, 4], 0), ([2, 5], 7), ([6], 3)],
+                             ids=["3+4", "4+4+4", "2+5", "6"])
+    def test_round_trip_cyclic_blocks(self, sizes, seed):
+        self.check_round_trip(cyclic_blocks(sizes, seed))
+
+    def check_rejected(self, inst, girl_of: dict):
+        with pytest.raises(ValueError) as info:
+            matching_to_closed_set(build_rotation_poset(inst), Matching(girl_of.items()))
+        assert str(info.value) == "matching is not a stable matching of this instance"
+
+    def test_unstable_perfect_matching(self):
+        """Two boys of different blocks swap partners: each girl left
+        behind prefers her own block's boy to her new one."""
+        inst = cyclic_blocks([3, 4], 2, relabel=False)
+        girl_of = dict(boy_optimal(inst).pairs)
+        girl_of[0], girl_of[3] = girl_of[3], girl_of[0]
+        assert not is_stable(inst, Matching(girl_of.items()))
+        self.check_rejected(inst, girl_of)
+
+    def test_chain_boy_unmatched(self):
+        inst = parse_instance(UNMATCHED.read_text(encoding="utf-8"))
+        girl_of = dict(boy_optimal(inst).pairs)
+        del girl_of[5]  # b6 has two stable partners
+        assert not is_stable(inst, Matching(girl_of.items()))
+        self.check_rejected(inst, girl_of)
+
+    def test_pair_off_the_boy_list(self):
+        """b2 moves from g9 to g8, who is free in every stable matching
+        and not on his list."""
+        inst = parse_instance(UNMATCHED.read_text(encoding="utf-8"))
+        girl_of = dict(boy_optimal(inst).pairs)
+        assert girl_of[1] == 8 and 7 not in inst.boy_rank[1] and 7 not in girl_of.values()
+        girl_of[1] = 7
+        self.check_rejected(inst, girl_of)
+
+    def test_extra_pair_for_a_boy_unmatched_in_every_stable_matching(self):
+        """b3 has no chain; the extra pair (b3,g2) takes a girl free in
+        every stable matching."""
+        inst = parse_instance(UNMATCHED.read_text(encoding="utf-8"))
+        girl_of = dict(boy_optimal(inst).pairs)
+        assert 2 not in build_rotation_poset(inst).boy_chains and 1 not in girl_of.values()
+        girl_of[2] = 1
+        self.check_rejected(inst, girl_of)
 
 
 class TestIsClosedMask:
