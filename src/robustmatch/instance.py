@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
 
 Agent = int
 
@@ -164,24 +163,19 @@ class PreferenceInstance:
 
 def _rank_tables(prefs, other_count: int, who: str) -> tuple[dict[Agent, int], ...]:
     """Per list: listed agent -> position.  A list must name only integer
-    ids of agents of the other side, each at most once.  Each list is
-    checked whole: no id repeats, every id is in range (a str id is not),
-    and the ids sum to an int (a float id makes the sum a float).  A list
-    that fails is read entry by entry, and its first faulty entry raises."""
-    in_range = set(range(other_count)).issuperset
+    ids of agents of the other side, each at most once; the first entry
+    that does not raises, a repeat when ``setdefault`` returns its earlier
+    position."""
     ranks = []
     for a, lst in enumerate(prefs):
-        rank = dict(zip(lst, count()))
-        if len(rank) != len(lst) or not in_range(lst) or type(sum(lst)) is not int:
-            seen = set()
-            for x in lst:
-                if not isinstance(x, int):
-                    raise ValueError(f"{who} {a + 1}: listed agent id {x!r} is not an integer")
-                if not 0 <= x < other_count:
-                    raise ValueError(f"{who} {a + 1}: listed agent id {x} out of range")
-                if x in seen:
-                    raise ValueError(f"{who} {a + 1}: duplicate entry in preference list")
-                seen.add(x)
+        rank = {}
+        for i, x in enumerate(lst):
+            if not isinstance(x, int):
+                raise ValueError(f"{who} {a + 1}: listed agent id {x!r} is not an integer")
+            if not 0 <= x < other_count:
+                raise ValueError(f"{who} {a + 1}: listed agent id {x} out of range")
+            if rank.setdefault(x, i) != i:
+                raise ValueError(f"{who} {a + 1}: duplicate entry in preference list")
         ranks.append(rank)
     return tuple(ranks)
 

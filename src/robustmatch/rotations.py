@@ -319,6 +319,8 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
     # boundary of her chain at her rank of him.
     preds: list[set[int]] = [set() for _ in rotations]
     for b, (pos, bd) in boy_chains.items():
+        if len(pos) == 1:  # he never moves
+            continue
         for creator, v, first, stop in zip(bd, bd[1:-1], pos, pos[1:]):
             if creator is not None:
                 preds[v].add(creator)
@@ -481,10 +483,9 @@ def matching_to_closed_set(poset: RotationPoset, matching: Matching) -> int:
     ValueError when the matching is not a stable matching of the instance
     (detected by regenerating and comparing).
     """
-    boy_rank = poset.inst.boy_rank
     mask = 0
     for b, (pos, bd) in poset.boy_chains.items():
-        r = boy_rank[b].get(matching.girl_of(b), -1)  # -1: unmatched, or a partner off his list
+        r = poset.inst.boy_rank[b].get(matching.girl_of(b), -1)  # -1: unmatched, or a partner off his list
         mask |= ids_to_mask(bd[1:bisect_right(pos, r)])
     if not is_closed_mask(poset, mask) or closed_set_to_matching(poset, mask) != matching:
         raise ValueError("matching is not a stable matching of this instance")
