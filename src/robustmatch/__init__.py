@@ -63,9 +63,7 @@ from .rotations import (
     RotationPoset,
     build_rotation_poset,
     closed_set_to_matching,
-    eliminate,
     enumerate_closed_masks,
-    exposed_rotations,
     matching_to_closed_set,
 )
 from .shift_analysis import (
@@ -109,11 +107,9 @@ __all__ = [
     "closed_set_to_matching",
     "cross_check",
     "dominates",
-    "eliminate",
     "enumerate_closed_masks",
     "enumerate_robust",
     "enumerate_shift_domain",
-    "exposed_rotations",
     "girl_optimal",
     "is_stable",
     "join",

@@ -243,8 +243,10 @@ def extract_closed_set(network: ClosureNetwork, flow: FlowResult) -> int:
 
     Vertices with a residual path to the bottom endpoint form the smallest
     min-cut sink side; its rotations are the smallest optimal closed set.
-    Raises ValueError when the flow is not maximum (the top endpoint would
-    have such a path).
+    The set is closed: a Hasse arc u -> v carries more capacity than any
+    flow, so its residual arc never closes and the walk reaches u whenever
+    it reaches v (the certificate checks it again).  Raises ValueError when
+    the flow is not maximum (the top endpoint would have such a path).
     """
     to, cap = flow.to, flow.cap
     seen = [False] * network.n_nodes
@@ -259,9 +261,6 @@ def extract_closed_set(network: ClosureNetwork, flow: FlowResult) -> int:
                 stack.append(u)
     if seen[network.top]:
         raise ValueError("flow is not maximum: an augmenting path remains")
-    for u, v in network.hasse_edges:
-        if seen[v] and not seen[u]:
-            raise AssertionError("extracted set is not closed under the precedence order")
     mask = 0
     for r in range(network.n_rotations):
         if seen[r]:

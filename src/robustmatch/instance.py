@@ -206,6 +206,8 @@ class Shift:
     def __post_init__(self):
         if self.side not in _SIDES:
             raise ValueError(f"unknown side {self.side!r}")
+        if not (isinstance(self.agent, int) and isinstance(self.mover, int) and isinstance(self.window, int)):
+            raise ValueError(f"shift agent, mover and window must be integers, got {self.agent!r}, {self.mover!r}, {self.window!r}")
         if self.window < 1:
             raise ValueError("shift window must be at least 1")
 
@@ -284,6 +286,9 @@ class ShiftDistribution:
 
     def __init__(self, entries: tuple[tuple[Shift, Fraction], ...] = (), allow_partial: bool = False):
         entries = tuple(entries)
+        for shift, p in entries:
+            if not isinstance(p, (int, Fraction)):
+                raise ValueError(f"probability {p!r} for {shift.describe()} is not an int or a Fraction")
         self._set_weights(
             [shift for shift, _ in entries],
             [p.numerator for _, p in entries],

@@ -109,7 +109,12 @@ def blocking_pairs(inst: PreferenceInstance, matching: Matching) -> list[tuple[A
 
 
 def is_stable(inst: PreferenceInstance, matching: Matching) -> bool:
-    """True iff the matching is valid for the instance and has no blocking pair."""
+    """True iff the matching has no blocking pair.
+
+    Raises ValueError, as blocking_pairs and meet/join do, when the matching
+    is not valid for the instance: a pair out of range, or a pair that is
+    not mutually acceptable.
+    """
     return next(_blocking_scan(inst, matching), None) is None
 
 

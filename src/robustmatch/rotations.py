@@ -58,9 +58,6 @@ class Rotation:
     def describe(self) -> str:
         return " ".join(f"({boy_name(b)},{girl_name(g)})" for b, g in self.pairs)
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
 
 def _successor_position(prefs, girl_rank, boy_of: dict, b: int, start: int) -> int | None:
     """Position on b's list prefs of the first girl, at or after start, who
@@ -82,39 +79,6 @@ def _successor_position(prefs, girl_rank, boy_of: dict, b: int, start: int) -> i
     return None
 
 
-def exposed_rotations(inst: PreferenceInstance, matching: Matching) -> list[Rotation]:
-    """All rotations that can be eliminated from the given stable matching.
-
-    They are the cycles of b -> partner(successor girl of b), a functional
-    graph over the matched boys, and are therefore vertex-disjoint.  Sorted
-    by their canonical pair tuples.
-    """
-    girl_of, boy_of = matching.partner_maps()
-    succ: dict[int, int] = {}
-    for b, g in girl_of.items():
-        p = _successor_position(inst.boy_prefs[b], inst.girl_rank, boy_of, b, inst.boy_rank[b][g] + 1)
-        if p is not None:
-            succ[b] = boy_of[inst.boy_prefs[b][p]]
-    state: dict[int, int] = {}
-    out = []
-    for b0 in succ:
-        if b0 in state:
-            continue
-        path = []
-        b = b0
-        while b in succ and b not in state:
-            state[b] = 0
-            path.append(b)
-            b = succ[b]
-        if state.get(b) == 0:
-            cycle = path[path.index(b):]
-            out.append(Rotation.from_cycle((x, girl_of[x]) for x in cycle))
-        for x in path:
-            state[x] = 1
-    out.sort(key=lambda r: r.pairs)
-    return out
-
-
 def _check_exposed(inst: PreferenceInstance, girl_of: dict, boy_of: dict, rotation: Rotation):
     """Raise ValueError unless the rotation is exposed at the matching of a
     boy->girl / girl->boy pair of maps: every pair of the rotation must be
@@ -130,19 +94,6 @@ def _check_exposed(inst: PreferenceInstance, girl_of: dict, boy_of: dict, rotati
         p = _successor_position(prefs, girl_rank, boy_of, b, boy_rank[b][g] + 1)
         if p is None or prefs[p] != g_next:
             raise ValueError(f"rotation is not exposed: {girl_name(g_next)} is not the successor girl of {boy_name(b)}")
-
-
-def eliminate(inst: PreferenceInstance, matching: Matching, rotation: Rotation) -> Matching:
-    """Apply an exposed rotation: every boy in it moves to the next girl.
-
-    Checks every pair of the rotation: the pair is in the matching and the
-    next girl is the boy's successor girl.  Raises ValueError when the
-    rotation is not exposed at this matching, i.e. either check fails.
-    """
-    girl_of, boy_of = matching.partner_maps()
-    _check_exposed(inst, girl_of, boy_of, rotation)
-    girl_of.update(rotation.post_pairs)
-    return Matching(girl_of.items())
 
 
 def _bits(mask: int):
@@ -455,8 +406,8 @@ def closed_set_to_matching(poset: RotationPoset, mask: int) -> Matching:
 
     Raises ValueError for unknown ids and for a set that is not downward
     closed.  Before any matching that holds a rotation is returned, the
-    rotation is checked once per poset as in eliminate, at the matching of
-    its strict predecessors: every pair is present and every next girl is the
+    rotation is checked once per poset for exposure at the matching of its
+    strict predecessors: every pair is present and every next girl is the
     boy's successor girl.  The set's rotations are checked in ascending id
     order, so when a wrong order lets a set that is not truly closed pass as
     closed, its first rotation missing a true predecessor is checked at a

@@ -155,6 +155,22 @@ class TestShift:
         with pytest.raises(ValueError, match="unknown side 'SIDEWAYS'"):
             Shift("SIDEWAYS", 0, 0, 1)
 
+    @pytest.mark.parametrize("args, message", [
+        ((GIRL_LIST, 0.0, 1, 1), "shift agent, mover and window must be integers, got 0.0, 1, 1"),
+        ((GIRL_LIST, 0, 1.0, 1), "shift agent, mover and window must be integers, got 0, 1.0, 1"),
+        ((BOY_LIST, 0, 1, 1.0), "shift agent, mover and window must be integers, got 0, 1, 1.0"),
+        ((BOY_LIST, "b1", 1, 1), "shift agent, mover and window must be integers, got 'b1', 1, 1"),
+        ((GIRL_LIST, 0, 1, "2"), "shift agent, mover and window must be integers, got 0, 1, '2'"),
+        (("SIDEWAYS", 0.0, 1, 1), "unknown side 'SIDEWAYS'"),
+        ((GIRL_LIST, 0, 1, 0.0), "shift agent, mover and window must be integers, got 0, 1, 0.0"),
+    ], ids=["float-agent", "float-mover", "float-window", "str-agent", "str-window",
+            "side-first", "type-before-window"])
+    def test_constructor_messages(self, args, message):
+        """A float id would pass the range tests and then index a tuple."""
+        with pytest.raises(ValueError) as info:
+            Shift(*args)
+        assert str(info.value) == message
+
     def test_apply_on_girl_list(self, i2):
         shifted = apply_shift(i2, Shift(GIRL_LIST, 0, 0, 1))
         assert shifted.girl_prefs[0] == (0, 1)
@@ -246,6 +262,23 @@ class TestDistribution:
         a, b = Shift(GIRL_LIST, 0, 0, 1), Shift(BOY_LIST, 0, 1, 1)
         with pytest.raises(ValueError, match="negative"):
             ShiftDistribution(((a, Fraction(3, 2)), (b, Fraction(-1, 2))))
+
+    @pytest.mark.parametrize("probabilities, message", [
+        ((0.5, Fraction(1, 2)), "probability 0.5 for GIRL_LIST g1 b1 1 is not an int or a Fraction"),
+        ((Fraction(1, 2), "1/2"), "probability '1/2' for BOY_LIST b1 g2 1 is not an int or a Fraction"),
+        ((0.5, "1/2"), "probability 0.5 for GIRL_LIST g1 b1 1 is not an int or a Fraction"),
+        ((Fraction(3, 2), -1.0), "probability -1.0 for BOY_LIST b1 g2 1 is not an int or a Fraction"),
+    ], ids=["float", "str", "first-named", "type-before-sign"])
+    def test_constructor_messages(self, probabilities, message):
+        """The first offending entry is named."""
+        shifts = (Shift(GIRL_LIST, 0, 0, 1), Shift(BOY_LIST, 0, 1, 1))
+        with pytest.raises(ValueError) as info:
+            ShiftDistribution(tuple(zip(shifts, probabilities)))
+        assert str(info.value) == message
+
+    def test_int_probabilities_accepted(self):
+        a, b = Shift(GIRL_LIST, 0, 0, 1), Shift(BOY_LIST, 0, 1, 1)
+        assert ShiftDistribution(((a, 1), (b, 0))).weights == ((a, 1), (b, 0))
 
     def test_partial_allowed_with_flag(self):
         shift = Shift(GIRL_LIST, 0, 0, 1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
@@ -21,6 +23,8 @@ from robustmatch.matching import unmatched_agents, validate_matching
 from robustmatch.oracle import enumerate_stable_bruteforce
 
 from test_instance import random_instances
+
+UNMATCHED = Path(__file__).parent / "fixtures" / "unmatched.txt"
 
 M0_I2 = Matching([(0, 0), (1, 1)])
 MZ_I2 = Matching([(0, 1), (1, 0)])
@@ -90,6 +94,22 @@ class TestBlockingAndStability:
     def test_two_unmatched_acceptable_agents_block(self):
         inst = parse_instance("2\nb1: g1 g2\nb2: g1 g2\ng1: b1 b2\ng2: b1 b2\n")
         assert (1, 1) in blocking_pairs(inst, Matching([(0, 0)]))
+
+    @pytest.mark.parametrize("pair, message", [
+        ((0, 0), "pair b1 g1 is not mutually acceptable"),
+        ((0, 14), r"pair \(0, 14\) out of range for this instance"),
+        ((14, 6), r"pair \(14, 6\) out of range for this instance"),
+    ], ids=["off-the-lists", "girl-out-of-range", "boy-out-of-range"])
+    def test_invalid_pair_raises(self, pair, message):
+        """A pair the instance cannot hold raises instead of reading as
+        unstable: b1 lists g7 g9 g8 g13, and unmatched.txt has 14 agents a
+        side.  The boy-optimal matching keeps every other agent's partner."""
+        inst = parse_instance(UNMATCHED.read_text())
+        b, g = pair
+        m = Matching([(x, y) for x, y in boy_optimal(inst).pairs if x != b and y != g] + [pair])
+        for check in (is_stable, blocking_pairs, lambda i, m: meet(i, m, boy_optimal(i))):
+            with pytest.raises(ValueError, match=message):
+                check(inst, m)
 
     @given(random_instances(max_n=6))
     def test_bruteforce_agrees_with_is_stable(self, inst):

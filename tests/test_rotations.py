@@ -24,10 +24,8 @@ from robustmatch import (
     boy_optimal,
     build_rotation_poset,
     closed_set_to_matching,
-    eliminate,
     enumerate_closed_masks,
     enumerate_shift_domain,
-    exposed_rotations,
     girl_optimal,
     is_stable,
     matching_to_closed_set,
@@ -36,13 +34,13 @@ from robustmatch import (
 )
 from robustmatch.cli import gen_random_instance
 from robustmatch.instance import boy_name, girl_name, reversed_instance
-from robustmatch.oracle import enumerate_stable_bruteforce
+from robustmatch.oracle import _apply_cycle, _exposed_cycles, enumerate_stable_bruteforce
 import robustmatch.rotations as rotations_module
 from robustmatch.rotations import closed_subsets, ids_to_mask, is_closed_mask, mask_to_ids
 from robustmatch.shift_analysis import PROPER, _mover_crossing
 
 from test_instance import random_instances
-from test_matching import M0_I2, M0_I3, M1_I3, MZ_I2, MZ_I3
+from test_matching import M0_I3, M1_I3, MZ_I3
 
 RHO_I2 = Rotation(((0, 0), (1, 1)))
 RHO_A = Rotation(((0, 0), (1, 1), (2, 2)))
@@ -103,9 +101,9 @@ def reference_movement_index(poset):
 
 
 def reference_eliminate(inst, matching, rotation):
-    """Test-only reference: eliminate as it was before elimination moved onto
-    partner maps, reading partners off the Matching and checking every pair
-    (present, next girl is the successor girl) before building a new one."""
+    """Test-only reference: one rotation eliminated from a Matching, reading
+    partners off it and checking every pair (present, next girl is the
+    successor girl) before building a new one."""
 
     def successor_girl(b):
         start = inst.boy_rank[b][matching.girl_of(b)] + 1
@@ -153,10 +151,11 @@ def counting_checks(monkeypatch) -> list:
 
 
 def reference_discovery(inst):
-    """Test-only reference: rotation discovery as it was before the walk moved
-    onto one pair of partner maps.  From the boy-optimal matching it calls
-    exposed_rotations from scratch and eliminate on a new Matching per step,
-    always taking the exposed rotation with the smallest leading boy.
+    """Test-only reference: rotation discovery by the oracle's exchange
+    cycles, which share no code with the rotations module.  From the
+    boy-optimal matching it finds the exposed cycles from scratch and applies
+    one to a new Matching per step, always the one with the smallest leading
+    boy.
 
     Returns (rotations, last matching, boy chains, girl chains), a chain being
     agent -> (slot positions, boundary ids) read off the partners the path
@@ -166,11 +165,12 @@ def reference_discovery(inst):
     partners = {("b", b): [g] for b, g in m.pairs} | {("g", g): [b] for b, g in m.pairs}
     moves = {key: [None] for key in partners}
     rotations = []
-    while exposed := exposed_rotations(inst, m):
-        rotations.append(exposed[0])
-        m = eliminate(inst, m, exposed[0])
-        for b, g in exposed[0].post_pairs:
-            for key, partner in ((("b", b), g), (("g", g), b)):
+    while exposed := _exposed_cycles(inst, m):
+        pairs, new_girl = exposed[0]
+        rotations.append(Rotation(pairs))
+        m = _apply_cycle(m, pairs, new_girl)
+        for b, _ in pairs:
+            for key, partner in ((("b", b), new_girl[b]), (("g", new_girl[b]), b)):
                 partners[key].append(partner)
                 moves[key].append(len(rotations) - 1)
     chains = {"b": {}, "g": {}}
@@ -185,17 +185,18 @@ def reference_discovery(inst):
 
 def reference_pred_closure(inst, rotations) -> list[int]:
     """Test-only reference: each rotation's strict predecessors as a bitmask,
-    found without the precedence rules.  The rotations that do not follow u
-    form the largest closed set avoiding u, which eliminating every exposed
-    rotation but u reaches from the boy-optimal matching; u precedes v
-    exactly when v stays out of it."""
-    ids = {rot: v for v, rot in enumerate(rotations)}
+    found without the precedence rules and with the oracle's exchange cycles.
+    The rotations that do not follow u form the largest closed set avoiding
+    u, which applying every exposed cycle but u reaches from the boy-optimal
+    matching; u precedes v exactly when v stays out of it."""
+    ids = {rot.pairs: v for v, rot in enumerate(rotations)}
     follows = []  # follows[u]: u and every rotation after it
     for avoided in rotations:
         m, reached = boy_optimal(inst), 0
-        while exposed := [rot for rot in exposed_rotations(inst, m) if rot != avoided]:
-            m = eliminate(inst, m, exposed[0])
-            reached |= 1 << ids[exposed[0]]
+        while exposed := [cycle for cycle in _exposed_cycles(inst, m) if cycle[0] != avoided.pairs]:
+            pairs, new_girl = exposed[0]
+            m = _apply_cycle(m, pairs, new_girl)
+            reached |= 1 << ids[pairs]
         follows.append(((1 << len(rotations)) - 1) & ~reached)
     return [sum(1 << u for u in range(len(rotations)) if u != v and (follows[u] >> v) & 1)
             for v in range(len(rotations))]
@@ -300,51 +301,6 @@ class TestRotation:
 
     def test_describe(self):
         assert RHO_I2.describe() == "(b1,g1) (b2,g2)"
-
-
-class TestExposedRotations:
-    def test_i2_boy_optimal_exposes_one(self, i2):
-        assert exposed_rotations(i2, M0_I2) == [RHO_I2]
-
-    def test_i2_girl_optimal_exposes_none(self, i2):
-        assert exposed_rotations(i2, MZ_I2) == []
-
-    def test_i3_boy_optimal(self, i3):
-        assert exposed_rotations(i3, M0_I3) == [RHO_A]
-
-    def test_i3_middle(self, i3):
-        assert exposed_rotations(i3, M1_I3) == [RHO_B]
-
-    @given(random_instances(max_n=6))
-    def test_exposed_rotations_are_vertex_disjoint(self, inst):
-        rotations = exposed_rotations(inst, boy_optimal(inst))
-        boys = [b for rot in rotations for b, _ in rot.pairs]
-        assert len(boys) == len(set(boys))
-
-
-class TestEliminate:
-    def test_i2(self, i2):
-        assert eliminate(i2, M0_I2, RHO_I2) == MZ_I2
-
-    def test_i3_chain(self, i3):
-        m1 = eliminate(i3, M0_I3, RHO_A)
-        assert m1 == M1_I3
-        assert eliminate(i3, m1, RHO_B) == MZ_I3
-
-    def test_rejects_absent_pair(self, i3):
-        with pytest.raises(ValueError, match="not in the matching"):
-            eliminate(i3, MZ_I3, RHO_A)
-
-    def test_rejects_non_exposed(self, i3):
-        # both pairs are present at M0, but g3 is not b1's successor girl
-        with pytest.raises(ValueError, match="not exposed"):
-            eliminate(i3, M0_I3, Rotation(((0, 0), (2, 2))))
-
-    @given(random_instances(max_n=6))
-    def test_elimination_preserves_stability(self, inst):
-        m = boy_optimal(inst)
-        for rot in exposed_rotations(inst, m):
-            assert is_stable(inst, eliminate(inst, m, rot))
 
 
 class TestRotationPoset:
@@ -472,9 +428,11 @@ class TestPartnerChainsMatchMovementDicts:
 
 class TestDiscoveryMatchesEliminateLoop:
     """build_rotation_poset, found by Gusfield's walk and then renumbered,
-    gives the rotations of the exposed_rotations + eliminate loop the same ids,
-    the same chains on both sides, and the order found without its rules;
-    a destabilized sublattice's excluded set is the old successor closure."""
+    gives the rotations that the oracle's exchange-cycle loop finds the same
+    ids, the same chains on both sides, and the order found without its
+    rules; the oracle (reference_discovery, reference_pred_closure) is the
+    referee and shares no code with the rotations module.  A destabilized
+    sublattice's excluded set is the old successor closure."""
 
     @staticmethod
     def check(inst, every_shift=True):
@@ -520,6 +478,34 @@ class TestDiscoveryMatchesEliminateLoop:
         inputs above."""
         for inst in rotation_rich_instances():
             self.check(inst, every_shift=False)
+
+
+class TestStepsThroughThePoset:
+    """At every stable matching, the rotations exposed there are the ids
+    outside its closed set whose predecessors all lie inside, and adding one
+    of them to the set steps to the matching that the oracle's exchange of
+    the same cycle gives."""
+
+    @staticmethod
+    def check(inst):
+        poset = build_rotation_poset(inst)
+        for mask in enumerate_closed_masks(poset):
+            m = closed_set_to_matching(poset, mask)
+            exposed = [v for v in range(poset.size) if not (mask >> v) & 1 and not poset.pred_closure[v] & ~mask]
+            cycles = dict(_exposed_cycles(inst, m))
+            assert sorted(poset.rotations[v].pairs for v in exposed) == list(cycles)
+            for v in exposed:
+                pairs = poset.rotations[v].pairs
+                assert closed_set_to_matching(poset, mask | 1 << v) == _apply_cycle(m, pairs, cycles[pairs])
+
+    @given(lattice_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_lattice_instances(self, inst):
+        self.check(inst)
+
+    @pytest.mark.parametrize("text", UNEQUAL_SIDES, ids=["3x4", "5x6", "6x5"])
+    def test_unequal_sides(self, text):
+        self.check(parse_instance(text))
 
 
 class TestClosedSets:
