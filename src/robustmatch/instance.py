@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 Agent = int
 
@@ -188,28 +189,42 @@ def reversed_instance(inst: PreferenceInstance) -> PreferenceInstance:
 # ---------------------------------------------------------------------------
 # shifts
 
-@dataclass(frozen=True, slots=True)
-class Shift:
+class Shift(tuple):
     """Move ``mover`` upward over the ``window`` entries directly above it.
 
     ``side`` names whose list is altered: GIRL_LIST means agent is a girl and
     mover is a boy on her list, BOY_LIST the mirror image.  In a list
     (..., x1, ..., xk, mover, ...) the shifted list reads
     (..., mover, x1, ..., xk, ...).
+
+    A shift is the tuple (side, agent, mover, window) with its fields also
+    readable by name, so it hashes and compares as that plain tuple does.
+    Every way of building one (the constructor, ``copy``, ``pickle``) goes
+    through ``__new__`` and its checks.
     """
 
-    side: str
-    agent: Agent
-    mover: Agent
-    window: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.side not in _SIDES:
-            raise ValueError(f"unknown side {self.side!r}")
-        if not (isinstance(self.agent, int) and isinstance(self.mover, int) and isinstance(self.window, int)):
-            raise ValueError(f"shift agent, mover and window must be integers, got {self.agent!r}, {self.mover!r}, {self.window!r}")
-        if self.window < 1:
+    def __new__(cls, side: str, agent: Agent, mover: Agent, window: int):
+        if side not in _SIDES:
+            raise ValueError(f"unknown side {side!r}")
+        if not (isinstance(agent, int) and isinstance(mover, int) and isinstance(window, int)):
+            raise ValueError(f"shift agent, mover and window must be integers, got {agent!r}, {mover!r}, {window!r}")
+        if window < 1:
             raise ValueError("shift window must be at least 1")
+        return tuple.__new__(cls, (side, agent, mover, window))
+
+    side = property(itemgetter(0), doc="GIRL_LIST or BOY_LIST")
+    agent = property(itemgetter(1), doc="the owner of the altered list")
+    mover = property(itemgetter(2), doc="the entry that moves up")
+    window = property(itemgetter(3), doc="how many entries it moves over")
+
+    def __reduce__(self):
+        # copy and every pickle protocol rebuild a shift by calling Shift
+        return Shift, tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Shift(side={self.side!r}, agent={self.agent!r}, mover={self.mover!r}, window={self.window!r})"
 
     def describe(self) -> str:
         if self.side == GIRL_LIST:

@@ -51,7 +51,10 @@ class Rotation:
 
     @property
     def post_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Pairs present after elimination: each boy with the next girl."""
+        """Pairs present after elimination: each boy with the next girl.
+
+        The package itself does not read it; the benchmark's expected-value
+        generator (perfbench/workloads.py, ``apply_rotations``) does."""
         r = len(self.pairs)
         return tuple((self.pairs[i][0], self.pairs[(i + 1) % r][1]) for i in range(r))
 
@@ -216,37 +219,52 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
     # Along the walk each agent's partners, kept as positions on the agent's
     # list, come in lattice order with the rotations that move the agent
     # along them; boys only get worse and girls only better.
-    girl_of, boy_of = m0.partner_maps()
-    scan = {b: boy_rank[b][g] + 1 for b, g in girl_of.items()}
-    boy_positions = {b: [boy_rank[b][g]] for b, g in girl_of.items()}
-    girl_positions = {g: [girl_rank[g][b]] for g, b in boy_of.items()}
-    boy_moves: dict[int, list] = {b: [None] for b in girl_of}
-    girl_moves: dict[int, list] = {g: [None] for g in boy_of}
+    # The partner maps, scan positions and path indices are lists indexed
+    # by agent id: None for an unmatched agent, -1 for a boy off the path.
+    # The successor scan is _successor_position's, inline on these lists: a
+    # call per boy-move made the whole represent run measurably slower.
+    girl_of: list = [None] * inst.n_boys
+    boy_of: list = [None] * inst.n_girls
+    scan = [0] * inst.n_boys
+    for b, g in m0.pairs:
+        girl_of[b] = g
+        boy_of[g] = b
+        scan[b] = boy_rank[b][g] + 1
+    boy_positions = {b: [boy_rank[b][g]] for b, g in m0.pairs}
+    girl_positions = {g: [girl_rank[g][b]] for b, g in m0.pairs}
+    boy_moves: dict[int, list] = {b: [None] for b, _ in m0.pairs}
+    girl_moves: dict[int, list] = {g: [None] for _, g in m0.pairs}
     rotations: list[Rotation] = []
     path: list[int] = []
-    on_path: dict[int, int] = {}  # boy -> his index on path
-    for b0 in girl_of:
+    on_path = [-1] * inst.n_boys  # boy -> his index on path
+    for b0, _ in m0.pairs:
         while path or girl_of[b0] != last_girl[b0]:
             if not path:
                 path.append(b0)
                 on_path[b0] = 0
             b = path[-1]
-            p = _successor_position(boy_prefs[b], girl_rank, boy_of, b, scan[b])
-            if p is None:
+            prefs = boy_prefs[b]
+            for p in range(scan[b], len(prefs)):
+                g = prefs[p]
+                nxt = boy_of[g]
+                if nxt is None or girl_rank[g][b] < girl_rank[g][nxt]:
+                    break
+            else:
+                nxt = None  # the scan ran past the end of his list
+            if nxt is None:
                 raise AssertionError("a boy short of his girl-optimal partner has no successor girl")
             scan[b] = p
-            nxt = boy_of[boy_prefs[b][p]]
-            at = on_path.get(nxt)
-            if at is None:
+            at = on_path[nxt]
+            if at < 0:
                 on_path[nxt] = len(path)
                 path.append(nxt)
                 continue
             cycle = path[at:]
             del path[at:]
             v = len(rotations)
-            rotations.append(Rotation.from_cycle((x, girl_of[x]) for x in cycle))
+            rotations.append(Rotation.from_cycle([(x, girl_of[x]) for x in cycle]))
             for x in cycle:
-                del on_path[x]
+                on_path[x] = -1
                 p = scan[x]
                 g = boy_prefs[x][p]
                 girl_of[x] = g
@@ -256,7 +274,7 @@ def build_rotation_poset(inst: PreferenceInstance) -> RotationPoset:
                 boy_moves[x].append(v)
                 girl_positions[g].append(girl_rank[g][x])
                 girl_moves[g].append(v)
-    if Matching(girl_of.items()) != mz:
+    if Matching((b, g) for b, g in enumerate(girl_of) if g is not None) != mz:
         raise AssertionError("elimination path did not terminate at the girl-optimal matching")
     boy_chains = _slots(boy_positions, boy_moves, 1)
     girl_chains = _slots(girl_positions, girl_moves, -1)

@@ -63,7 +63,7 @@ distribution.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .instance import BOY_LIST, GIRL_LIST, PreferenceInstance, Shift, mover_position
 from .matching import Matching
@@ -76,8 +76,7 @@ PROPER = "PROPER"            # some survive, some break; entry/exit rotations ap
 STATUSES = (DISJOINT, EMPTY_MAB, PROPER)
 
 
-@dataclass(frozen=True)
-class ShiftAnalysis:
+class ShiftAnalysis(NamedTuple):
     """Outcome of one shift.  rho_in/rho_out are rotation ids; None stands for
     the virtual bottom (always applied) and top (never applied) endpoints.
     Both are None exactly when the status is not PROPER, which lets a table
@@ -121,11 +120,18 @@ def _mover_crossing(poset: RotationPoset, inst: PreferenceInstance, side: str, o
 
 def _window_runs(poset: RotationPoset, inst: PreferenceInstance, shift: Shift):
     """(owner's boundary ids, right, run j) of one shift, by two bisects on
-    the owner's chain (see the module docstring)."""
-    i = mover_position(inst, shift)
-    positions, boundaries = (poset.girl_chains if shift.side == GIRL_LIST else poset.boy_chains).get(shift.agent, ((), ()))
+    the owner's chain (see the module docstring).  The mover's position is
+    one rank lookup; only a shift that does not apply goes through
+    ``mover_position``, which raises its message."""
+    side, owner, mover, window = shift
+    girl = side == GIRL_LIST
+    ranks = inst.girl_rank if girl else inst.boy_rank
+    i = ranks[owner].get(mover, -1) if 0 <= owner < len(ranks) else -1
+    if i < window:
+        i = mover_position(inst, shift)
+    positions, boundaries = (poset.girl_chains if girl else poset.boy_chains).get(owner, ((), ()))
     right = bisect_left(positions, i)
-    return boundaries, right, bisect_left(positions, i - shift.window, 0, right)
+    return boundaries, right, bisect_left(positions, i - window, 0, right)
 
 
 def find_component_rotations(poset: RotationPoset, inst: PreferenceInstance, shift: Shift):
@@ -152,10 +158,11 @@ def analyze_shift(poset: RotationPoset, inst: PreferenceInstance, shift: Shift) 
     boundaries, right, run = _window_runs(poset, inst, shift)
     if run == right:
         return ShiftAnalysis(shift, EMPTY_MAB)
-    never, crossing = _mover_crossing(poset, inst, shift.side, shift.agent, shift.mover)
+    side, owner, mover, _ = shift
+    never, crossing = _mover_crossing(poset, inst, side, owner, mover)
     if never:
         return ShiftAnalysis(shift, EMPTY_MAB)
-    if shift.side == GIRL_LIST:
+    if side == GIRL_LIST:
         rho_in, rho_out = crossing, boundaries[run]
     else:
         rho_in, rho_out = boundaries[run], crossing

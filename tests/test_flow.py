@@ -384,11 +384,14 @@ class TestPipeline:
         def no_analysis(*args):
             raise AssertionError("per-shift analysis on the uniform path")
 
-        def count_shift(self):
-            built.append(self)
+        original_new = Shift.__new__
+
+        def count_shift(cls, *fields):
+            built.append(fields)
+            return original_new(cls, *fields)
 
         monkeypatch.setattr("robustmatch.flow.analyze_shift", no_analysis)
-        monkeypatch.setattr(Shift, "__post_init__", count_shift)
+        monkeypatch.setattr(Shift, "__new__", count_shift)
         run = solve_pipeline(inst, dist)
         assert built == []
         assert run.solution.objective > 0

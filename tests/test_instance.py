@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -163,13 +165,63 @@ class TestShift:
         ((GIRL_LIST, 0, 1, "2"), "shift agent, mover and window must be integers, got 0, 1, '2'"),
         (("SIDEWAYS", 0.0, 1, 1), "unknown side 'SIDEWAYS'"),
         ((GIRL_LIST, 0, 1, 0.0), "shift agent, mover and window must be integers, got 0, 1, 0.0"),
+        ((GIRL_LIST, 0, 1, 0), "shift window must be at least 1"),
+        ((BOY_LIST, 0, 1, -2), "shift window must be at least 1"),
+        (("girl_list", 0, 1, 1), "unknown side 'girl_list'"),
+        ((None, 0, 1, 0), "unknown side None"),
     ], ids=["float-agent", "float-mover", "float-window", "str-agent", "str-window",
-            "side-first", "type-before-window"])
+            "side-first", "type-before-window", "zero-window", "negative-window",
+            "lowercase-side", "none-side"])
     def test_constructor_messages(self, args, message):
         """A float id would pass the range tests and then index a tuple."""
         with pytest.raises(ValueError) as info:
             Shift(*args)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_rebuilds_through_the_checks(self, protocol):
+        shift = Shift(GIRL_LIST, 0, 1, 7)
+        data = pickle.dumps(shift, protocol)
+        back = pickle.loads(data)
+        assert type(back) is Shift and back == shift
+        # the same bytes with one field made invalid, at equal length
+        window, zero = (b"K\x07", b"K\x00") if protocol else (b"I7\n", b"I0\n")
+        assert data.count(b"GIRL_LIST") == 1 and data.count(window) == 1
+        with pytest.raises(ValueError) as info:
+            pickle.loads(data.replace(b"GIRL_LIST", b"SIDEWAYS!"))
+        assert str(info.value) == "unknown side 'SIDEWAYS!'"
+        with pytest.raises(ValueError) as info:
+            pickle.loads(data.replace(window, zero))
+        assert str(info.value) == "shift window must be at least 1"
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+    def test_copy_rebuilds_through_the_checks(self, duplicate, monkeypatch):
+        shift = Shift(BOY_LIST, 2, 1, 2)
+        built = []
+        original_new = Shift.__new__
+
+        def count_shift(cls, *fields):
+            built.append(fields)
+            return original_new(cls, *fields)
+
+        monkeypatch.setattr(Shift, "__new__", count_shift)
+        back = duplicate(shift)
+        assert type(back) is Shift and back == shift
+        assert built == [(BOY_LIST, 2, 1, 2)]
+
+    def test_no_builder_skips_the_checks(self):
+        """``typing.NamedTuple``'s ``_make`` and ``_replace`` build a tuple
+        without calling ``__new__``; a shift has neither."""
+        assert not hasattr(Shift, "_make") and not hasattr(Shift, "_replace")
+
+    def test_is_the_tuple_of_its_fields(self, i3):
+        parsed = parse_shift("BOY_LIST b1 g3 2", i3)
+        built = Shift(BOY_LIST, 0, 2, 2)
+        assert parsed == built == (BOY_LIST, 0, 2, 2)
+        assert hash(parsed) == hash(built) == hash((BOY_LIST, 0, 2, 2))
+        assert {parsed: 1}[built] == 1
+        assert (built.side, built.agent, built.mover, built.window) == tuple(built)
+        assert repr(built) == "Shift(side='BOY_LIST', agent=0, mover=2, window=2)"
 
     def test_apply_on_girl_list(self, i2):
         shifted = apply_shift(i2, Shift(GIRL_LIST, 0, 0, 1))

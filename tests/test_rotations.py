@@ -390,6 +390,28 @@ class TestRotationPoset:
         }
 
 
+class TestWalkInvariants:
+    """Gusfield's walk stops with an AssertionError, never an IndexError, when
+    the girl-optimal matching it walks towards cannot be reached (here a
+    wrong target stands in for a broken walk)."""
+
+    @pytest.mark.parametrize("text, target, message", [
+        # b1's scan runs past the end of his list after the one rotation
+        ("2\nb1: g1 g2\nb2: g2 g1\ng1: b2 b1\ng2: b1 b2\n", [(0, 5)],
+         "a boy short of his girl-optimal partner has no successor girl"),
+        # b1's scan meets g2, whom nobody holds
+        ("1 2\nb1: g1 g2\ng1: b1\ng2: b1\n", [(0, 1)],
+         "a boy short of his girl-optimal partner has no successor girl"),
+        ("2\nb1: g1 g2\nb2: g2 g1\ng1: b2 b1\ng2: b1 b2\n", [(0, 1), (1, 0), (2, 2)],
+         "elimination path did not terminate at the girl-optimal matching"),
+    ], ids=["scan-past-the-end", "unmatched-girl", "wrong-end"])
+    def test_unreachable_target(self, text, target, message, monkeypatch):
+        monkeypatch.setattr(rotations_module, "girl_optimal", lambda inst: Matching(target))
+        with pytest.raises(AssertionError) as info:
+            build_rotation_poset(parse_instance(text))
+        assert str(info.value) == message
+
+
 class TestPartnerChainsMatchMovementDicts:
     """Every lookup of the four movement dicts equals the one read off a
     partner chain, for every (agent, list position)."""

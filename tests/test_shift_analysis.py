@@ -30,7 +30,7 @@ from robustmatch import (
     sublattice_poset,
 )
 from robustmatch.cli import gen_random_instance
-from robustmatch.instance import reversed_instance
+from robustmatch.instance import mover_position, reversed_instance
 from robustmatch.matching import boy_optimal, unmatched_agents
 from robustmatch.rotations import ids_to_mask
 from robustmatch.shift_analysis import (
@@ -180,12 +180,43 @@ class TestComponentRotations:
             find_component_rotations(poset, i2, Shift(BOY_LIST, 0, 1, 1))
 
 
+# b2 and g1 list each other second; g2 lists only b2, b1 only g1
+SHORT_LISTS = parse_instance("2\nb1: g1\nb2: g1 g2\ng1: b1 b2\ng2: b2\n")
+
+
+class TestRejectedShift:
+    """A shift that does not apply to the instance raises the message of
+    ``mover_position``, the general check, although the mover is located by
+    one rank lookup."""
+
+    @pytest.mark.parametrize("analyze, shift, message", [
+        (analyze_shift, Shift(GIRL_LIST, 2, 0, 1), "GIRL_LIST shift agent 2 out of range (0..1)"),
+        (analyze_shift, Shift(BOY_LIST, -1, 0, 1), "BOY_LIST shift agent -1 out of range (0..1)"),
+        (analyze_shift, Shift(GIRL_LIST, 1, 0, 1), "shift mover is not on the list of g2"),
+        (analyze_shift, Shift(BOY_LIST, 0, 1, 1), "shift mover is not on the list of b1"),
+        (analyze_shift, Shift(GIRL_LIST, 0, 2, 1), "shift mover is not on the list of g1"),
+        (analyze_shift, Shift(GIRL_LIST, 0, 1, 2), "shift window 2 does not fit above position 1 in the list of g1"),
+        (analyze_shift, Shift(BOY_LIST, 1, 0, 1), "shift window 1 does not fit above position 0 in the list of b2"),
+        (find_component_rotations, Shift(GIRL_LIST, 0, 1, 2),
+         "shift window 2 does not fit above position 1 in the list of g1"),
+    ], ids=["owner-out-of-range", "negative-owner", "mover-not-listed", "mover-not-listed-boy",
+            "mover-past-other-side", "window-too-wide", "window-too-wide-boy", "component-rotations"])
+    def test_message_is_mover_position_s(self, analyze, shift, message):
+        poset = build_rotation_poset(SHORT_LISTS)
+        with pytest.raises(ValueError) as expected:
+            mover_position(SHORT_LISTS, shift)
+        with pytest.raises(ValueError) as info:
+            analyze(poset, SHORT_LISTS, shift)
+        assert str(info.value) == str(expected.value) == message
+
+
 class TestAnalyzeShift:
     def test_i2_proper(self, i2):
         poset = build_rotation_poset(i2)
         analysis = analyze_shift(poset, i2, I2_SHIFT)
         assert analysis.status == PROPER
         assert analysis.rho_in == 0 and analysis.rho_out is None
+        assert analysis == (I2_SHIFT, PROPER, 0, None)
 
     def test_i3_proper_interval(self, i3):
         poset = build_rotation_poset(i3)

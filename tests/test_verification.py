@@ -123,7 +123,7 @@ class TestCrossCheck:
         """A destabilized set built without its exit rotation holds matchings
         the shift leaves stable."""
         def no_exit(poset, analysis):
-            return sublattice_poset(poset, dataclasses.replace(analysis, rho_out=None))
+            return sublattice_poset(poset, analysis._replace(rho_out=None))
 
         monkeypatch.setattr("robustmatch.verification.sublattice_poset", no_exit)
         report = cross_check(i3, ShiftDistribution.uniform(i3))
@@ -146,7 +146,7 @@ def _rotation_dropped(original):
 def _exit_dropped(original):
     def analyze(poset, inst, shift):
         analysis = original(poset, inst, shift)
-        return dataclasses.replace(analysis, rho_out=None) if analysis.status == PROPER else analysis
+        return analysis._replace(rho_out=None) if analysis.status == PROPER else analysis
     return analyze
 
 
